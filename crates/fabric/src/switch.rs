@@ -21,7 +21,8 @@
 //!   reservations installed by the central arbiter.
 //! * Adaptive routing picks the least-backlogged candidate port.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -189,18 +190,76 @@ struct Entry {
     /// Ingress lane the flit arrived on (VC-flow-controlled links only);
     /// its credit is returned upstream when the flit departs.
     in_vc: Option<u8>,
+    /// The transfer this flit belongs to (wormhole discipline), resolved
+    /// once at admission.
+    worm: Option<WormSlot>,
 }
+
+/// Index of a [`Worm`] in [`FabricSwitch`]'s worm slab.
+type WormSlot = u32;
+
+/// An ingress lane: `(input port, lane index)`.
+type LaneRef = (usize, usize);
 
 /// An in-transit multi-flit transfer (header + data slots) holding — or
 /// about to hold — one egress virtual channel from head to tail.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Worm {
+    /// Transaction id; a queued flit's slot reference is valid only while
+    /// the slot still holds this id.
+    id: u64,
     /// Egress port fixed at head admission; body flits follow the head.
     out: usize,
     /// Lane allocated at head dispatch (`None` until the head moves).
     lane: Option<u8>,
     /// Flits of this transfer not yet dispatched (including the header).
     remaining: u64,
+    /// Ingress lane the transfer's first flit queued in.
+    home: LaneRef,
+    /// Whether flits of this transfer also queued outside `home`: only an
+    /// orphaned transfer (header dropped upstream after a route removal)
+    /// whose data slots were re-laned one by one. Such a worm can change
+    /// under a parked head of its own, so every change to it wakes all
+    /// parked heads.
+    split: bool,
+}
+
+/// Sweep state of a wormhole ingress lane's head flit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Head {
+    /// The lane is empty.
+    Empty,
+    /// Examined by every sweep.
+    Active,
+    /// Still inside the forwarding latency; listed in the timed heap.
+    Timed,
+    /// Failed an egress gate; listed on the [`Wait`] it failed on.
+    Parked,
+}
+
+/// The egress resource a parked head failed on. Each can only be freed
+/// by the events listed in DESIGN.md's parking invariant.
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    /// The egress port's link-layer class credits or retry window; freed
+    /// by a CreditUpdate or Ack received on that port.
+    Link(usize),
+    /// Credits of the egress lane the head's worm holds; freed by a
+    /// VcCredit refund on that lane.
+    Lane(usize, u8),
+    /// Lane allocation on the egress (a header); freed by a lane release
+    /// or any refund on that port, or by a route change (escape-lane
+    /// eligibility).
+    Pool(usize),
+}
+
+/// Heads parked on one egress port's resources.
+#[derive(Debug, Default)]
+struct PortWaiters {
+    link: Vec<LaneRef>,
+    pool: Vec<LaneRef>,
+    /// Indexed by lane.
+    lanes: Vec<Vec<LaneRef>>,
 }
 
 /// A fabric switch component.
@@ -220,8 +279,28 @@ pub struct FabricSwitch {
     /// Per-egress-port VC credit ledgers (only on links configured via
     /// [`FabricSwitch::set_vc_link`]).
     vc_links: Vec<Option<VcLink>>,
-    /// In-transit transfers, keyed by transaction id.
-    worms: BTreeMap<u64, Worm>,
+    /// In-transit transfers (slab; `None` = free slot). Queued flits
+    /// reach their worm through [`Entry::worm`].
+    worms: Vec<Option<Worm>>,
+    free_worms: Vec<WormSlot>,
+    /// Transaction id → worm slot, consulted once per admitted flit.
+    worm_of: BTreeMap<u64, WormSlot>,
+    /// Wormhole head state per `[input][lane]`, per input the number of
+    /// `Active` heads (inputs with none are skipped by the sweep), and
+    /// their total (a sweep round ends early once it reaches zero).
+    heads: Vec<Vec<Head>>,
+    active: Vec<usize>,
+    active_heads: usize,
+    /// Heads inside the forwarding latency, earliest `ready_at` first.
+    timed: BinaryHeap<Reverse<(SimTime, usize, usize)>>,
+    /// Parked heads per egress port.
+    waiters: Vec<PortWaiters>,
+    /// Routing-table version the parked escape decisions were made under.
+    routes_seen: u64,
+    /// Flits committed toward each egress: VOQ-queued flits plus the
+    /// undelivered remainder of every worm routed to it (the adaptive
+    /// routing load).
+    committed: Vec<u64>,
     rr_input: usize,
     ramp: Vec<Option<RampUpState>>,
     flows: BTreeMap<FlowId, TokenBucket>,
@@ -255,7 +334,16 @@ impl FabricSwitch {
             voq: Vec::new(),
             vcq: Vec::new(),
             vc_links: Vec::new(),
-            worms: BTreeMap::new(),
+            worms: Vec::new(),
+            free_worms: Vec::new(),
+            worm_of: BTreeMap::new(),
+            heads: Vec::new(),
+            active: Vec::new(),
+            active_heads: 0,
+            timed: BinaryHeap::new(),
+            waiters: Vec::new(),
+            routes_seen: 0,
+            committed: Vec::new(),
             rr_input: 0,
             ramp: Vec::new(),
             flows: BTreeMap::new(),
@@ -294,6 +382,10 @@ impl FabricSwitch {
         self.ramp.push(None);
         self.vcq.push(vec![VecDeque::new()]);
         self.vc_links.push(None);
+        self.heads.push(vec![Head::Empty]);
+        self.active.push(0);
+        self.waiters.push(PortWaiters::default());
+        self.committed.push(0);
         idx
     }
 
@@ -311,6 +403,7 @@ impl FabricSwitch {
         let lanes = usize::from(cfg.vcs.max(2));
         while self.vcq[port].len() < lanes {
             self.vcq[port].push(VecDeque::new());
+            self.heads[port].push(Head::Empty);
         }
     }
 
@@ -375,7 +468,12 @@ impl FabricSwitch {
         if lanes > 0 {
             return Err(format!("port {port}: {lanes} flit(s) in ingress lanes"));
         }
-        let toward: usize = self.worms.values().filter(|w| w.out == port).count();
+        let toward = self
+            .worms
+            .iter()
+            .flatten()
+            .filter(|w| w.out == port)
+            .count();
         if toward > 0 {
             return Err(format!(
                 "port {port}: {toward} worm(s) in transit toward it"
@@ -427,6 +525,9 @@ impl FabricSwitch {
     /// send [`InstallScheduler`] instead.
     pub fn install_scheduler(&mut self, sched: FabricScheduler) {
         self.sched = Some(sched);
+        // Tenant admission is stateful, so heads are no longer parked:
+        // every gate is evaluated again on every sweep.
+        self.wake_all();
     }
 
     /// The installed tenant scheduler, if any.
@@ -491,10 +592,10 @@ impl FabricSwitch {
                 }
             }
         }
-        if !self.worms.is_empty() {
+        if !self.worm_of.is_empty() {
             report.push(
                 "worms",
-                format!("{} transfer(s) still holding lanes", self.worms.len()),
+                format!("{} transfer(s) still holding lanes", self.worm_of.len()),
             );
         }
         if let Some(sched) = &self.sched {
@@ -544,18 +645,9 @@ impl FabricSwitch {
             return Some(candidates[0]);
         }
         candidates.iter().copied().min_by_key(|&p| {
-            let queued: usize = self.voq.iter().map(|row| row[p].len()).sum();
-            // Under wormhole queueing the committed load on an egress is
-            // the undelivered remainder of every worm routed toward it.
-            let committed: u64 = self
-                .worms
-                .values()
-                .filter(|w| w.out == p)
-                .map(|w| w.remaining)
-                .sum();
             let pending = self.ports[p].pending_len();
             let backlog = self.ports[p].wire_free_at().saturating_sub(now);
-            (queued + committed as usize + pending, backlog, p)
+            (self.committed[p] as usize + pending, backlog, p)
         })
     }
 
@@ -574,6 +666,169 @@ impl FabricSwitch {
     fn return_in_vc(&mut self, ctx: &mut Ctx<'_>, in_port: usize, in_vc: Option<u8>) {
         if let Some(v) = in_vc {
             self.ports[in_port].return_vc_credit(ctx, v, 1);
+        }
+    }
+
+    /// Resolves the worm an arriving flit belongs to, creating it at the
+    /// header. A worm's body flits must follow the head's egress, so only
+    /// a header routes; an orphan data slot (its header raced a route
+    /// change) becomes its own single-flit worm. `None` = unroutable.
+    fn admit_worm(
+        &mut self,
+        lane: LaneRef,
+        payload: &FlitPayload,
+        dst: NodeId,
+        now: SimTime,
+    ) -> Option<WormSlot> {
+        let (id, remaining) = match payload {
+            FlitPayload::Transaction(t) => (t.id, self.expected_flits(lane.0, t)),
+            FlitPayload::Data { txn_id, .. } => {
+                if let Some(&slot) = self.worm_of.get(txn_id) {
+                    if let Some(w) = self.worms[slot as usize].as_mut() {
+                        w.split |= w.home != lane;
+                    }
+                    return Some(slot);
+                }
+                (*txn_id, 1)
+            }
+            // dst_of() resolved, so the payload is a header or data slot.
+            _ => return None,
+        };
+        let out = self.pick_output(dst, now)?;
+        let worm = Worm {
+            id,
+            out,
+            lane: None,
+            remaining,
+            home: lane,
+            split: false,
+        };
+        self.committed[out] += remaining;
+        if let Some(&slot) = self.worm_of.get(&id) {
+            // A header reusing a live transfer's id replaces it in place:
+            // the old transfer's queued flits now resolve to the new worm,
+            // as they would by id, and parked heads must look again.
+            if let Some(old) = self.worms[slot as usize].replace(Worm {
+                split: true,
+                ..worm
+            }) {
+                self.committed[old.out] -= old.remaining;
+            }
+            self.wake_all();
+            return Some(slot);
+        }
+        let slot = match self.free_worms.pop() {
+            Some(slot) => {
+                self.worms[slot as usize] = Some(worm);
+                slot
+            }
+            None => {
+                self.worms.push(Some(worm));
+                (self.worms.len() - 1) as WormSlot
+            }
+        };
+        self.worm_of.insert(id, slot);
+        Some(slot)
+    }
+
+    /// The live worm a queued flit of transaction `id` belongs to. The
+    /// slot recorded at admission answers in O(1); a stale slot (its worm
+    /// finished or was replaced) falls back to the id lookup, exactly as
+    /// if the flit had been resolved by id.
+    fn live_worm(&self, slot: Option<WormSlot>, id: u64) -> Option<(WormSlot, Worm)> {
+        let by_slot = slot.and_then(|s| {
+            self.worms[s as usize]
+                .filter(|w| w.id == id)
+                .map(|w| (s, w))
+        });
+        by_slot.or_else(|| {
+            let s = *self.worm_of.get(&id)?;
+            self.worms[s as usize].map(|w| (s, w))
+        })
+    }
+
+    /// Whether failed wormhole heads may be parked: only when every gate
+    /// ahead of the egress checks is trivially open (Fair allocation, no
+    /// tenant scheduler). Ramp-up and arbitrated allocation change with
+    /// time, and tenant admission counts deferrals as a side effect, so
+    /// those heads are re-examined on every sweep as before.
+    fn parking(&self) -> bool {
+        matches!(self.cfg.allocation, AllocPolicy::Fair) && self.sched.is_none()
+    }
+
+    fn set_head(&mut self, i: usize, l: usize, next: Head) {
+        let prev = std::mem::replace(&mut self.heads[i][l], next);
+        if prev == Head::Active {
+            self.active[i] -= 1;
+            self.active_heads -= 1;
+        }
+        if next == Head::Active {
+            self.active[i] += 1;
+            self.active_heads += 1;
+        }
+    }
+
+    /// Classifies the (new) front flit of a wormhole lane.
+    fn refresh_head(&mut self, i: usize, l: usize, now: SimTime) {
+        let next = match self.vcq[i][l].front() {
+            None => Head::Empty,
+            Some(h) if h.ready_at > now => {
+                self.timed.push(Reverse((h.ready_at, i, l)));
+                Head::Timed
+            }
+            Some(_) => Head::Active,
+        };
+        self.set_head(i, l, next);
+    }
+
+    fn wait_list(&mut self, wait: Wait) -> &mut Vec<LaneRef> {
+        match wait {
+            Wait::Link(p) => &mut self.waiters[p].link,
+            Wait::Pool(p) => &mut self.waiters[p].pool,
+            Wait::Lane(p, v) => {
+                let lanes = &mut self.waiters[p].lanes;
+                let v = usize::from(v);
+                if lanes.len() <= v {
+                    lanes.resize_with(v + 1, Vec::new);
+                }
+                &mut lanes[v]
+            }
+        }
+    }
+
+    /// Parks a head that failed on `wait` (when parking applies).
+    fn park(&mut self, i: usize, l: usize, wait: Wait) {
+        if self.parking() {
+            self.set_head(i, l, Head::Parked);
+            self.wait_list(wait).push((i, l));
+        }
+    }
+
+    /// Re-activates every head parked on `wait`.
+    fn wake(&mut self, wait: Wait) {
+        let mut list = std::mem::take(self.wait_list(wait));
+        for &(i, l) in &list {
+            if self.heads[i][l] == Head::Parked {
+                self.set_head(i, l, Head::Active);
+            }
+        }
+        list.clear();
+        *self.wait_list(wait) = list;
+    }
+
+    /// Re-activates every parked head.
+    fn wake_all(&mut self) {
+        for w in &mut self.waiters {
+            w.link.clear();
+            w.pool.clear();
+            w.lanes.iter_mut().for_each(Vec::clear);
+        }
+        for i in 0..self.heads.len() {
+            for l in 0..self.heads[i].len() {
+                if self.heads[i][l] == Head::Parked {
+                    self.set_head(i, l, Head::Active);
+                }
+            }
         }
     }
 
@@ -601,13 +856,14 @@ impl FabricSwitch {
             self.return_in_vc(ctx, in_port, in_vc);
             return;
         }
-        let entry = Entry {
+        let mut entry = Entry {
             payload,
             class,
             ready_at,
             flow,
             enqueued_at: ctx.now(),
             in_vc,
+            worm: None,
         };
         match self.cfg.queueing {
             QueueDiscipline::Fifo => self.fifo[in_port].push_back(entry),
@@ -621,47 +877,23 @@ impl FabricSwitch {
                     return;
                 };
                 self.voq[in_port][out].push_back(entry);
+                self.committed[out] += 1;
             }
             QueueDiscipline::Wormhole => {
-                // A worm's body flits must follow the head's egress; route
-                // only at the header.
-                let forced = match &entry.payload {
-                    FlitPayload::Data { txn_id, .. } => self.worms.get(txn_id).map(|w| w.out),
-                    _ => None,
-                };
-                let Some(out) = forced.or_else(|| self.pick_output(dst, ctx.now())) else {
+                let lane = usize::from(entry.in_vc.unwrap_or(0));
+                let lane = lane.min(self.vcq[in_port].len().saturating_sub(1));
+                let Some(slot) = self.admit_worm((in_port, lane), &entry.payload, dst, ctx.now())
+                else {
                     self.unroutable.inc();
                     self.ports[in_port].release(ctx, class);
                     self.return_in_vc(ctx, in_port, in_vc);
                     return;
                 };
-                match &entry.payload {
-                    FlitPayload::Transaction(t) => {
-                        let remaining = self.expected_flits(in_port, t);
-                        self.worms.insert(
-                            t.id,
-                            Worm {
-                                out,
-                                lane: None,
-                                remaining,
-                            },
-                        );
-                    }
-                    FlitPayload::Data { txn_id, .. } => {
-                        // Normal case: the header's worm exists. An orphan
-                        // data slot (header raced a route change) becomes
-                        // its own single-flit worm.
-                        self.worms.entry(*txn_id).or_insert(Worm {
-                            out,
-                            lane: None,
-                            remaining: 1,
-                        });
-                    }
-                    _ => {}
-                }
-                let lane = usize::from(entry.in_vc.unwrap_or(0));
-                let lane = lane.min(self.vcq[in_port].len().saturating_sub(1));
+                entry.worm = Some(slot);
                 self.vcq[in_port][lane].push_back(entry);
+                if self.vcq[in_port][lane].len() == 1 {
+                    self.refresh_head(in_port, lane, ctx.now());
+                }
             }
         }
         self.arm_tick(ctx);
@@ -792,6 +1024,9 @@ impl FabricSwitch {
         let now = ctx.now();
         let n = self.ports.len();
         let mut next_kick: Option<SimTime> = None;
+        if self.cfg.queueing == QueueDiscipline::Wormhole {
+            self.prepare_wormhole_sweep(now);
+        }
         // Reserved traffic first (only meaningful under Arbitrated).
         for reserved_phase in [true, false] {
             if reserved_phase && !matches!(self.cfg.allocation, AllocPolicy::Arbitrated) {
@@ -801,6 +1036,11 @@ impl FabricSwitch {
             while progress {
                 progress = false;
                 for step in 0..n {
+                    // With no wormhole head left to examine, the rest of
+                    // this round cannot move a flit.
+                    if self.cfg.queueing == QueueDiscipline::Wormhole && self.active_heads == 0 {
+                        break;
+                    }
                     let i = (self.rr_input + step) % n;
                     if self.try_dispatch_input(ctx, i, now, reserved_phase, &mut next_kick) {
                         progress = true;
@@ -809,8 +1049,35 @@ impl FabricSwitch {
                 self.rr_input = (self.rr_input + 1) % n;
             }
         }
+        // Heads still inside the forwarding latency are never examined;
+        // the earliest of them bounds the next sweep, as it would have had
+        // the sweep looked at each.
+        if let Some(&Reverse((at, _, _))) = self.timed.peek() {
+            self.note_kick(&mut next_kick, at);
+        }
         if let Some(at) = next_kick {
             self.request_kick(ctx, at);
+        }
+    }
+
+    /// Activates heads whose forwarding latency has passed and, if the
+    /// routing table changed since the last sweep, every header parked on
+    /// lane allocation (its escape-lane eligibility may have changed).
+    fn prepare_wormhole_sweep(&mut self, now: SimTime) {
+        while let Some(&Reverse((at, i, l))) = self.timed.peek() {
+            if at > now {
+                break;
+            }
+            self.timed.pop();
+            if self.heads[i][l] == Head::Timed {
+                self.set_head(i, l, Head::Active);
+            }
+        }
+        if self.routing.version() != self.routes_seen {
+            self.routes_seen = self.routing.version();
+            for p in 0..self.ports.len() {
+                self.wake(Wait::Pool(p));
+            }
         }
     }
 
@@ -921,6 +1188,7 @@ impl FabricSwitch {
             let Some(entry) = self.voq[i][out].pop_front() else {
                 continue;
             };
+            self.committed[out] -= 1;
             self.finish_dispatch(ctx, i, out, entry, now, None);
             return true;
         }
@@ -931,6 +1199,12 @@ impl FabricSwitch {
     /// (wormhole discipline). Lanes are independent: a worm stalled on
     /// lane 2's egress credits never blocks lane 0's escape traffic on
     /// the same input — the isolation the deadlock argument rests on.
+    ///
+    /// Only `Active` heads are examined. A head inside the forwarding
+    /// latency waits in the timed heap, and one that fails an egress gate
+    /// is parked on that resource until an event that can free it (see
+    /// [`Wait`]); skipping either cannot change the outcome, because
+    /// examining it would fail without side effects.
     fn try_dispatch_wormhole(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -939,32 +1213,37 @@ impl FabricSwitch {
         reserved_phase: bool,
         next_kick: &mut Option<SimTime>,
     ) -> bool {
+        if self.active[i] == 0 {
+            return false;
+        }
         for l in 0..self.vcq[i].len() {
-            let Some((ready_at, flow, class, id, dst)) = self.vcq[i][l].front().map(|h| {
+            if self.heads[i][l] != Head::Active {
+                continue;
+            }
+            let Some((flow, class, id, slot, dst)) = self.vcq[i][l].front().map(|h| {
+                debug_assert!(h.ready_at <= now, "active heads are ready");
                 (
-                    h.ready_at,
                     h.flow,
                     h.class,
                     h.payload.trace_id(),
+                    h.worm,
                     Self::dst_of(&h.payload),
                 )
             }) else {
                 continue;
             };
-            if ready_at > now {
-                self.note_kick(next_kick, ready_at);
-                continue;
-            }
             // Every wormhole-admitted flit has a worm (created at admit);
             // a missing one means its transfer raced a teardown — drop.
-            let Some(out) = self.worms.get(&id).map(|w| w.out) else {
+            let Some((slot, worm)) = self.live_worm(slot, id) else {
                 if let Some(entry) = self.vcq[i][l].pop_front() {
+                    self.refresh_head(i, l, now);
                     self.unroutable.inc();
                     self.ports[i].release(ctx, entry.class);
                     self.return_in_vc(ctx, i, entry.in_vc);
                 }
                 return true;
             };
+            let out = worm.out;
             match self.policy_gate(i, out, flow, now, reserved_phase) {
                 Ok(()) => {}
                 Err(Some(at)) => {
@@ -978,52 +1257,61 @@ impl FabricSwitch {
                 continue;
             }
             if !self.ports[out].link.can_send(class) {
+                self.park(i, l, Wait::Link(out));
                 continue;
             }
             // Per-VC egress gate. Escape lane 0 is eligible only when the
             // egress is the destination's primary (deterministic) route.
-            let escape_ok = dst
-                .and_then(|d| self.routing.route(d))
-                .is_some_and(|c| c.first() == Some(&out));
-            let held = self.worms.get(&id).and_then(|w| w.lane);
-            let out_vc = match self.vc_links[out].as_mut() {
-                Some(vl) => match held {
-                    Some(v) => {
-                        if !vl.can_send(v) {
-                            continue;
-                        }
-                        Some(v)
+            let gate = match self.vc_links[out].as_mut() {
+                None => Ok(None),
+                Some(vl) => match worm.lane {
+                    Some(v) if vl.can_send(v) => Ok(Some(v)),
+                    Some(v) => Err(Wait::Lane(out, v)),
+                    None => {
+                        let escape_ok = dst
+                            .and_then(|d| self.routing.route(d))
+                            .is_some_and(|c| c.first() == Some(&out));
+                        vl.allocate(id, escape_ok).map(Some).ok_or(Wait::Pool(out))
                     }
-                    None => match vl.allocate(id, escape_ok) {
-                        Some(v) => Some(v),
-                        None => continue,
-                    },
                 },
-                None => None,
+            };
+            let out_vc = match gate {
+                Ok(v) => v,
+                Err(wait) => {
+                    self.park(i, l, wait);
+                    continue;
+                }
             };
             let Some(entry) = self.vcq[i][l].pop_front() else {
                 continue;
             };
+            self.refresh_head(i, l, now);
             if let Some(v) = out_vc {
                 if let Some(vl) = self.vc_links[out].as_mut() {
                     vl.consume(v, id);
                 }
             }
-            let done = match self.worms.get_mut(&id) {
-                Some(w) => {
-                    w.lane = out_vc;
-                    w.remaining = w.remaining.saturating_sub(1);
-                    w.remaining == 0
-                }
-                None => true,
-            };
-            if done {
-                self.worms.remove(&id);
+            self.committed[out] -= 1;
+            let remaining = worm.remaining - 1;
+            if remaining == 0 {
+                self.worms[slot as usize] = None;
+                self.free_worms.push(slot);
+                self.worm_of.remove(&id);
                 if let Some(v) = out_vc {
                     if let Some(vl) = self.vc_links[out].as_mut() {
                         vl.release(v);
                     }
+                    self.wake(Wait::Pool(out));
                 }
+            } else {
+                self.worms[slot as usize] = Some(Worm {
+                    lane: out_vc,
+                    remaining,
+                    ..worm
+                });
+            }
+            if worm.split {
+                self.wake_all();
             }
             self.finish_dispatch(ctx, i, out, entry, now, out_vc);
             return true;
@@ -1086,11 +1374,16 @@ impl FabricSwitch {
     fn on_flit(&mut self, ctx: &mut Ctx<'_>, in_port: usize, fm: FlitMsg) {
         match self.ports[in_port].receive(ctx, fm) {
             PortEvent::Delivered(payload, in_vc) => self.admit(ctx, in_port, payload, in_vc),
-            PortEvent::CreditFreed => self.schedule(ctx),
+            PortEvent::CreditFreed => {
+                self.wake(Wait::Link(in_port));
+                self.schedule(ctx);
+            }
             PortEvent::VcCreditReturned { vc, credits } => {
                 if let Some(vl) = self.vc_links[in_port].as_mut() {
                     vl.refund(vc, credits);
                 }
+                self.wake(Wait::Lane(in_port, vc));
+                self.wake(Wait::Pool(in_port));
                 self.schedule(ctx);
             }
             PortEvent::Quiet => {}
@@ -1259,9 +1552,8 @@ impl Component for FabricSwitch {
                 if let Some(head) = q.front() {
                     // The head's worm names the egress this lane waits on.
                     let waiting_on = self
-                        .worms
-                        .get(&head.payload.trace_id())
-                        .and_then(|w| self.ports[w.out].peer_opt());
+                        .live_worm(head.worm, head.payload.trace_id())
+                        .and_then(|(_, w)| self.ports[w.out].peer_opt());
                     out.push(PendingWork {
                         what: format!("{} flit(s) queued input {i} lane {l}", q.len()),
                         waiting_on,
@@ -1372,5 +1664,374 @@ mod tests {
         // A window rollover refills the partition.
         sw.scheduler_mut().unwrap().rollover();
         assert!(sw.sched_admits(mapped));
+    }
+
+    /// Hand-driven rigs for the wormhole parking rules: probe endpoints
+    /// inject flits into a switch and hold whatever it delivers until told
+    /// to free it, so each test controls exactly which egress resource a
+    /// head waits on and which event frees it.
+    mod parking {
+        use fcc_proto::channel::{MemOpcode, Transaction, TransactionKind};
+        use fcc_sim::Engine;
+
+        use super::*;
+
+        const DST: NodeId = NodeId(9);
+        const ELSEWHERE: NodeId = NodeId(10);
+
+        enum Cmd {
+            Send(FlitPayload, Option<u8>),
+            /// Frees every held flit that arrived on lane `vc`: returns its
+            /// link credit and, when tagged, its VC credit.
+            Free(Option<u8>),
+            /// Returns a VC credit the probe never consumed (white-box
+            /// refund of a lane the test drained by hand).
+            Refund(u8),
+        }
+
+        struct Probe {
+            port: LinkPort,
+            held: Vec<(MsgClass, Option<u8>)>,
+            got: Vec<(FlitPayload, Option<u8>)>,
+        }
+
+        impl Component for Probe {
+            fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+                match msg.downcast::<Cmd>() {
+                    Ok(Cmd::Send(p, vc)) => self.port.send_now_vc(ctx, p, vc),
+                    Ok(Cmd::Free(lane)) => {
+                        let (free, keep) = self.held.drain(..).partition(|&(_, v)| v == lane);
+                        self.held = keep;
+                        for (class, vc) in free {
+                            self.port.release(ctx, class);
+                            if let Some(v) = vc {
+                                self.port.return_vc_credit(ctx, v, 1);
+                            }
+                        }
+                    }
+                    Ok(Cmd::Refund(v)) => self.port.return_vc_credit(ctx, v, 1),
+                    Err(msg) => {
+                        let fm = msg.downcast::<FlitMsg>().expect("flit");
+                        if let PortEvent::Delivered(p, vc) = self.port.receive(ctx, fm) {
+                            self.held.push((p.msg_class(), vc));
+                            self.got.push((p, vc));
+                        }
+                    }
+                }
+            }
+        }
+
+        struct Rig {
+            engine: Engine,
+            sw: ComponentId,
+            inputs: Vec<ComponentId>,
+            /// Egress probes; `sinks[k]` sits on switch port `inputs.len() + k`.
+            sinks: Vec<ComponentId>,
+        }
+
+        impl Rig {
+            /// `inputs` probe ports (`in_vc` lanes on each when set) and
+            /// `sinks` egress probes (`out_vc` on each when set, link
+            /// credits per `credit`). `DST` routes to the first egress,
+            /// `ELSEWHERE` to the last.
+            fn new(
+                inputs: usize,
+                in_vc: Option<VcConfig>,
+                sinks: usize,
+                out_vc: Option<VcConfig>,
+                credit: CreditConfig,
+            ) -> Rig {
+                let mut engine = Engine::new(1);
+                let cfg = SwitchConfig {
+                    queueing: QueueDiscipline::Wormhole,
+                    ..SwitchConfig::fabrex_like()
+                };
+                let phys = cfg.phys;
+                let sw = engine.add_component("sw", FabricSwitch::new(cfg));
+                let mut probe = |name: String, credit: CreditConfig| {
+                    let port = LinkPort::new(phys, credit);
+                    let held = Vec::new();
+                    let got = Vec::new();
+                    engine.add_component(name, Probe { port, held, got })
+                };
+                let inputs: Vec<_> = (0..inputs)
+                    .map(|k| probe(format!("in{k}"), CreditConfig::default()))
+                    .collect();
+                let sinks: Vec<_> = (0..sinks)
+                    .map(|k| probe(format!("out{k}"), credit))
+                    .collect();
+                let wiring = inputs
+                    .iter()
+                    .map(|&id| (id, CreditConfig::default(), in_vc))
+                    .chain(sinks.iter().map(|&id| (id, credit, out_vc)));
+                for (id, credit, vc) in wiring {
+                    let s = engine.component_mut::<FabricSwitch>(sw);
+                    let p = s.add_port_with(phys, credit);
+                    s.connect(p, id);
+                    if let Some(vc) = vc {
+                        s.set_vc_link(p, vc);
+                    }
+                    engine.component_mut::<Probe>(id).port.connect(sw);
+                }
+                let out = inputs.len();
+                let s = engine.component_mut::<FabricSwitch>(sw);
+                s.routing.add_pbr(DST, out);
+                s.routing.add_pbr(ELSEWHERE, out + sinks.len() - 1);
+                Rig {
+                    engine,
+                    sw,
+                    inputs,
+                    sinks,
+                }
+            }
+
+            fn out(&self) -> usize {
+                self.inputs.len()
+            }
+
+            fn switch(&self) -> &FabricSwitch {
+                self.engine.component::<FabricSwitch>(self.sw)
+            }
+
+            fn switch_mut(&mut self) -> &mut FabricSwitch {
+                self.engine.component_mut::<FabricSwitch>(self.sw)
+            }
+
+            fn send(&mut self, at_us: f64, input: usize, flits: Vec<FlitPayload>, vc: Option<u8>) {
+                for f in flits {
+                    let id = self.inputs[input];
+                    self.engine
+                        .post(id, SimTime::from_us(at_us), Cmd::Send(f, vc));
+                }
+            }
+
+            fn cmd(&mut self, at_us: f64, sink: usize, cmd: Cmd) {
+                let id = self.sinks[sink];
+                self.engine.post(id, SimTime::from_us(at_us), cmd);
+            }
+
+            fn post_to_switch<T: Send + 'static>(&mut self, at_us: f64, msg: T) {
+                self.engine.post(self.sw, SimTime::from_us(at_us), msg);
+            }
+
+            fn run_until_us(&mut self, at_us: f64) {
+                self.engine.run_until(SimTime::from_us(at_us));
+            }
+
+            fn delivered(&self, sink: usize) -> usize {
+                self.engine.component::<Probe>(self.sinks[sink]).got.len()
+            }
+
+            /// The VC tag of every flit `sink` received, in arrival order.
+            fn lanes(&self, sink: usize) -> Vec<Option<u8>> {
+                let got = &self.engine.component::<Probe>(self.sinks[sink]).got;
+                got.iter().map(|&(_, vc)| vc).collect()
+            }
+
+            fn head(&self, input: usize, lane: usize) -> Head {
+                self.switch().heads[input][lane]
+            }
+        }
+
+        fn worm(id: u64, dst: NodeId, data_flits: u64) -> Vec<FlitPayload> {
+            let mode = PhysConfig::omega_like().flit_mode;
+            let (kind, bytes) = if data_flits == 0 {
+                (MemOpcode::MemRd, 0)
+            } else {
+                (MemOpcode::MemWr, data_flits * mode.payload_bytes())
+            };
+            let src = NodeId(1);
+            let mut flits = vec![FlitPayload::Transaction(Transaction {
+                id,
+                kind: TransactionKind::Mem(kind),
+                addr: 0,
+                bytes: bytes as u32,
+                src,
+                dst,
+            })];
+            flits.extend((0..data_flits).map(|slot| FlitPayload::Data {
+                txn_id: id,
+                slot: slot as u32,
+                src,
+                dst,
+            }));
+            flits
+        }
+
+        fn vcs(vcs: u8, buf_flits: u32) -> Option<VcConfig> {
+            Some(VcConfig { vcs, buf_flits })
+        }
+
+        #[test]
+        fn body_on_empty_held_lane_waits_for_its_own_refund() {
+            let mut rig = Rig::new(2, None, 1, vcs(3, 1), CreditConfig::default());
+            // Worm A's header takes escape lane 0 and its only credit; the
+            // body parks on that lane.
+            rig.send(0.0, 0, worm(1, DST, 2), None);
+            rig.run_until_us(1.0);
+            assert_eq!(rig.delivered(0), 1);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Worm B on another input allocates lane 1 of the same egress
+            // and moves while A stays parked.
+            rig.send(1.0, 1, worm(2, DST, 1), None);
+            rig.run_until_us(2.0);
+            assert_eq!(rig.lanes(0), [Some(0), Some(1)], "B's header on lane 1");
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Lane 1's refund moves B's tail, not A's body.
+            rig.cmd(2.0, 0, Cmd::Free(Some(1)));
+            rig.run_until_us(3.0);
+            assert_eq!(rig.delivered(0), 3);
+            assert_eq!(rig.head(1, 0), Head::Empty);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Lane 0's refund moves A's body (its last flit parks again).
+            rig.cmd(3.0, 0, Cmd::Free(Some(0)));
+            rig.run_until_us(4.0);
+            assert_eq!(rig.delivered(0), 4);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            rig.cmd(4.0, 0, Cmd::Free(Some(0)));
+            rig.engine.run_until_idle();
+            assert_eq!(rig.delivered(0), 5);
+            assert_eq!(rig.head(0, 0), Head::Empty);
+            assert!(rig.switch().worm_of.is_empty());
+        }
+
+        #[test]
+        fn header_parked_on_allocation_moves_on_lane_release() {
+            let mut rig = Rig::new(3, None, 1, vcs(2, 4), CreditConfig::default());
+            // A and B each hold one of the two lanes; their tails are
+            // withheld.
+            rig.send(0.0, 0, worm(1, DST, 2)[..2].to_vec(), None);
+            rig.send(0.0, 1, worm(2, DST, 2)[..2].to_vec(), None);
+            rig.send(1.0, 2, worm(3, DST, 0), None);
+            rig.run_until_us(2.0);
+            assert_eq!(rig.delivered(0), 4);
+            assert_eq!(rig.head(2, 0), Head::Parked, "C has no lane to allocate");
+            // A's tail releases its lane, which C takes in the same sweep.
+            rig.send(2.0, 0, worm(1, DST, 2)[2..].to_vec(), None);
+            rig.run_until_us(3.0);
+            assert_eq!(rig.delivered(0), 6);
+            assert_eq!(rig.head(2, 0), Head::Empty);
+        }
+
+        #[test]
+        fn head_parked_on_link_credits_moves_on_credit_update() {
+            // One credit per class on the egress link, returned at once.
+            let credit = CreditConfig {
+                buffer_flits: 4,
+                return_threshold: 1,
+                ..CreditConfig::default()
+            };
+            let mut rig = Rig::new(1, None, 1, None, credit);
+            rig.send(0.0, 0, [worm(1, DST, 0), worm(2, DST, 0)].concat(), None);
+            rig.run_until_us(1.0);
+            assert_eq!(rig.delivered(0), 1);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Freeing the first read returns a CreditUpdate.
+            rig.cmd(1.0, 0, Cmd::Free(None));
+            rig.run_until_us(2.0);
+            assert_eq!(rig.delivered(0), 2);
+            assert_eq!(rig.head(0, 0), Head::Empty);
+        }
+
+        #[test]
+        fn route_changes_re_evaluate_escape_eligibility() {
+            let mut rig = Rig::new(2, None, 2, vcs(2, 1), CreditConfig::default());
+            let (out, alt) = (rig.out(), rig.out() + 1);
+            {
+                // White-box: lane 1 held by a phantom worm; lane 0 free but
+                // drained, so a header can only take lane 0 after a refund.
+                let vl = rig.switch_mut().vc_links[out].as_mut().expect("vc link");
+                vl.consume(1, 999);
+                vl.consume(0, 998);
+                vl.release(0);
+            }
+            rig.send(0.0, 0, worm(1, DST, 0), None);
+            rig.run_until_us(1.0);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Make `alt` DST's primary route: lane 0 is now out of bounds
+            // for a worm leaving through `out`, so lane 0's refund wakes
+            // the header only for it to park again.
+            rig.post_to_switch(1.0, RemovePbrRoute { dst: DST });
+            rig.post_to_switch(
+                1.0,
+                InstallPbrRoute {
+                    dst: DST,
+                    port: alt,
+                },
+            );
+            rig.post_to_switch(
+                1.0,
+                InstallPbrRoute {
+                    dst: DST,
+                    port: out,
+                },
+            );
+            rig.cmd(1.5, 0, Cmd::Refund(0));
+            rig.run_until_us(2.0);
+            assert_eq!(rig.delivered(0), 0);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Restoring `out` as the primary route is the only change; the
+            // next sweep (kicked by unrelated traffic to `alt`) moves it.
+            rig.post_to_switch(2.0, RemovePbrRoute { dst: DST });
+            rig.post_to_switch(
+                2.0,
+                InstallPbrRoute {
+                    dst: DST,
+                    port: out,
+                },
+            );
+            rig.send(2.5, 1, worm(2, ELSEWHERE, 0), None);
+            rig.run_until_us(3.0);
+            assert_eq!(rig.delivered(1), 1);
+            assert_eq!(rig.delivered(0), 1, "escape lane 0 allocated");
+            assert_eq!(rig.head(0, 0), Head::Empty);
+        }
+
+        #[test]
+        fn parked_worms_still_show_in_detach_and_outstanding() {
+            let mut rig = Rig::new(1, None, 1, vcs(2, 1), CreditConfig::default());
+            rig.send(0.0, 0, worm(1, DST, 1), None);
+            rig.run_until_us(1.0);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            let out = rig.out();
+            let sink = rig.sinks[0];
+            let sw = rig.switch_mut();
+            let err = sw.detach_port(out).expect_err("worm in transit");
+            assert!(err.contains("1 worm(s) in transit toward it"), "{err}");
+            let mut pending = Vec::new();
+            sw.outstanding(&mut pending);
+            assert!(
+                pending
+                    .iter()
+                    .any(|w| w.what.contains("input 0 lane 0") && w.waiting_on == Some(sink)),
+                "{pending:?}"
+            );
+        }
+
+        #[test]
+        fn lanes_above_64_park_and_wake() {
+            let mut rig = Rig::new(1, vcs(100, 4), 1, vcs(100, 1), CreditConfig::default());
+            let out = rig.out();
+            {
+                let sw = rig.switch_mut();
+                assert_eq!(sw.vcq[0].len(), 100);
+                assert_eq!(sw.heads[0].len(), 100);
+                // White-box: every egress lane but the last is held.
+                let vl = sw.vc_links[out].as_mut().expect("vc link");
+                for v in 0..99 {
+                    vl.consume(v, 1000 + u64::from(v));
+                }
+            }
+            // The worm arrives on ingress lane 99, takes egress lane 99,
+            // and its body parks on that lane's empty ledger.
+            rig.send(0.0, 0, worm(1, DST, 1), Some(99));
+            rig.run_until_us(1.0);
+            assert_eq!(rig.head(0, 99), Head::Parked);
+            assert_eq!(rig.delivered(0), 1);
+            rig.cmd(1.0, 0, Cmd::Free(Some(99)));
+            rig.run_until_us(2.0);
+            assert_eq!(rig.head(0, 99), Head::Empty);
+            assert_eq!(rig.lanes(0), [Some(99), Some(99)]);
+        }
     }
 }

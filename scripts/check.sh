@@ -77,4 +77,14 @@ grep -q '"deadlock_events": 0' "$artifacts/e14-results.json"
 grep -q '"credit_violations": 0' "$artifacts/e14-results.json"
 grep -q '"quiesced_clean": 1' "$artifacts/e14-results.json"
 
+echo "==> perfbench smoke (quick workloads reproduce their reference outputs)"
+for workload in pod-wormhole serve-diurnal; do
+    python3 perfbench/run.py --workload "$workload" --quick --seconds 0 --trace 0 \
+        > "$artifacts/perfbench-$workload.txt"
+    tail -n 1 "$artifacts/perfbench-$workload.txt" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+done
+
 echo "all checks passed"
