@@ -248,22 +248,11 @@ impl LinkPort {
         self.transmit(ctx, flit, None);
     }
 
-    /// Processes an arriving flit and returns what it meant.
+    /// Processes an arriving flit and returns what it meant. The link
+    /// layer checks the CRC once and hands back NAKs and VC credit returns
+    /// for the port and its owner to act on.
     pub fn receive(&mut self, ctx: &mut Ctx<'_>, msg: FlitMsg) -> PortEvent {
         self.rx_flits.inc();
-        // NAKs demand retransmission, which needs the flits back from the
-        // retry buffer — handle them here rather than in the link layer.
-        // VC credit returns are likewise owner-level state (the switch's
-        // per-lane ledgers), not link-layer state.
-        if msg.flit.crc_ok() {
-            if let FlitPayload::Nak { from_seq } = msg.flit.payload {
-                self.retransmit_from(ctx, from_seq);
-                return PortEvent::Quiet;
-            }
-            if let FlitPayload::VcCredit { vc, credits } = msg.flit.payload {
-                return PortEvent::VcCreditReturned { vc, credits };
-            }
-        }
         let vc = msg.vc;
         match self.link.receive(msg.flit) {
             RxAction::Deliver(payload) => {
@@ -273,12 +262,16 @@ impl LinkPort {
                 PortEvent::Delivered(payload, vc)
             }
             RxAction::Control => {
-                // A NAK requires us to retransmit; a credit update may have
-                // unblocked the pending queue.
-                // The link layer already applied acks and credit grants.
+                // The link layer already applied acks and credit grants,
+                // which may have unblocked the pending queue.
                 self.pump(ctx);
                 PortEvent::CreditFreed
             }
+            RxAction::Nak { from_seq } => {
+                self.retransmit_from(ctx, from_seq);
+                PortEvent::Quiet
+            }
+            RxAction::VcCredit { vc, credits } => PortEvent::VcCreditReturned { vc, credits },
             RxAction::Refused(nak) => {
                 self.transmit_control(ctx, nak);
                 PortEvent::Quiet
@@ -338,6 +331,8 @@ mod tests {
     struct Node {
         port: LinkPort,
         delivered: Vec<FlitPayload>,
+        /// Every `VcCreditReturned` event, as `(vc, credits)`.
+        vc_credits: Vec<(u8, u32)>,
         release_on_delivery: bool,
     }
 
@@ -346,6 +341,7 @@ mod tests {
             Node {
                 port: LinkPort::new(PhysConfig::omega_like(), CreditConfig::default()),
                 delivered: Vec::new(),
+                vc_credits: Vec::new(),
                 release_on_delivery: release,
             }
         }
@@ -361,7 +357,8 @@ mod tests {
                         self.port.release(ctx, class);
                     }
                 }
-                PortEvent::CreditFreed | PortEvent::VcCreditReturned { .. } | PortEvent::Quiet => {}
+                PortEvent::VcCreditReturned { vc, credits } => self.vc_credits.push((vc, credits)),
+                PortEvent::CreditFreed | PortEvent::Quiet => {}
             }
         }
 
@@ -516,6 +513,7 @@ mod tests {
                 port: LinkPort::new(PhysConfig::omega_like(), CreditConfig::default())
                     .with_pending_limit(2),
                 delivered: Vec::new(),
+                vc_credits: Vec::new(),
                 release_on_delivery: false,
             }),
         );
@@ -533,5 +531,70 @@ mod tests {
         engine.run_until_idle();
         let sender = &engine.component::<DrivenNode>(a).0;
         assert_eq!(sender.port.pending_len(), 2, "receiver never releases");
+    }
+
+    /// Posts a control flit to `node` as if its peer had sent it.
+    fn post_control(engine: &mut Engine, node: ComponentId, payload: FlitPayload, corrupt: bool) {
+        let mut flit = Flit::new(0, PhysConfig::omega_like().flit_mode, payload);
+        if corrupt {
+            flit.corrupt();
+        }
+        engine.post(node, engine.now(), FlitMsg { flit, vc: None });
+    }
+
+    #[test]
+    fn valid_vc_credit_is_returned_to_the_owner() {
+        let mut engine = Engine::new(1);
+        let (_, b) = driven_pair(&mut engine, true);
+        post_control(
+            &mut engine,
+            b,
+            FlitPayload::VcCredit { vc: 3, credits: 2 },
+            false,
+        );
+        engine.run_until_idle();
+        let node_b = &engine.component::<DrivenNode>(b).0;
+        assert_eq!(node_b.vc_credits, [(3, 2)]);
+        assert_eq!(node_b.port.link.crc_drops(), 0);
+    }
+
+    #[test]
+    fn valid_nak_triggers_go_back_n() {
+        let mut engine = Engine::new(1);
+        // The receiver never releases, so no ack prunes the retry buffer.
+        let (a, b) = driven_pair(&mut engine, false);
+        inject(&mut engine, a, (0..3).map(read_txn).collect());
+        engine.run_until_idle();
+        post_control(&mut engine, a, FlitPayload::Nak { from_seq: 1 }, false);
+        engine.run_until_idle();
+        let sender = &engine.component::<DrivenNode>(a).0.port;
+        assert_eq!(sender.link.retransmissions(), 2, "seq 1 and 2 resent");
+        assert_eq!(sender.link.crc_drops(), 0);
+        let node_b = &engine.component::<DrivenNode>(b).0;
+        assert_eq!(node_b.delivered.len(), 3, "resent flits are duplicates");
+    }
+
+    #[test]
+    fn corrupted_nak_and_vc_credit_are_refused_with_a_nak() {
+        let mut engine = Engine::new(1);
+        let (a, b) = driven_pair(&mut engine, false);
+        inject(&mut engine, a, (0..3).map(read_txn).collect());
+        engine.run_until_idle();
+        post_control(&mut engine, a, FlitPayload::Nak { from_seq: 0 }, true);
+        post_control(
+            &mut engine,
+            a,
+            FlitPayload::VcCredit { vc: 1, credits: 1 },
+            true,
+        );
+        engine.run_until_idle();
+        let node_a = &engine.component::<DrivenNode>(a).0;
+        assert_eq!(node_a.port.link.crc_drops(), 2);
+        assert_eq!(node_a.port.link.retransmissions(), 0, "no go-back-N");
+        assert!(node_a.vc_credits.is_empty());
+        // Each refusal NAKs the peer, which resends everything it holds
+        // unacked — here nothing, as `a` never sent `b` a sequenced flit.
+        let node_b = &engine.component::<DrivenNode>(b).0;
+        assert_eq!(node_b.port.rx_flits.get(), 3 + 2, "three reads, two NAKs");
     }
 }

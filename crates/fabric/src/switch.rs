@@ -224,7 +224,8 @@ struct Worm {
     split: bool,
 }
 
-/// Sweep state of a wormhole ingress lane's head flit.
+/// Sweep state of an ingress lane's head flit: a wormhole lane, or a
+/// FIFO input (tracked as lane 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Head {
     /// The lane is empty.
@@ -238,7 +239,8 @@ enum Head {
 }
 
 /// The egress resource a parked head failed on. Each can only be freed
-/// by the events listed in DESIGN.md's parking invariant.
+/// by the events listed in DESIGN.md's parking invariant; a routing-table
+/// change wakes every parked head.
 #[derive(Debug, Clone, Copy)]
 enum Wait {
     /// The egress port's link-layer class credits or retry window; freed
@@ -251,6 +253,44 @@ enum Wait {
     /// or any refund on that port, or by a route change (escape-lane
     /// eligibility).
     Pool(usize),
+}
+
+/// One bit per input port: the inputs a sweep round visits.
+#[derive(Debug, Default)]
+struct InputMask(Vec<u64>);
+
+impl InputMask {
+    fn push(&mut self, i: usize) {
+        if i / 64 >= self.0.len() {
+            self.0.push(0);
+        }
+    }
+
+    fn set(&mut self, i: usize, on: bool) {
+        let bit = 1u64 << (i % 64);
+        if on {
+            self.0[i / 64] |= bit;
+        } else {
+            self.0[i / 64] &= !bit;
+        }
+    }
+
+    /// The lowest set input in `from..to`.
+    fn next_in(&self, from: usize, to: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = self.0.get(w)? & (u64::MAX << (from % 64));
+        loop {
+            if word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                return (i < to).then_some(i);
+            }
+            w += 1;
+            if w * 64 >= to {
+                return None;
+            }
+            word = *self.0.get(w)?;
+        }
+    }
 }
 
 /// Heads parked on one egress port's resources.
@@ -285,12 +325,14 @@ pub struct FabricSwitch {
     free_worms: Vec<WormSlot>,
     /// Transaction id → worm slot, consulted once per admitted flit.
     worm_of: BTreeMap<u64, WormSlot>,
-    /// Wormhole head state per `[input][lane]`, per input the number of
-    /// `Active` heads (inputs with none are skipped by the sweep), and
-    /// their total (a sweep round ends early once it reaches zero).
+    /// Head state per `[input][lane]` (wormhole lanes; a FIFO input is
+    /// lane 0).
     heads: Vec<Vec<Head>>,
+    /// Sweep work per input: its `Active` heads, or under VOQ its queued
+    /// flits. `ready` has a bit set for each input with any; the sweep
+    /// visits only those.
     active: Vec<usize>,
-    active_heads: usize,
+    ready: InputMask,
     /// Heads inside the forwarding latency, earliest `ready_at` first.
     timed: BinaryHeap<Reverse<(SimTime, usize, usize)>>,
     /// Parked heads per egress port.
@@ -339,7 +381,7 @@ impl FabricSwitch {
             worm_of: BTreeMap::new(),
             heads: Vec::new(),
             active: Vec::new(),
-            active_heads: 0,
+            ready: InputMask::default(),
             timed: BinaryHeap::new(),
             waiters: Vec::new(),
             routes_seen: 0,
@@ -384,6 +426,7 @@ impl FabricSwitch {
         self.vc_links.push(None);
         self.heads.push(vec![Head::Empty]);
         self.active.push(0);
+        self.ready.push(idx);
         self.waiters.push(PortWaiters::default());
         self.committed.push(0);
         idx
@@ -525,8 +568,8 @@ impl FabricSwitch {
     /// send [`InstallScheduler`] instead.
     pub fn install_scheduler(&mut self, sched: FabricScheduler) {
         self.sched = Some(sched);
-        // Tenant admission is stateful, so heads are no longer parked:
-        // every gate is evaluated again on every sweep.
+        // Tenant admission counts every probe, so heads are no longer
+        // parked: every ready head is examined again on every sweep.
         self.wake_all();
     }
 
@@ -747,30 +790,43 @@ impl FabricSwitch {
         })
     }
 
-    /// Whether failed wormhole heads may be parked: only when every gate
-    /// ahead of the egress checks is trivially open (Fair allocation, no
-    /// tenant scheduler). Ramp-up and arbitrated allocation change with
-    /// time, and tenant admission counts deferrals as a side effect, so
-    /// those heads are re-examined on every sweep as before.
+    /// Whether failed heads may be parked: only when every gate ahead of
+    /// the egress checks is trivially open (Fair allocation, no tenant
+    /// scheduler). Ramp-up and arbitrated allocation change with time,
+    /// and tenant admission counts deferrals as a side effect, so those
+    /// heads are re-examined on every sweep as before.
     fn parking(&self) -> bool {
         matches!(self.cfg.allocation, AllocPolicy::Fair) && self.sched.is_none()
+    }
+
+    /// Adds (`up`) or removes one unit of input `i`'s sweep work, keeping
+    /// its `ready` bit in step.
+    fn count_active(&mut self, i: usize, up: bool) {
+        if up {
+            self.active[i] += 1;
+        } else {
+            self.active[i] -= 1;
+        }
+        self.ready.set(i, self.active[i] > 0);
     }
 
     fn set_head(&mut self, i: usize, l: usize, next: Head) {
         let prev = std::mem::replace(&mut self.heads[i][l], next);
         if prev == Head::Active {
-            self.active[i] -= 1;
-            self.active_heads -= 1;
+            self.count_active(i, false);
         }
         if next == Head::Active {
-            self.active[i] += 1;
-            self.active_heads += 1;
+            self.count_active(i, true);
         }
     }
 
-    /// Classifies the (new) front flit of a wormhole lane.
+    /// Classifies the (new) front flit of a wormhole lane or FIFO input.
     fn refresh_head(&mut self, i: usize, l: usize, now: SimTime) {
-        let next = match self.vcq[i][l].front() {
+        let queue = match self.cfg.queueing {
+            QueueDiscipline::Fifo => &self.fifo[i],
+            _ => &self.vcq[i][l],
+        };
+        let next = match queue.front() {
             None => Head::Empty,
             Some(h) if h.ready_at > now => {
                 self.timed.push(Reverse((h.ready_at, i, l)));
@@ -866,7 +922,12 @@ impl FabricSwitch {
             worm: None,
         };
         match self.cfg.queueing {
-            QueueDiscipline::Fifo => self.fifo[in_port].push_back(entry),
+            QueueDiscipline::Fifo => {
+                self.fifo[in_port].push_back(entry);
+                if self.fifo[in_port].len() == 1 {
+                    self.refresh_head(in_port, 0, ctx.now());
+                }
+            }
             QueueDiscipline::Voq => {
                 // route() was checked above, but a racing route removal
                 // would leave no candidate: drop rather than panic.
@@ -878,6 +939,7 @@ impl FabricSwitch {
                 };
                 self.voq[in_port][out].push_back(entry);
                 self.committed[out] += 1;
+                self.count_active(in_port, true);
             }
             QueueDiscipline::Wormhole => {
                 let lane = usize::from(entry.in_vc.unwrap_or(0));
@@ -1024,9 +1086,7 @@ impl FabricSwitch {
         let now = ctx.now();
         let n = self.ports.len();
         let mut next_kick: Option<SimTime> = None;
-        if self.cfg.queueing == QueueDiscipline::Wormhole {
-            self.prepare_wormhole_sweep(now);
-        }
+        self.prepare_sweep(now);
         // Reserved traffic first (only meaningful under Arbitrated).
         for reserved_phase in [true, false] {
             if reserved_phase && !matches!(self.cfg.allocation, AllocPolicy::Arbitrated) {
@@ -1035,15 +1095,17 @@ impl FabricSwitch {
             let mut progress = true;
             while progress {
                 progress = false;
-                for step in 0..n {
-                    // With no wormhole head left to examine, the rest of
-                    // this round cannot move a flit.
-                    if self.cfg.queueing == QueueDiscipline::Wormhole && self.active_heads == 0 {
-                        break;
-                    }
-                    let i = (self.rr_input + step) % n;
-                    if self.try_dispatch_input(ctx, i, now, reserved_phase, &mut next_kick) {
-                        progress = true;
+                // One round visits the inputs with sweep work in rotation
+                // order from `rr_input`. The mask is re-read at every step,
+                // so a head woken mid-round is seen by the inputs after it.
+                let rr = self.rr_input;
+                for (from, to) in [(rr, n), (0, rr)] {
+                    let mut at = from;
+                    while let Some(i) = self.ready.next_in(at, to) {
+                        if self.try_dispatch_input(ctx, i, now, reserved_phase, &mut next_kick) {
+                            progress = true;
+                        }
+                        at = i + 1;
                     }
                 }
                 self.rr_input = (self.rr_input + 1) % n;
@@ -1061,9 +1123,10 @@ impl FabricSwitch {
     }
 
     /// Activates heads whose forwarding latency has passed and, if the
-    /// routing table changed since the last sweep, every header parked on
-    /// lane allocation (its escape-lane eligibility may have changed).
-    fn prepare_wormhole_sweep(&mut self, now: SimTime) {
+    /// routing table changed since the last sweep, every parked head: a
+    /// header's escape-lane eligibility or a FIFO head's output may have
+    /// changed.
+    fn prepare_sweep(&mut self, now: SimTime) {
         while let Some(&Reverse((at, i, l))) = self.timed.peek() {
             if at > now {
                 break;
@@ -1075,9 +1138,7 @@ impl FabricSwitch {
         }
         if self.routing.version() != self.routes_seen {
             self.routes_seen = self.routing.version();
-            for p in 0..self.ports.len() {
-                self.wake(Wait::Pool(p));
-            }
+            self.wake_all();
         }
     }
 
@@ -1099,6 +1160,11 @@ impl FabricSwitch {
         }
     }
 
+    /// Attempts to dispatch input `i`'s FIFO head. Like a wormhole lane,
+    /// only an `Active` head is examined: one inside the forwarding
+    /// latency waits in the timed heap, and one refused by its egress
+    /// link's credits parks on that link when its output is fixed until
+    /// a route edit (see [`Self::fifo_output_fixed`]).
     fn try_dispatch_fifo(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1110,19 +1176,17 @@ impl FabricSwitch {
         let Some(head) = self.fifo[i].front() else {
             return false;
         };
-        let (ready_at, flow, class) = (head.ready_at, head.flow, head.class);
+        debug_assert!(head.ready_at <= now, "active heads are ready");
+        let (flow, class) = (head.flow, head.class);
         let Some(dst) = Self::dst_of(&head.payload) else {
             // admit() only queues routable payloads; drop defensively.
             self.unroutable.inc();
             if self.fifo[i].pop_front().is_some() {
+                self.refresh_head(i, 0, now);
                 self.ports[i].release(ctx, class);
             }
             return true;
         };
-        if ready_at > now {
-            self.note_kick(next_kick, ready_at);
-            return false;
-        }
         let Some(out) = self.pick_output(dst, now) else {
             return false;
         };
@@ -1140,13 +1204,26 @@ impl FabricSwitch {
             return false;
         }
         if !self.ports[out].link.can_send(class) {
+            if self.fifo_output_fixed(dst) {
+                self.park(i, 0, Wait::Link(out));
+            }
             return false;
         }
         let Some(entry) = self.fifo[i].pop_front() else {
             return false;
         };
+        self.refresh_head(i, 0, now);
         self.finish_dispatch(ctx, i, out, entry, now, None);
         true
+    }
+
+    /// Whether a FIFO head bound for `dst` leaves through the same output
+    /// until the routing table changes: routing is deterministic, or the
+    /// destination has a single candidate. An adaptive pick among several
+    /// candidates follows queue and wire backlogs, which move without any
+    /// event on the parked head's link.
+    fn fifo_output_fixed(&self, dst: NodeId) -> bool {
+        !self.cfg.adaptive || self.routing.route(dst).is_some_and(|c| c.len() == 1)
     }
 
     fn try_dispatch_voq(
@@ -1189,6 +1266,7 @@ impl FabricSwitch {
                 continue;
             };
             self.committed[out] -= 1;
+            self.count_active(i, false);
             self.finish_dispatch(ctx, i, out, entry, now, None);
             return true;
         }
@@ -1213,9 +1291,6 @@ impl FabricSwitch {
         reserved_phase: bool,
         next_kick: &mut Option<SimTime>,
     ) -> bool {
-        if self.active[i] == 0 {
-            return false;
-        }
         for l in 0..self.vcq[i].len() {
             if self.heads[i][l] != Head::Active {
                 continue;
@@ -1666,7 +1741,7 @@ mod tests {
         assert!(sw.sched_admits(mapped));
     }
 
-    /// Hand-driven rigs for the wormhole parking rules: probe endpoints
+    /// Hand-driven rigs for the head parking rules: probe endpoints
     /// inject flits into a switch and hold whatever it delivers until told
     /// to free it, so each test controls exactly which egress resource a
     /// head waits on and which event frees it.
@@ -1687,6 +1762,8 @@ mod tests {
             /// Returns a VC credit the probe never consumed (white-box
             /// refund of a lane the test drained by hand).
             Refund(u8),
+            /// Sends every coalesced ack and credit return now.
+            Flush,
         }
 
         struct Probe {
@@ -1710,6 +1787,7 @@ mod tests {
                         }
                     }
                     Ok(Cmd::Refund(v)) => self.port.return_vc_credit(ctx, v, 1),
+                    Ok(Cmd::Flush) => self.port.flush_control(ctx),
                     Err(msg) => {
                         let fm = msg.downcast::<FlitMsg>().expect("flit");
                         if let PortEvent::Delivered(p, vc) = self.port.receive(ctx, fm) {
@@ -1730,10 +1808,10 @@ mod tests {
         }
 
         impl Rig {
-            /// `inputs` probe ports (`in_vc` lanes on each when set) and
-            /// `sinks` egress probes (`out_vc` on each when set, link
-            /// credits per `credit`). `DST` routes to the first egress,
-            /// `ELSEWHERE` to the last.
+            /// A wormhole switch with `inputs` probe ports (`in_vc` lanes
+            /// on each when set) and `sinks` egress probes (`out_vc` on
+            /// each when set, link credits per `credit`). `DST` routes to
+            /// the first egress, `ELSEWHERE` to the last.
             fn new(
                 inputs: usize,
                 in_vc: Option<VcConfig>,
@@ -1741,11 +1819,32 @@ mod tests {
                 out_vc: Option<VcConfig>,
                 credit: CreditConfig,
             ) -> Rig {
-                let mut engine = Engine::new(1);
                 let cfg = SwitchConfig {
                     queueing: QueueDiscipline::Wormhole,
                     ..SwitchConfig::fabrex_like()
                 };
+                Rig::build(cfg, inputs, in_vc, sinks, out_vc, credit)
+            }
+
+            /// The same rig around a FIFO switch, without VC links.
+            fn fifo(inputs: usize, sinks: usize, credit: CreditConfig, adaptive: bool) -> Rig {
+                let cfg = SwitchConfig {
+                    queueing: QueueDiscipline::Fifo,
+                    adaptive,
+                    ..SwitchConfig::fabrex_like()
+                };
+                Rig::build(cfg, inputs, None, sinks, None, credit)
+            }
+
+            fn build(
+                cfg: SwitchConfig,
+                inputs: usize,
+                in_vc: Option<VcConfig>,
+                sinks: usize,
+                out_vc: Option<VcConfig>,
+                credit: CreditConfig,
+            ) -> Rig {
+                let mut engine = Engine::new(1);
                 let phys = cfg.phys;
                 let sw = engine.add_component("sw", FabricSwitch::new(cfg));
                 let mut probe = |name: String, credit: CreditConfig| {
@@ -1860,6 +1959,22 @@ mod tests {
 
         fn vcs(vcs: u8, buf_flits: u32) -> Option<VcConfig> {
             Some(VcConfig { vcs, buf_flits })
+        }
+
+        /// One link credit per class on the egress, returned at once.
+        fn one_credit() -> CreditConfig {
+            CreditConfig {
+                buffer_flits: 4,
+                return_threshold: 1,
+                ..CreditConfig::default()
+            }
+        }
+
+        /// Reads (single header flits, Req class) toward `dst`.
+        fn reads(first_id: u64, dst: NodeId, n: u64) -> Vec<FlitPayload> {
+            (first_id..first_id + n)
+                .flat_map(|id| worm(id, dst, 0))
+                .collect()
         }
 
         #[test]
@@ -2032,6 +2147,162 @@ mod tests {
             rig.run_until_us(2.0);
             assert_eq!(rig.head(0, 99), Head::Empty);
             assert_eq!(rig.lanes(0), [Some(99), Some(99)]);
+        }
+
+        #[test]
+        fn fifo_head_parked_on_link_credits_waits_out_other_inputs() {
+            let mut rig = Rig::fifo(2, 2, one_credit(), false);
+            rig.send(0.0, 0, reads(1, DST, 2), None);
+            rig.run_until_us(1.0);
+            assert_eq!(rig.delivered(0), 1);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Input 1 dispatches to another egress, twice; the parked head
+            // is not touched by those sweeps.
+            rig.send(1.0, 1, reads(10, ELSEWHERE, 1), None);
+            rig.cmd(1.5, 1, Cmd::Free(None));
+            rig.send(2.0, 1, reads(11, ELSEWHERE, 1), None);
+            rig.run_until_us(3.0);
+            assert_eq!(rig.delivered(1), 2);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Freeing the first read returns a CreditUpdate on its egress.
+            rig.cmd(3.0, 0, Cmd::Free(None));
+            rig.run_until_us(4.0);
+            assert_eq!(rig.delivered(0), 2);
+            assert_eq!(rig.head(0, 0), Head::Empty);
+        }
+
+        #[test]
+        fn fifo_head_parked_on_retry_window_moves_on_ack() {
+            // Plenty of credits, but one unacked flit fills the retry
+            // window, and the sink coalesces acks in pairs.
+            let credit = CreditConfig {
+                return_threshold: 2,
+                retry_depth: 1,
+                ..CreditConfig::default()
+            };
+            let mut rig = Rig::fifo(1, 1, credit, false);
+            rig.send(0.0, 0, reads(1, DST, 2), None);
+            rig.run_until_us(1.0);
+            assert_eq!(rig.delivered(0), 1);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            rig.cmd(1.0, 0, Cmd::Flush);
+            rig.run_until_us(2.0);
+            assert_eq!(rig.delivered(0), 2);
+            assert_eq!(rig.head(0, 0), Head::Empty);
+        }
+
+        #[test]
+        fn route_edits_wake_parked_fifo_heads() {
+            let mut rig = Rig::fifo(1, 2, one_credit(), false);
+            let alt = rig.out() + 1;
+            rig.send(0.0, 0, reads(1, DST, 2), None);
+            rig.run_until_us(1.0);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // A sweep with no route change leaves it parked.
+            rig.post_to_switch(1.0, Kick);
+            rig.run_until_us(1.5);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Withdrawing the route wakes it; with nowhere to go it stays
+            // active rather than parking on a link.
+            rig.post_to_switch(1.5, RemovePbrRoute { dst: DST });
+            rig.post_to_switch(1.5, Kick);
+            rig.run_until_us(2.0);
+            assert_eq!(rig.head(0, 0), Head::Active);
+            assert_eq!(rig.delivered(0), 1);
+            // Re-installing the route toward the exhausted egress parks
+            // it again; moving it to `alt` wakes it and it leaves there.
+            rig.post_to_switch(
+                2.0,
+                InstallPbrRoute {
+                    dst: DST,
+                    port: rig.out(),
+                },
+            );
+            rig.post_to_switch(2.0, Kick);
+            rig.run_until_us(2.5);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            rig.post_to_switch(2.5, RemovePbrRoute { dst: DST });
+            rig.post_to_switch(
+                2.5,
+                InstallPbrRoute {
+                    dst: DST,
+                    port: alt,
+                },
+            );
+            rig.post_to_switch(2.5, Kick);
+            rig.run_until_us(3.0);
+            assert_eq!(rig.delivered(1), 1);
+            assert_eq!(rig.head(0, 0), Head::Empty);
+        }
+
+        #[test]
+        fn adaptive_fifo_head_with_two_candidates_never_parks() {
+            let mut rig = Rig::fifo(1, 2, one_credit(), true);
+            let alt = rig.out() + 1;
+            // One candidate: an adaptive head parks like a deterministic
+            // one.
+            rig.send(0.0, 0, reads(1, DST, 2), None);
+            rig.run_until_us(1.0);
+            assert_eq!(rig.delivered(0), 1);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // A second candidate wakes it. The least-backlogged pick is
+            // still the exhausted egress (queues and wires tie, lowest port
+            // wins), but that pick can change without any event on its
+            // link, so the head stays active sweep after sweep.
+            rig.post_to_switch(
+                1.0,
+                InstallPbrRoute {
+                    dst: DST,
+                    port: alt,
+                },
+            );
+            rig.post_to_switch(1.0, Kick);
+            rig.run_until_us(2.0);
+            assert_eq!(rig.head(0, 0), Head::Active);
+            rig.post_to_switch(2.0, Kick);
+            rig.run_until_us(3.0);
+            assert_eq!(rig.head(0, 0), Head::Active);
+            assert_eq!(rig.delivered(0) + rig.delivered(1), 1);
+            rig.cmd(3.0, 0, Cmd::Free(None));
+            rig.run_until_us(4.0);
+            assert_eq!(rig.delivered(0), 2);
+            assert_eq!(rig.head(0, 0), Head::Empty);
+        }
+
+        #[test]
+        fn no_fifo_head_parks_under_a_scheduler() {
+            use fcc_sched::{CreditPartition, TenantShare};
+
+            let mut rig = Rig::fifo(1, 1, one_credit(), false);
+            rig.send(0.0, 0, reads(1, DST, 2), None);
+            rig.run_until_us(1.0);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            // Installing a scheduler wakes the parked head, and it is not
+            // parked again: every sweep probes its tenant gate.
+            let mut part = CreditPartition::new(64);
+            let share = TenantShare {
+                group: 0,
+                weight: 1,
+                floor: 64,
+            };
+            part.add_tenant(1, share);
+            let mut sched = FabricScheduler::new(part, SimTime::from_us(10.0));
+            sched.map_node(NodeId(1), 1);
+            rig.post_to_switch(1.0, InstallScheduler { sched });
+            rig.run_until_us(2.0);
+            assert_eq!(rig.head(0, 0), Head::Active);
+            rig.cmd(2.0, 0, Cmd::Free(None));
+            rig.run_until_us(3.0);
+            assert_eq!(rig.delivered(0), 2);
+            // A head refused by the link again stays active.
+            rig.send(3.0, 0, reads(3, DST, 1), None);
+            rig.run_until_us(4.0);
+            assert_eq!(rig.delivered(0), 2);
+            assert_eq!(rig.head(0, 0), Head::Active);
+            // Drain, so the scheduler's window tick stops re-arming.
+            rig.cmd(4.0, 0, Cmd::Free(None));
+            rig.engine.run_until_idle();
+            assert_eq!(rig.delivered(0), 3);
         }
     }
 }

@@ -159,7 +159,8 @@ impl Flit {
         // Not a wire format — the simulator never parses it back — but any
         // payload or seq mutation changes it. Stack-buffer structural
         // encoding keeps CRC computation off the allocator: it runs twice
-        // per flit per hop (emit + receive check) on the hot path.
+        // per flit per hop (emit, and the link layer's one receive check)
+        // on the hot path.
         let mut n = 0;
         let mut put = |bytes: &[u8]| {
             buf[n..n + bytes.len()].copy_from_slice(bytes);

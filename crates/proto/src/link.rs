@@ -183,8 +183,24 @@ impl std::error::Error for CreditLedgerError {}
 pub enum RxAction {
     /// Payload accepted and buffered; deliver to the transaction layer.
     Deliver(FlitPayload),
-    /// Link-layer control processed internally; nothing to deliver.
+    /// Link-layer control processed internally (credit update, ack, idle);
+    /// nothing to deliver.
     Control,
+    /// A valid NAK from the peer: the caller must retransmit from
+    /// `from_seq` (go-back-N, see [`LinkLayer::on_nak`]), which needs the
+    /// flits back from the retry buffer.
+    Nak {
+        /// First sequence number to resend.
+        from_seq: u64,
+    },
+    /// A valid per-virtual-channel credit return: owner-level state (a
+    /// switch's per-lane ledgers), not link-layer state.
+    VcCredit {
+        /// Lane being replenished.
+        vc: u8,
+        /// Flit credits granted.
+        credits: u32,
+    },
     /// Flit refused (CRC error, sequence gap, or buffer overflow); the
     /// caller must send the contained NAK payload back to the peer.
     Refused(FlitPayload),
@@ -296,7 +312,9 @@ impl LinkLayer {
         Ok(flit)
     }
 
-    /// Processes an incoming flit.
+    /// Processes an incoming flit. This is the only CRC check a received
+    /// flit gets: control the caller must act on (NAKs, VC credit
+    /// returns) comes back as its own [`RxAction`] once the check passed.
     pub fn receive(&mut self, flit: Flit) -> RxAction {
         if !flit.crc_ok() {
             self.crc_drops += 1;
@@ -312,11 +330,18 @@ impl LinkLayer {
                 self.process_ack(*seq);
                 return RxAction::Control;
             }
-            FlitPayload::Nak { .. } | FlitPayload::Idle | FlitPayload::VcCredit { .. } => {
-                // NAK retransmission is driven by the caller via
-                // [`LinkLayer::on_nak`] because it needs the flits back.
-                return RxAction::Control;
+            FlitPayload::Nak { from_seq } => {
+                return RxAction::Nak {
+                    from_seq: *from_seq,
+                }
             }
+            FlitPayload::VcCredit { vc, credits } => {
+                return RxAction::VcCredit {
+                    vc: *vc,
+                    credits: *credits,
+                }
+            }
+            FlitPayload::Idle => return RxAction::Control,
             _ => {}
         }
         // Sequenced data path.
@@ -797,6 +822,35 @@ mod tests {
             "available + rx_buffered + pending_return == advertised"
         );
         assert_eq!(err.lhs + 1, err.rhs);
+    }
+
+    #[test]
+    fn nak_and_vc_credit_surface_as_their_own_actions() {
+        let (mut tx, mut rx) = pair();
+        let nak = tx.send(FlitPayload::Nak { from_seq: 3 }).expect("ctrl");
+        assert_eq!(rx.receive(nak), RxAction::Nak { from_seq: 3 });
+        let vc = FlitPayload::VcCredit { vc: 2, credits: 5 };
+        let vc = tx.send(vc).expect("ctrl");
+        assert_eq!(rx.receive(vc), RxAction::VcCredit { vc: 2, credits: 5 });
+        assert_eq!(rx.crc_drops(), 0);
+        assert_eq!(rx.rx_occupancy(), 0, "control never occupies the buffer");
+    }
+
+    #[test]
+    fn corrupted_nak_and_vc_credit_are_refused() {
+        let (mut tx, mut rx) = pair();
+        for payload in [
+            FlitPayload::Nak { from_seq: 0 },
+            FlitPayload::VcCredit { vc: 1, credits: 1 },
+        ] {
+            let mut f = tx.send(payload).expect("ctrl");
+            f.corrupt();
+            assert_eq!(
+                rx.receive(f),
+                RxAction::Refused(FlitPayload::Nak { from_seq: 0 })
+            );
+        }
+        assert_eq!(rx.crc_drops(), 2);
     }
 
     #[test]
