@@ -22,8 +22,9 @@ use std::fmt;
 
 use fcc_fabric::credit::AllocPolicy;
 use fcc_fabric::endpoint::{Endpoint, PipelinedMemory};
+use fcc_fabric::sharded::DomainSpec;
 use fcc_fabric::switch::{QueueDiscipline, SwitchConfig};
-use fcc_fabric::topology::{self, StageSpec, Topology, TopologySpec, FAM_BASE};
+use fcc_fabric::topology::{self, Topology, TopologySpec, FAM_BASE};
 use fcc_proto::phys::PhysConfig;
 use fcc_sim::{Engine, SimTime, SummaryNs};
 
@@ -737,15 +738,15 @@ pub fn run_e_captured_seeded(quick: bool, cap: &mut Capture, seed: u64) -> E3eRe
             &mut engine,
             spec_chain,
             vec![
-                StageSpec {
+                DomainSpec {
                     n_hosts: 2,
                     devices: vec![],
                 },
-                StageSpec {
+                DomainSpec {
                     n_hosts: 0,
                     devices: vec![fabrex_device()],
                 },
-                StageSpec {
+                DomainSpec {
                     n_hosts: 0,
                     devices: vec![slow],
                 },

@@ -7,7 +7,8 @@ use fcc_bench::capture::Capture;
 use fcc_bench::exp_e3;
 use fcc_bench::loadgen::{AddrPattern, LoadCfg, LoadGen, StartLoad};
 use fcc_fabric::endpoint::PipelinedMemory;
-use fcc_fabric::topology::{self, StageSpec, TopologySpec};
+use fcc_fabric::sharded::DomainSpec;
+use fcc_fabric::topology::{self, TopologySpec};
 use fcc_sim::{Engine, SimTime};
 use fcc_telemetry::{json, TraceData};
 
@@ -26,11 +27,11 @@ fn two_switch_trace(seed: u64) -> String {
         &mut engine,
         TopologySpec::default(),
         vec![
-            StageSpec {
+            DomainSpec {
                 n_hosts: 2,
                 devices: vec![],
             },
-            StageSpec {
+            DomainSpec {
                 n_hosts: 0,
                 devices: vec![device],
             },

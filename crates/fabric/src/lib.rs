@@ -23,15 +23,19 @@
 //! * [`routing`] — PBR (intra-domain) and HBR (inter-domain) tables.
 //! * [`manager`] — the fabric manager: discovery and routing-table fill.
 //! * [`topology`] — declarative assembly of hosts, switches and chassis
-//!   into an engine (Figure 1 of the paper).
+//!   into an engine (Figure 1 of the paper), and the handles every
+//!   builder returns.
 //! * [`arbiter`] — the FCC central arbiter on dedicated control lanes
 //!   (design principle #4).
 //! * [`commfabric`] — the communication-fabric baseline: an RDMA-style
 //!   NIC with submission/completion queues, doorbells and DMA engines.
 //! * [`wormhole`] — per-(port, VC) credit ledgers for wormhole switching
 //!   with an adaptive/escape virtual-channel split.
-//! * [`pods`] — pod-scale topology generators (spine-leaf, 2D mesh,
-//!   torus) that emit shardable domain plans for rack-size fabrics.
+//! * [`pods`] — fabric plans (spine-leaf, 2D mesh, torus; chains are
+//!   one-row or one-column meshes) and the one builder that realizes a
+//!   plan on one engine or one engine per domain.
+//! * [`sharded`] — a chain of switch domains over a sharded engine, and
+//!   the per-domain fabric handles.
 
 pub mod adapter;
 pub mod arbiter;

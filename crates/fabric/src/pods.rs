@@ -1,21 +1,32 @@
-//! Pod-scale topology generators: spine-leaf, 2D mesh, and torus fabrics
-//! that shard along their natural partition boundary.
+//! Fabric plans and the one builder that realizes them: spine-leaf, 2D
+//! mesh, and torus pods, and the chains of [`crate::topology`] and
+//! [`crate::sharded`], all sharding along their natural partition
+//! boundary.
 //!
 //! A *pod* is a rack-scale fabric of tens of switches and hundreds of
 //! hosts — the scale at which the paper's fabric-centric pooling argument
-//! bites. This module splits pod construction into two layers:
+//! bites. Every switched fabric is built in two layers:
 //!
 //! 1. [`PodPlan`] — a pure, engine-free description of the switch graph:
-//!    switch ids, domain assignment, links, escape routes. Because it
-//!    needs no simulator state, `fcc-verify`'s `check-routing` binary can
-//!    exhaustively model-check its escape-channel dependency graph for
-//!    acyclicity at small K, and property tests can sweep hundreds of
-//!    shapes per second.
-//! 2. [`sharded_pod`] — realizes a plan on a [`ShardedEngine`]: one
-//!    engine per domain, intra-domain switch cables wired directly,
-//!    cross-domain cables as [`ShardGateway`] pairs (whose latency is the
-//!    conservative lookahead), and every switch-to-switch link put under
-//!    wormhole VC flow control ([`FabricSwitch::set_vc_link`]).
+//!    switch ids, domain assignment, per-switch endpoint counts, links,
+//!    escape routes. Because it needs no simulator state, `fcc-verify`'s
+//!    `check-routing` binary can exhaustively model-check its
+//!    escape-channel dependency graph for acyclicity at small K, and
+//!    property tests can sweep hundreds of shapes per second.
+//! 2. `instantiate` — realizes a plan on one [`Engine`] (a one-domain
+//!    plan) or a [`ShardedEngine`]: one engine per domain, intra-domain
+//!    switch cables wired directly, cross-domain cables as
+//!    [`ShardGateway`] pairs (whose latency is the conservative
+//!    lookahead), and transit routes installed escape-first. The public
+//!    builders are thin wrappers: [`single_switch`] and [`chain`] are
+//!    one-column meshes on one engine, [`sharded_chain`] a one-row mesh
+//!    with one domain per switch, and [`sharded_pod`] additionally puts
+//!    every switch-to-switch link under VC flow control
+//!    ([`FabricSwitch::set_vc_link`]).
+//!
+//! [`single_switch`]: crate::topology::single_switch
+//! [`chain`]: crate::topology::chain
+//! [`sharded_chain`]: crate::sharded::sharded_chain
 //!
 //! Escape routes are deterministic by construction — up\*/down\* through
 //! the destination's home spine for spine-leaf, dimension-ordered (X then
@@ -31,16 +42,15 @@
 
 use std::collections::BTreeMap;
 
-use fcc_proto::addr::{AddrMap, AddrRange, NodeId};
+use fcc_proto::addr::NodeId;
 use fcc_proto::link::CreditConfig;
 use fcc_sim::shard::{ShardGateway, ShardedEngine};
-use fcc_sim::{ComponentId, SimTime};
+use fcc_sim::{ComponentId, Engine, SimTime};
 
-use crate::adapter::{Fea, Fha};
 use crate::endpoint::Endpoint;
 use crate::sharded::{DomainSpec, ShardedFabric};
 use crate::switch::FabricSwitch;
-use crate::topology::{DeviceHandle, HostHandle, Topology, TopologySpec, FAM_BASE};
+use crate::topology::{plug, Adapters, DeviceHandle, Topology, TopologySpec};
 use crate::wormhole::VcConfig;
 
 /// The switch-graph family of a pod.
@@ -86,6 +96,10 @@ pub struct PlanSwitch {
     pub coord: (usize, usize),
     /// Whether hosts/devices attach here (leaves; all grid switches).
     pub is_edge: bool,
+    /// Hosts attached here (zero off the edge).
+    pub hosts: usize,
+    /// Devices attached here (zero off the edge).
+    pub devices: usize,
 }
 
 /// One switch-to-switch cable in a [`PodPlan`].
@@ -109,10 +123,6 @@ pub struct PodPlan {
     pub switches: Vec<PlanSwitch>,
     /// Links, each with `a < b`, in generation order (deterministic).
     pub links: Vec<PlanLink>,
-    /// Hosts attached to every edge switch.
-    pub hosts_per_edge: usize,
-    /// Devices attached to every edge switch.
-    pub devices_per_edge: usize,
 }
 
 impl PodPlan {
@@ -137,6 +147,8 @@ impl PodPlan {
                         domain: s,
                         coord: (s, 0),
                         is_edge: false,
+                        hosts: 0,
+                        devices: 0,
                     });
                 }
                 for j in 0..spines * leaves_per_spine {
@@ -145,6 +157,8 @@ impl PodPlan {
                         domain: j / leaves_per_spine,
                         coord: (j, 1),
                         is_edge: true,
+                        hosts: hosts_per_edge,
+                        devices: devices_per_edge,
                     });
                 }
                 for s in 0..spines {
@@ -166,6 +180,8 @@ impl PodPlan {
                             domain: c,
                             coord: (c, r),
                             is_edge: true,
+                            hosts: hosts_per_edge,
+                            devices: devices_per_edge,
                         });
                     }
                 }
@@ -214,9 +230,28 @@ impl PodPlan {
             kind,
             switches,
             links,
-            hosts_per_edge,
-            devices_per_edge,
         }
+    }
+
+    /// The plan of `kind` whose switch `i` carries the endpoints of
+    /// `specs[i]`, with those devices split out per switch. Chains are
+    /// one-column (serial) or one-row (one domain per switch) meshes.
+    pub(crate) fn line(
+        kind: PodKind,
+        specs: Vec<DomainSpec>,
+    ) -> (PodPlan, Vec<Vec<Box<dyn Endpoint>>>) {
+        let mut plan = PodPlan::new(kind, 0, 0);
+        let devices = plan
+            .switches
+            .iter_mut()
+            .zip(specs)
+            .map(|(s, spec)| {
+                s.hosts = spec.n_hosts;
+                s.devices = spec.devices.len();
+                spec.devices
+            })
+            .collect();
+        (plan, devices)
     }
 
     /// Number of shard domains (spines, or grid columns).
@@ -269,12 +304,7 @@ impl PodPlan {
     /// Port count of switch `s` once realized: one per neighbor plus one
     /// per attached endpoint.
     pub fn radix(&self, s: usize) -> usize {
-        let endpoints = if self.switches[s].is_edge {
-            self.hosts_per_edge + self.devices_per_edge
-        } else {
-            0
-        };
-        self.neighbors(s).len() + endpoints
+        self.neighbors(s).len() + self.switches[s].hosts + self.switches[s].devices
     }
 
     /// Whether the switch graph is a single connected component.
@@ -417,25 +447,25 @@ impl PodPlan {
     /// Materializes per-domain endpoint groupings as [`DomainSpec`]s,
     /// calling `device(edge_switch_id, slot)` for each device. Feed the
     /// result to [`sharded_pod`]; counts round-trip exactly (each domain
-    /// gets `edges * hosts_per_edge` hosts and `edges * devices_per_edge`
-    /// devices, in edge-switch id order).
+    /// gets its edge switches' hosts and devices, in edge-switch id
+    /// order).
     pub fn domain_specs<F>(&self, mut device: F) -> Vec<DomainSpec>
     where
         F: FnMut(usize, usize) -> Box<dyn Endpoint>,
     {
         (0..self.domains())
             .map(|d| {
-                let edges = self.domain_edges(d);
-                let mut devices = Vec::new();
-                for &sw in &edges {
-                    for slot in 0..self.devices_per_edge {
-                        devices.push(device(sw, slot));
+                let mut spec = DomainSpec {
+                    n_hosts: 0,
+                    devices: Vec::new(),
+                };
+                for sw in self.domain_edges(d) {
+                    spec.n_hosts += self.switches[sw].hosts;
+                    for slot in 0..self.switches[sw].devices {
+                        spec.devices.push(device(sw, slot));
                     }
                 }
-                DomainSpec {
-                    n_hosts: edges.len() * self.hosts_per_edge,
-                    devices,
-                }
+                spec
             })
             .collect()
     }
@@ -446,9 +476,12 @@ impl PodPlan {
 pub struct PodSpec {
     /// Switch-graph family and dimensions.
     pub kind: PodKind,
-    /// Per-switch and per-adapter link configuration. Set
-    /// `topo.switch.queueing` to [`QueueDiscipline::Wormhole`] to run the
-    /// switch-to-switch links under VC flow control.
+    /// Per-switch and per-adapter link configuration. Every
+    /// switch-to-switch port gets a VC credit ledger shaped by
+    /// [`PodSpec::vc`], and the link-credit floor that goes with it,
+    /// whatever `topo.switch.queueing` is; only
+    /// [`QueueDiscipline::Wormhole`] switches allocate lanes from the
+    /// ledger.
     ///
     /// [`QueueDiscipline::Wormhole`]: crate::switch::QueueDiscipline::Wormhole
     pub topo: TopologySpec,
@@ -472,12 +505,10 @@ impl PodSpec {
 }
 
 /// Realizes `spec` over the shards of `sharded`: one engine per domain,
-/// devices staged first (global address map), switches wired per the
-/// plan's links — direct cables intra-domain, [`ShardGateway`] pairs
-/// cross-domain, every switch-to-switch port under
-/// [`FabricSwitch::set_vc_link`] — and PBR routes installed escape-first
-/// per [`PodPlan::route_candidates`]. Host and device links keep the
-/// plain link-layer credit scheme (adapters do not speak VCs).
+/// cross-domain links as [`ShardGateway`] pairs, every switch-to-switch
+/// port under [`FabricSwitch::set_vc_link`], and PBR routes installed
+/// escape-first per [`PodPlan::route_candidates`]. Host and device links
+/// keep the plain link-layer credit scheme (adapters do not speak VCs).
 ///
 /// Returns the plan alongside the fabric; `plan.domains()` must equal
 /// the engine's shard count and `domains` must match the plan's
@@ -494,212 +525,200 @@ pub fn sharded_pod(
     domains: Vec<DomainSpec>,
 ) -> (PodPlan, ShardedFabric) {
     let plan = spec.plan();
-    let k = plan.domains();
-    assert_eq!(k, sharded.shard_count(), "one domain per shard");
-    assert_eq!(k, domains.len(), "one DomainSpec per domain");
-    if k > 1 {
-        assert!(
-            spec.cross_latency > SimTime::ZERO,
-            "cross-domain cables need positive latency (the lookahead)"
-        );
-    }
-    // Lane ledgers must be the binding constraint on VC links: grant the
-    // link layer at least `vcs * buf_flits` credits per class so the
-    // shared class pool can never stall a lane that holds VC credits
-    // (that stall would pierce the lane isolation the deadlock-freedom
-    // argument rests on; see `FabricSwitch::set_vc_link`).
-    let lane_total = 4 * u32::from(spec.vc.vcs.max(2)) * spec.vc.buf_flits;
-    let vc_credit = CreditConfig {
-        buffer_flits: spec.topo.credit.buffer_flits.max(lane_total),
-        ..spec.topo.credit
-    };
-    let vc_phys = spec.topo.switch.phys;
-
-    // Stage devices first: the address map must be complete before any
-    // FHA is built. Devices land on their domain's edge switches in id
-    // order, `devices_per_edge` per switch.
-    let mut map = AddrMap::new();
-    let mut next_node: u16 = 1;
-    let mut next_addr: u64 = FAM_BASE;
-    let mut alloc_node = || {
-        let id = NodeId(next_node);
-        next_node += 1;
-        id
-    };
-    let mut staged: BTreeMap<usize, Vec<(ComponentId, NodeId, AddrRange)>> = BTreeMap::new();
+    assert_eq!(plan.domains(), domains.len(), "one DomainSpec per domain");
+    let mut devices: Vec<Vec<Box<dyn Endpoint>>> =
+        plan.switches.iter().map(|_| Vec::new()).collect();
     for (d, domain) in domains.into_iter().enumerate() {
         let edges = plan.domain_edges(d);
-        assert_eq!(
-            domain.n_hosts,
-            edges.len() * spec.hosts_per_edge,
-            "domain {d}: hosts_per_edge mismatch"
-        );
+        let total = |f: fn(&PlanSwitch) -> usize| -> usize {
+            edges.iter().map(|&sw| f(&plan.switches[sw])).sum()
+        };
+        assert_eq!(domain.n_hosts, total(|s| s.hosts), "domain {d}: hosts");
         assert_eq!(
             domain.devices.len(),
-            edges.len() * spec.devices_per_edge,
-            "domain {d}: devices_per_edge mismatch"
+            total(|s| s.devices),
+            "domain {d}: devices"
         );
         let mut devs = domain.devices.into_iter();
         for &sw in &edges {
-            let mut out = Vec::new();
-            for _ in 0..spec.devices_per_edge {
-                // Counted above: the iterator holds exactly enough.
-                #[allow(clippy::expect_used)]
-                let dev = devs.next().expect("device count checked");
-                let node = alloc_node();
-                let capacity = dev.capacity();
-                let range = if capacity > 0 {
-                    let r = AddrRange::new(next_addr, capacity);
-                    map.add_direct(r, node);
-                    next_addr += capacity;
-                    r
-                } else {
-                    AddrRange::new(u64::MAX - 1, 1)
-                };
-                let fea = sharded.engine_mut(d).add_component(
-                    format!("fea{}", node.0),
-                    Fea::new(node, spec.topo.switch.phys, spec.topo.credit, dev),
-                );
-                out.push((fea, node, range));
-            }
-            staged.insert(sw, out);
+            devices[sw] = devs.by_ref().take(plan.switches[sw].devices).collect();
+        }
+    }
+    let fabric = instantiate(
+        Engines::Sharded(sharded),
+        &plan,
+        &spec.topo,
+        Some(spec.vc),
+        spec.cross_latency,
+        devices,
+    );
+    (plan, fabric)
+}
+
+/// The engines a plan is realized on.
+pub(crate) enum Engines<'a> {
+    /// A one-domain plan on one engine.
+    One(&'a mut Engine),
+    /// One engine per domain; cross-domain links become gateway cables.
+    Sharded(&'a mut ShardedEngine),
+}
+
+impl Engines<'_> {
+    fn get(&mut self, d: usize) -> &mut Engine {
+        match self {
+            Engines::One(engine) => engine,
+            Engines::Sharded(sharded) => sharded.engine_mut(d),
+        }
+    }
+}
+
+/// Realizes `plan` on `engines`: the one builder behind every switched
+/// fabric. `devices[s]` are switch `s`'s devices; its host count comes
+/// from the plan. With `vc`, every switch-to-switch port runs VC flow
+/// control; cross-domain cables have one-way latency `cross_latency`.
+///
+/// Components are created in one fixed order, so `(time, seq)`
+/// tie-breaks are the same whichever wrapper asked:
+///
+/// 1. devices, per edge switch in domain and id order (node ids and
+///    address ranges are assigned here, completing the address map);
+/// 2. switches, in id order;
+/// 3. links, in plan order, port `a` before port `b`;
+/// 4. per edge switch, its hosts (created and attached), then its devices;
+/// 5. transit routes, escape candidate first.
+///
+/// # Panics
+///
+/// Panics if the plan's domain count differs from the engine count.
+pub(crate) fn instantiate(
+    mut engines: Engines<'_>,
+    plan: &PodPlan,
+    spec: &TopologySpec,
+    vc: Option<VcConfig>,
+    cross_latency: SimTime,
+    mut devices: Vec<Vec<Box<dyn Endpoint>>>,
+) -> ShardedFabric {
+    let k = plan.domains();
+    let shards = match &engines {
+        Engines::One(_) => 1,
+        Engines::Sharded(sharded) => sharded.shard_count(),
+    };
+    assert_eq!(k, shards, "one domain per shard");
+    let mut adapters = Adapters::new(*spec);
+    let mut staged: Vec<Vec<DeviceHandle>> = plan.switches.iter().map(|_| Vec::new()).collect();
+    for d in 0..k {
+        let engine = engines.get(d);
+        for sw in plan.domain_edges(d) {
+            staged[sw] = std::mem::take(&mut devices[sw])
+                .into_iter()
+                .map(|dev| adapters.device(engine, dev))
+                .collect();
         }
     }
 
-    // Switches, one component per plan switch, in its domain's engine.
-    let switch_ids: Vec<ComponentId> = plan
+    let switches: Vec<ComponentId> = plan
         .switches
         .iter()
         .map(|s| {
-            sharded
-                .engine_mut(s.domain)
-                .add_component(format!("fs{}", s.id), FabricSwitch::new(spec.topo.switch))
+            engines
+                .get(s.domain)
+                .add_component(format!("fs{}", s.id), FabricSwitch::new(spec.switch))
         })
         .collect();
 
-    // Cables. Intra-domain links are direct component wires; cross-domain
-    // links become gateway pairs (the cable *is* the shard boundary).
-    // Every switch-side port joins the VC flow-control scheme.
+    let wire = |engine: &mut Engine, sw: ComponentId, peer: ComponentId| {
+        let Some(cfg) = vc else {
+            return plug(engine, sw, peer, None);
+        };
+        // Lane ledgers must be the binding constraint on VC links: grant
+        // the link layer at least `vcs * buf_flits` credits per class so
+        // the shared class pool can never stall a lane that holds VC
+        // credits (that stall would pierce the lane isolation the
+        // deadlock-freedom argument rests on; see
+        // `FabricSwitch::set_vc_link`).
+        let lane_total = 4 * u32::from(cfg.vcs.max(2)) * cfg.buf_flits;
+        let credit = CreditConfig {
+            buffer_flits: spec.credit.buffer_flits.max(lane_total),
+            ..spec.credit
+        };
+        let s = engine.component_mut::<FabricSwitch>(sw);
+        let p = s.add_port_with(spec.switch.phys, credit);
+        s.connect(p, peer);
+        s.set_vc_link(p, cfg);
+        p
+    };
+    // Intra-domain links are direct wires; a cross-domain link becomes a
+    // gateway pair (the cable *is* the shard boundary, and its latency
+    // the lookahead). A one-domain plan has no cross-domain link.
     let mut port_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     let mut gateways: Vec<(ComponentId, ComponentId)> = Vec::new();
     for link in &plan.links {
         let (a, b) = (link.a, link.b);
         let (da, db) = (plan.switches[a].domain, plan.switches[b].domain);
-        let vc_port = |sharded: &mut ShardedEngine, d: usize, sw: usize, peer: ComponentId| {
-            let s = sharded
-                .engine_mut(d)
-                .component_mut::<FabricSwitch>(switch_ids[sw]);
-            let p = s.add_port_with(vc_phys, vc_credit);
-            s.connect(p, peer);
-            s.set_vc_link(p, spec.vc);
-            p
+        let (peer_a, peer_b) = match &mut engines {
+            Engines::Sharded(sharded) if link.cross_domain => {
+                let (ga, gb) = sharded.link(da, db, cross_latency, &format!("cable{a}-{b}"));
+                for (d, g, sw) in [(da, ga, a), (db, gb, b)] {
+                    let gateway = sharded.engine_mut(d).component_mut::<ShardGateway>(g);
+                    gateway.set_local_peer(switches[sw]);
+                }
+                gateways.push((ga, gb));
+                (ga, gb)
+            }
+            _ => (switches[b], switches[a]),
         };
-        if link.cross_domain {
-            let (gl, gr) = sharded.link(da, db, spec.cross_latency, &format!("cable{a}-{b}"));
-            let pa = vc_port(sharded, da, a, gl);
-            sharded
-                .engine_mut(da)
-                .component_mut::<ShardGateway>(gl)
-                .set_local_peer(switch_ids[a]);
-            let pb = vc_port(sharded, db, b, gr);
-            sharded
-                .engine_mut(db)
-                .component_mut::<ShardGateway>(gr)
-                .set_local_peer(switch_ids[b]);
-            port_of.insert((a, b), pa);
-            port_of.insert((b, a), pb);
-            gateways.push((gl, gr));
-        } else {
-            debug_assert_eq!(da, db, "intra-domain link spans domains");
-            let pa = vc_port(sharded, da, a, switch_ids[b]);
-            let pb = vc_port(sharded, da, b, switch_ids[a]);
-            port_of.insert((a, b), pa);
-            port_of.insert((b, a), pb);
-        }
+        port_of.insert((a, b), wire(engines.get(da), switches[a], peer_a));
+        port_of.insert((b, a), wire(engines.get(db), switches[b], peer_b));
     }
 
-    // Endpoints (map is complete now): hosts then devices per edge
-    // switch, domains in order, switches in id order. Local PBR entries
-    // install at attach.
-    let mut node_home: Vec<(NodeId, usize)> = Vec::new();
-    let mut topo_hosts: Vec<Vec<HostHandle>> = (0..k).map(|_| Vec::new()).collect();
-    let mut topo_devices: Vec<Vec<DeviceHandle>> = (0..k).map(|_| Vec::new()).collect();
-    for d in 0..k {
-        for sw in plan.domain_edges(d) {
-            for _ in 0..spec.hosts_per_edge {
-                let node = alloc_node();
-                let engine = sharded.engine_mut(d);
-                let fha = engine.add_component(
-                    format!("fha{}", node.0),
-                    Fha::new(
-                        node,
-                        spec.topo.switch.phys,
-                        spec.topo.credit,
-                        map.clone(),
-                        spec.topo.fha_outstanding,
-                    ),
-                );
-                {
-                    let s = engine.component_mut::<FabricSwitch>(switch_ids[sw]);
-                    let p = s.add_port();
-                    s.connect(p, fha);
-                    s.routing.add_pbr(node, p);
-                }
-                engine.component_mut::<Fha>(fha).connect(switch_ids[sw]);
-                topo_hosts[d].push(HostHandle { fha, node });
-                node_home.push((node, sw));
-            }
-            for &(fea, node, range) in staged.get(&sw).map(Vec::as_slice).unwrap_or_default() {
-                let engine = sharded.engine_mut(d);
-                {
-                    let s = engine.component_mut::<FabricSwitch>(switch_ids[sw]);
-                    let p = s.add_port();
-                    s.connect(p, fea);
-                    s.routing.add_pbr(node, p);
-                }
-                engine.component_mut::<Fea>(fea).connect(switch_ids[sw]);
-                topo_devices[d].push(DeviceHandle { fea, node, range });
-                node_home.push((node, sw));
-            }
-        }
-    }
-
-    // Transit routes: every switch learns every remote node, candidates
-    // in escape-first order so `route(dst)[0]` is the escape hop.
-    for s in &plan.switches {
-        let d = s.domain;
-        for &(node, home) in &node_home {
-            if home == s.id {
-                continue;
-            }
-            for hop in plan.route_candidates(s.id, home) {
-                // Candidates are always direct neighbors, wired above.
-                #[allow(clippy::expect_used)]
-                let port = *port_of.get(&(s.id, hop)).expect("candidate is a neighbor");
-                sharded
-                    .engine_mut(d)
-                    .component_mut::<FabricSwitch>(switch_ids[s.id])
-                    .routing
-                    .add_pbr(node, port);
-            }
-        }
-    }
-
-    let domains = (0..k)
+    let mut domains: Vec<Topology> = (0..k)
         .map(|d| Topology {
-            hosts: std::mem::take(&mut topo_hosts[d]),
-            devices: std::mem::take(&mut topo_devices[d]),
+            hosts: Vec::new(),
+            devices: Vec::new(),
             switches: plan
                 .switches
                 .iter()
                 .filter(|s| s.domain == d)
-                .map(|s| switch_ids[s.id])
+                .map(|s| switches[s.id])
                 .collect(),
-            addr_map: map.clone(),
+            addr_map: adapters.map.clone(),
             manager: None,
         })
         .collect();
-    (plan, ShardedFabric { domains, gateways })
+    // Every endpoint with its home switch, in attach order.
+    let mut homes: Vec<(NodeId, usize)> = Vec::new();
+    for (d, topo) in domains.iter_mut().enumerate() {
+        let engine = engines.get(d);
+        for sw in plan.domain_edges(d) {
+            for _ in 0..plan.switches[sw].hosts {
+                let host = adapters.host(engine);
+                host.attach(engine, switches[sw], true);
+                homes.push((host.node, sw));
+                topo.hosts.push(host);
+            }
+            for dev in std::mem::take(&mut staged[sw]) {
+                dev.attach(engine, switches[sw], true);
+                homes.push((dev.node, sw));
+                topo.devices.push(dev);
+            }
+        }
+    }
+
+    // Every switch learns every remote node, candidates in escape-first
+    // order so `route(dst)[0]` is the escape hop.
+    for s in &plan.switches {
+        let routing = &mut engines
+            .get(s.domain)
+            .component_mut::<FabricSwitch>(switches[s.id])
+            .routing;
+        for &(node, home) in homes.iter().filter(|&&(_, home)| home != s.id) {
+            for hop in plan.route_candidates(s.id, home) {
+                // Candidates are direct neighbors, all wired above.
+                routing.add_pbr(node, port_of[&(s.id, hop)]);
+            }
+        }
+    }
+    ShardedFabric { domains, gateways }
 }
 
 #[cfg(test)]

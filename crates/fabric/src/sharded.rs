@@ -1,15 +1,18 @@
 //! Topology-driven shard assignment: a chain of switch domains, one
-//! shard per domain.
+//! shard per domain, and the per-domain handles every sharded builder
+//! returns.
 //!
 //! [`sharded_chain`] carves a multi-switch fabric along its natural
 //! partition boundary — the switch domain — into the per-shard engines of
 //! a [`ShardedEngine`]. Each domain is a [`single_switch`-style] island
 //! (hosts and devices around one switch); adjacent domains are joined by
-//! long-haul cables modeled as [`ShardGateway`] pairs. Node ids and the
-//! host-physical address map are global, so a host anywhere can address a
-//! device anywhere: the local switch routes remote nodes toward the
-//! gateway port on the shortest chain direction, exactly as
-//! [`crate::topology::chain`] installs transit routes.
+//! long-haul cables modeled as [`ShardGateway`](fcc_sim::shard::ShardGateway)
+//! pairs. Node ids and the host-physical address map are global, so a
+//! host anywhere can address a device anywhere. The chain is the one-row
+//! mesh [`PodPlan`], realized by the same builder as
+//! [`crate::topology::chain`] (the one-column mesh) and
+//! [`crate::pods::sharded_pod`], so its transit routes are the mesh's
+//! dimension-ordered escape routes.
 //!
 //! The gateway relay latency *is* the conservative lookahead the sharded
 //! executor runs with (see [`fcc_sim::shard`]): it is the serialization +
@@ -18,16 +21,16 @@
 //!
 //! [`single_switch`-style]: crate::topology::single_switch
 
-use fcc_proto::addr::{AddrMap, AddrRange, NodeId};
-use fcc_sim::shard::{ShardGateway, ShardedEngine};
+use fcc_sim::shard::ShardedEngine;
 use fcc_sim::{ComponentId, SimTime};
 
-use crate::adapter::{Fea, Fha};
 use crate::endpoint::Endpoint;
-use crate::switch::FabricSwitch;
-use crate::topology::{DeviceHandle, HostHandle, Topology, TopologySpec, FAM_BASE};
+use crate::pods::{instantiate, Engines, PodKind, PodPlan};
+use crate::topology::{DeviceHandle, HostHandle, Topology, TopologySpec};
 
-/// Hosts and devices of one switch domain in a [`sharded_chain`].
+/// Hosts and devices of one switch domain in a [`sharded_chain`] or
+/// [`sharded_pod`](crate::pods::sharded_pod), or of one stage of a
+/// [`chain`](crate::topology::chain).
 pub struct DomainSpec {
     /// Host servers attached to this domain's switch.
     pub n_hosts: usize,
@@ -38,9 +41,11 @@ pub struct DomainSpec {
 /// A fabric carved into per-domain shards.
 pub struct ShardedFabric {
     /// One [`Topology`] per domain, in shard order. Each holds only its
-    /// own hosts, devices, and switch, but the shared global address map.
+    /// own hosts, devices, and switches, but the shared global address
+    /// map.
     pub domains: Vec<Topology>,
-    /// Gateway pairs `(in domain d, in domain d+1)` for each cable.
+    /// Gateway pairs, one per cross-domain cable in plan link order,
+    /// each `(in the lower-id switch's domain, in the other's)`.
     pub gateways: Vec<(ComponentId, ComponentId)>,
 }
 
@@ -67,6 +72,10 @@ impl ShardedFabric {
 /// transit routes installed. The executor's lookahead becomes
 /// `cross_latency`.
 ///
+/// The chain is the one-row mesh plan: one domain per switch, and its
+/// dimension-ordered escape route is the single transit candidate toward
+/// each remote domain.
+///
 /// # Panics
 ///
 /// Panics if `domains.len()` differs from the shard count, or the chain
@@ -77,155 +86,19 @@ pub fn sharded_chain(
     domains: Vec<DomainSpec>,
     cross_latency: SimTime,
 ) -> ShardedFabric {
-    assert_eq!(domains.len(), sharded.shard_count(), "one domain per shard");
-    let k = domains.len();
-    let mut map = AddrMap::new();
-    let mut next_node: u16 = 1;
-    let mut next_addr: u64 = FAM_BASE;
-    let mut alloc_node = || {
-        let id = NodeId(next_node);
-        next_node += 1;
-        id
+    let kind = PodKind::Mesh {
+        cols: domains.len(),
+        rows: 1,
     };
-    // Stage every device first: the address map must be complete before
-    // any FHA is built (same discipline as the serial builders).
-    let mut staged: Vec<Vec<(ComponentId, NodeId, AddrRange)>> = Vec::new();
-    let mut hosts_per_domain: Vec<usize> = Vec::new();
-    for (d, domain) in domains.into_iter().enumerate() {
-        let mut out = Vec::new();
-        for dev in domain.devices {
-            let node = alloc_node();
-            let capacity = dev.capacity();
-            let range = if capacity > 0 {
-                let r = AddrRange::new(next_addr, capacity);
-                map.add_direct(r, node);
-                next_addr += capacity;
-                r
-            } else {
-                AddrRange::new(u64::MAX - 1, 1)
-            };
-            let fea = sharded.engine_mut(d).add_component(
-                format!("fea{}", node.0),
-                Fea::new(node, spec.switch.phys, spec.credit, dev),
-            );
-            out.push((fea, node, range));
-        }
-        staged.push(out);
-        hosts_per_domain.push(domain.n_hosts);
-    }
-    // One switch per domain.
-    let switches: Vec<ComponentId> = (0..k)
-        .map(|d| {
-            sharded
-                .engine_mut(d)
-                .add_component(format!("fs{d}"), FabricSwitch::new(spec.switch))
-        })
-        .collect();
-    // Inter-domain cables: a gateway pair per chain hop, each attached to
-    // its side's switch like any endpoint.
-    let mut gateways = Vec::new();
-    let mut right_port: Vec<Option<usize>> = vec![None; k];
-    let mut left_port: Vec<Option<usize>> = vec![None; k];
-    for d in 0..k.saturating_sub(1) {
-        let (gl, gr) = sharded.link(d, d + 1, cross_latency, &format!("cable{d}"));
-        let engine = sharded.engine_mut(d);
-        let pd = {
-            let s = engine.component_mut::<FabricSwitch>(switches[d]);
-            let p = s.add_port();
-            s.connect(p, gl);
-            p
-        };
-        engine
-            .component_mut::<ShardGateway>(gl)
-            .set_local_peer(switches[d]);
-        right_port[d] = Some(pd);
-        let engine = sharded.engine_mut(d + 1);
-        let pe = {
-            let s = engine.component_mut::<FabricSwitch>(switches[d + 1]);
-            let p = s.add_port();
-            s.connect(p, gr);
-            p
-        };
-        engine
-            .component_mut::<ShardGateway>(gr)
-            .set_local_peer(switches[d + 1]);
-        left_port[d + 1] = Some(pe);
-        gateways.push((gl, gr));
-    }
-    // Hosts (map is complete now), plus local attachments and routes.
-    let mut node_domain: Vec<(NodeId, usize)> = Vec::new();
-    let mut topo_hosts: Vec<Vec<HostHandle>> = (0..k).map(|_| Vec::new()).collect();
-    for d in 0..k {
-        for _ in 0..hosts_per_domain[d] {
-            let node = alloc_node();
-            let engine = sharded.engine_mut(d);
-            let fha = engine.add_component(
-                format!("fha{}", node.0),
-                Fha::new(
-                    node,
-                    spec.switch.phys,
-                    spec.credit,
-                    map.clone(),
-                    spec.fha_outstanding,
-                ),
-            );
-            let port = {
-                let s = engine.component_mut::<FabricSwitch>(switches[d]);
-                let p = s.add_port();
-                s.connect(p, fha);
-                s.routing.add_pbr(node, p);
-                p
-            };
-            let _ = port;
-            engine.component_mut::<Fha>(fha).connect(switches[d]);
-            topo_hosts[d].push(HostHandle { fha, node });
-            node_domain.push((node, d));
-        }
-        for &(fea, node, _) in &staged[d] {
-            let engine = sharded.engine_mut(d);
-            {
-                let s = engine.component_mut::<FabricSwitch>(switches[d]);
-                let p = s.add_port();
-                s.connect(p, fea);
-                s.routing.add_pbr(node, p);
-            }
-            engine.component_mut::<Fea>(fea).connect(switches[d]);
-            node_domain.push((node, d));
-        }
-    }
-    // Transit routes: remote nodes exit through the chainward gateway.
-    for d in 0..k {
-        for &(node, home) in &node_domain {
-            if home == d {
-                continue;
-            }
-            // The chain hop toward `home` exists because home != d.
-            #[allow(clippy::expect_used)]
-            let port = if home > d {
-                right_port[d].expect("right cable exists")
-            } else {
-                left_port[d].expect("left cable exists")
-            };
-            sharded
-                .engine_mut(d)
-                .component_mut::<FabricSwitch>(switches[d])
-                .routing
-                .add_pbr(node, port);
-        }
-    }
-    let domains = (0..k)
-        .map(|d| Topology {
-            hosts: std::mem::take(&mut topo_hosts[d]),
-            devices: staged[d]
-                .iter()
-                .map(|&(fea, node, range)| DeviceHandle { fea, node, range })
-                .collect(),
-            switches: vec![switches[d]],
-            addr_map: map.clone(),
-            manager: None,
-        })
-        .collect();
-    ShardedFabric { domains, gateways }
+    let (plan, devices) = PodPlan::line(kind, domains);
+    instantiate(
+        Engines::Sharded(sharded),
+        &plan,
+        &spec,
+        None,
+        cross_latency,
+        devices,
+    )
 }
 
 #[cfg(test)]
@@ -235,6 +108,7 @@ mod tests {
     use super::*;
     use crate::adapter::{HostCompletion, HostOp, HostRequest};
     use crate::endpoint::FixedLatencyMemory;
+    use crate::switch::FabricSwitch;
 
     struct Sink {
         done: Vec<HostCompletion>,

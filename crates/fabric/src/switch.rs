@@ -309,12 +309,11 @@ pub struct FabricSwitch {
     peer_to_port: HashMap<ComponentId, usize>,
     /// Routing table (public so topology builders can pre-install routes).
     pub routing: RoutingTable,
-    /// FIFO discipline: one queue per input.
-    fifo: Vec<VecDeque<Entry>>,
-    /// VOQ discipline: queues[input][output].
+    /// VOQ discipline: queues[input][output]; empty under the others.
     voq: Vec<Vec<VecDeque<Entry>>>,
-    /// Wormhole discipline: queues[input][ingress lane]. Ports without VC
-    /// flow control (endpoint-facing) keep a single lane-0 queue.
+    /// Ingress queues[input][lane]: wormhole lanes, or under FIFO the
+    /// input's one queue in lane 0. Ports without VC flow control
+    /// (endpoint-facing) keep a single lane-0 queue.
     vcq: Vec<Vec<VecDeque<Entry>>>,
     /// Per-egress-port VC credit ledgers (only on links configured via
     /// [`FabricSwitch::set_vc_link`]).
@@ -372,7 +371,6 @@ impl FabricSwitch {
             ports: Vec::new(),
             peer_to_port: HashMap::new(),
             routing: RoutingTable::new(crate::routing::DomainId(0)),
-            fifo: Vec::new(),
             voq: Vec::new(),
             vcq: Vec::new(),
             vc_links: Vec::new(),
@@ -409,17 +407,13 @@ impl FabricSwitch {
     pub fn add_port_with(&mut self, phys: PhysConfig, credit: CreditConfig) -> usize {
         let idx = self.ports.len();
         self.ports.push(LinkPort::new(phys, credit));
-        self.fifo.push(VecDeque::new());
-        for q in &mut self.voq {
-            q.push(VecDeque::new());
-        }
-        self.voq
-            .push((0..self.ports.len()).map(|_| VecDeque::new()).collect());
-        // Existing voq rows gained a column above; new row sized to ports.
-        for q in &mut self.voq {
-            while q.len() < self.ports.len() {
+        if self.cfg.queueing == QueueDiscipline::Voq {
+            // Every existing row gains a column; the new row is square.
+            for q in &mut self.voq {
                 q.push(VecDeque::new());
             }
+            self.voq
+                .push((0..self.ports.len()).map(|_| VecDeque::new()).collect());
         }
         self.ramp.push(None);
         self.vcq.push(vec![VecDeque::new()]);
@@ -494,13 +488,10 @@ impl FabricSwitch {
         if port >= self.ports.len() {
             return Err(format!("port {port} out of range"));
         }
-        if !self.fifo[port].is_empty() {
-            return Err(format!(
-                "port {port}: {} flit(s) queued",
-                self.fifo[port].len()
-            ));
-        }
-        let inbound: usize = self.voq[port].iter().map(|q| q.len()).sum();
+        let inbound: usize = self
+            .voq
+            .get(port)
+            .map_or(0, |row| row.iter().map(VecDeque::len).sum());
         let outbound: usize = self.voq.iter().map(|row| row[port].len()).sum();
         if inbound + outbound > 0 {
             return Err(format!(
@@ -585,7 +576,6 @@ impl FabricSwitch {
 
     /// Total flits waiting in ingress queues.
     pub fn queued(&self) -> usize {
-        let fifo: usize = self.fifo.iter().map(|q| q.len()).sum();
         let voq: usize = self
             .voq
             .iter()
@@ -596,7 +586,7 @@ impl FabricSwitch {
             .iter()
             .flat_map(|row| row.iter().map(|q| q.len()))
             .sum();
-        fifo + voq + vcq
+        voq + vcq
     }
 
     /// Current ramp-up allocations for an output (empty if unused).
@@ -822,11 +812,7 @@ impl FabricSwitch {
 
     /// Classifies the (new) front flit of a wormhole lane or FIFO input.
     fn refresh_head(&mut self, i: usize, l: usize, now: SimTime) {
-        let queue = match self.cfg.queueing {
-            QueueDiscipline::Fifo => &self.fifo[i],
-            _ => &self.vcq[i][l],
-        };
-        let next = match queue.front() {
+        let next = match self.vcq[i][l].front() {
             None => Head::Empty,
             Some(h) if h.ready_at > now => {
                 self.timed.push(Reverse((h.ready_at, i, l)));
@@ -923,8 +909,8 @@ impl FabricSwitch {
         };
         match self.cfg.queueing {
             QueueDiscipline::Fifo => {
-                self.fifo[in_port].push_back(entry);
-                if self.fifo[in_port].len() == 1 {
+                self.vcq[in_port][0].push_back(entry);
+                if self.vcq[in_port][0].len() == 1 {
                     self.refresh_head(in_port, 0, ctx.now());
                 }
             }
@@ -1173,7 +1159,7 @@ impl FabricSwitch {
         reserved_phase: bool,
         next_kick: &mut Option<SimTime>,
     ) -> bool {
-        let Some(head) = self.fifo[i].front() else {
+        let Some(head) = self.vcq[i][0].front() else {
             return false;
         };
         debug_assert!(head.ready_at <= now, "active heads are ready");
@@ -1181,7 +1167,7 @@ impl FabricSwitch {
         let Some(dst) = Self::dst_of(&head.payload) else {
             // admit() only queues routable payloads; drop defensively.
             self.unroutable.inc();
-            if self.fifo[i].pop_front().is_some() {
+            if self.vcq[i][0].pop_front().is_some() {
                 self.refresh_head(i, 0, now);
                 self.ports[i].release(ctx, class);
             }
@@ -1209,7 +1195,7 @@ impl FabricSwitch {
             }
             return false;
         }
-        let Some(entry) = self.fifo[i].pop_front() else {
+        let Some(entry) = self.vcq[i][0].pop_front() else {
             return false;
         };
         self.refresh_head(i, 0, now);
@@ -1600,18 +1586,6 @@ impl Component for FabricSwitch {
     }
 
     fn outstanding(&self, out: &mut Vec<PendingWork>) {
-        for (i, q) in self.fifo.iter().enumerate() {
-            if let Some(head) = q.front() {
-                // The whole FIFO waits behind its head's egress.
-                let waiting_on = Self::dst_of(&head.payload)
-                    .and_then(|d| self.pick_output(d, SimTime::ZERO))
-                    .and_then(|o| self.ports[o].peer_opt());
-                out.push(PendingWork {
-                    what: format!("{} flit(s) queued at input {i}", q.len()),
-                    waiting_on,
-                });
-            }
-        }
         for (i, row) in self.voq.iter().enumerate() {
             for (o, q) in row.iter().enumerate() {
                 if !q.is_empty() {
@@ -1624,16 +1598,27 @@ impl Component for FabricSwitch {
         }
         for (i, row) in self.vcq.iter().enumerate() {
             for (l, q) in row.iter().enumerate() {
-                if let Some(head) = q.front() {
+                let Some(head) = q.front() else {
+                    continue;
+                };
+                let pending = if self.cfg.queueing == QueueDiscipline::Fifo {
+                    // The whole FIFO waits behind its head's egress.
+                    PendingWork {
+                        what: format!("{} flit(s) queued at input {i}", q.len()),
+                        waiting_on: Self::dst_of(&head.payload)
+                            .and_then(|d| self.pick_output(d, SimTime::ZERO))
+                            .and_then(|o| self.ports[o].peer_opt()),
+                    }
+                } else {
                     // The head's worm names the egress this lane waits on.
-                    let waiting_on = self
-                        .live_worm(head.worm, head.payload.trace_id())
-                        .and_then(|(_, w)| self.ports[w.out].peer_opt());
-                    out.push(PendingWork {
+                    PendingWork {
                         what: format!("{} flit(s) queued input {i} lane {l}", q.len()),
-                        waiting_on,
-                    });
-                }
+                        waiting_on: self
+                            .live_worm(head.worm, head.payload.trace_id())
+                            .and_then(|(_, w)| self.ports[w.out].peer_opt()),
+                    }
+                };
+                out.push(pending);
             }
         }
         for (p, port) in self.ports.iter().enumerate() {
@@ -1666,6 +1651,22 @@ mod tests {
             assert_eq!(row.len(), 5);
         }
         assert_eq!(sw.queued(), 0);
+    }
+
+    #[test]
+    fn only_voq_switches_grow_the_voq_matrix() {
+        for queueing in [QueueDiscipline::Fifo, QueueDiscipline::Wormhole] {
+            let cfg = SwitchConfig {
+                queueing,
+                ..SwitchConfig::fabrex_like()
+            };
+            let mut sw = FabricSwitch::new(cfg);
+            for _ in 0..5 {
+                sw.add_port();
+            }
+            assert!(sw.voq.is_empty(), "{queueing:?}");
+            assert_eq!(sw.vcq.len(), 5, "{queueing:?}: one lane-0 queue per input");
+        }
     }
 
     #[test]

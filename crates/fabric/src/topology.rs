@@ -4,6 +4,13 @@
 //! FHAs, fabric switches, FAM/FAA chassis behind FEAs — wire their ports,
 //! build the host address map, and install routes (directly, or via the
 //! fabric manager for the discovery experiment F1).
+//!
+//! [`single_switch`] and [`chain`] are one-column mesh [`PodPlan`]s
+//! realized by the crate's one plan builder (see [`crate::pods`]).
+//! [`direct`] (no switch) and [`figure1`] (routes left to the fabric
+//! manager) are short functions over the same adapter staging and port
+//! helpers, so node ids, address ranges and component names follow one
+//! scheme everywhere.
 
 use fcc_proto::addr::{AddrMap, AddrRange, NodeId};
 use fcc_proto::link::CreditConfig;
@@ -13,6 +20,8 @@ use fcc_telemetry::{MetricsRegistry, TraceSink};
 use crate::adapter::{Fea, Fha};
 use crate::endpoint::{Endpoint, FixedLatencyMemory};
 use crate::manager::FabricManager;
+use crate::pods::{instantiate, Engines, PodKind, PodPlan};
+use crate::sharded::DomainSpec;
 use crate::switch::{FabricSwitch, SwitchConfig};
 
 /// Base host physical address at which FAM capacity is mapped.
@@ -162,64 +171,57 @@ impl Topology {
     }
 }
 
-struct Builder<'e> {
-    engine: &'e mut Engine,
+/// Assigns node ids and host-physical ranges in creation order and
+/// creates the adapters that carry them. Every builder stages its devices
+/// first, so the address map is complete before any FHA copies it.
+pub(crate) struct Adapters {
     spec: TopologySpec,
     next_node: u16,
     next_addr: u64,
-    map: AddrMap,
-    hosts: Vec<HostHandle>,
-    devices: Vec<DeviceHandle>,
+    /// The host physical address map built so far.
+    pub(crate) map: AddrMap,
 }
 
-impl<'e> Builder<'e> {
-    fn new(engine: &'e mut Engine, spec: TopologySpec) -> Self {
-        Builder {
-            engine,
+impl Adapters {
+    pub(crate) fn new(spec: TopologySpec) -> Self {
+        Adapters {
             spec,
             next_node: 1,
             next_addr: FAM_BASE,
             map: AddrMap::new(),
-            hosts: Vec::new(),
-            devices: Vec::new(),
         }
     }
 
-    fn alloc_node(&mut self) -> NodeId {
+    fn node(&mut self) -> NodeId {
         let id = NodeId(self.next_node);
         self.next_node += 1;
         id
     }
 
-    /// Creates the device components and reserves their address ranges,
-    /// without wiring (the map must be complete before FHAs are built).
-    fn stage_devices(&mut self, devices: Vec<Box<dyn Endpoint>>) -> Vec<(ComponentId, NodeId)> {
-        let mut out = Vec::new();
-        for (i, dev) in devices.into_iter().enumerate() {
-            let node = self.alloc_node();
-            let capacity = dev.capacity();
-            let range = if capacity > 0 {
-                let r = AddrRange::new(self.next_addr, capacity);
-                self.map.add_direct(r, node);
-                self.next_addr += capacity;
-                r
-            } else {
-                AddrRange::new(u64::MAX - 1, 1)
-            };
-            let fea = self.engine.add_component(
-                format!("fea{}", node.0),
-                Fea::new(node, self.spec.switch.phys, self.spec.credit, dev),
-            );
-            self.devices.push(DeviceHandle { fea, node, range });
-            out.push((fea, node));
-            let _ = i;
-        }
-        out
+    /// Stages a device: its node id, its address range (mapped only when
+    /// it has capacity) and its unwired FEA.
+    pub(crate) fn device(&mut self, engine: &mut Engine, dev: Box<dyn Endpoint>) -> DeviceHandle {
+        let node = self.node();
+        let capacity = dev.capacity();
+        let range = if capacity > 0 {
+            let r = AddrRange::new(self.next_addr, capacity);
+            self.map.add_direct(r, node);
+            self.next_addr += capacity;
+            r
+        } else {
+            AddrRange::new(u64::MAX - 1, 1)
+        };
+        let fea = engine.add_component(
+            format!("fea{}", node.0),
+            Fea::new(node, self.spec.switch.phys, self.spec.credit, dev),
+        );
+        DeviceHandle { fea, node, range }
     }
 
-    fn make_host(&mut self) -> HostHandle {
-        let node = self.alloc_node();
-        let fha = self.engine.add_component(
+    /// Creates an unwired host FHA over the address map as it stands.
+    pub(crate) fn host(&mut self, engine: &mut Engine) -> HostHandle {
+        let node = self.node();
+        let fha = engine.add_component(
             format!("fha{}", node.0),
             Fha::new(
                 node,
@@ -229,168 +231,103 @@ impl<'e> Builder<'e> {
                 self.spec.fha_outstanding,
             ),
         );
-        let handle = HostHandle { fha, node };
-        self.hosts.push(handle);
-        handle
+        HostHandle { fha, node }
     }
 
-    fn attach_to_switch(&mut self, sw: ComponentId, peer: ComponentId, peer_node: Option<NodeId>) {
-        let port = {
-            let s = self.engine.component_mut::<FabricSwitch>(sw);
-            let p = s.add_port();
-            s.connect(p, peer);
-            if let Some(node) = peer_node {
-                s.routing.add_pbr(node, p);
-            }
-            p
-        };
-        let _ = port;
-        // Connect the peer back.
-        if self.hosts.iter().any(|h| h.fha == peer) {
-            self.engine.component_mut::<Fha>(peer).connect(sw);
-        } else {
-            self.engine.component_mut::<Fea>(peer).connect(sw);
+    /// A topology over this address map.
+    fn topology(&self, hosts: Vec<HostHandle>, devices: Vec<DeviceHandle>) -> Topology {
+        Topology {
+            hosts,
+            devices,
+            switches: Vec::new(),
+            addr_map: self.map.clone(),
+            manager: None,
         }
     }
+}
 
-    fn link_switches(&mut self, a: ComponentId, b: ComponentId) -> (usize, usize) {
-        let pa = {
-            let s = self.engine.component_mut::<FabricSwitch>(a);
-            let p = s.add_port();
-            s.connect(p, b);
-            p
-        };
-        let pb = {
-            let s = self.engine.component_mut::<FabricSwitch>(b);
-            let p = s.add_port();
-            s.connect(p, a);
-            p
-        };
-        (pa, pb)
+/// Wires a new default port of switch `sw` to `peer`, with a PBR entry
+/// for `route` through it, and returns the port.
+pub(crate) fn plug(
+    engine: &mut Engine,
+    sw: ComponentId,
+    peer: ComponentId,
+    route: Option<NodeId>,
+) -> usize {
+    let s = engine.component_mut::<FabricSwitch>(sw);
+    let p = s.add_port();
+    s.connect(p, peer);
+    if let Some(node) = route {
+        s.routing.add_pbr(node, p);
+    }
+    p
+}
+
+impl HostHandle {
+    /// Plugs this host into switch `sw`; `route` installs its local PBR
+    /// entry.
+    pub(crate) fn attach(self, engine: &mut Engine, sw: ComponentId, route: bool) {
+        plug(engine, sw, self.fha, route.then_some(self.node));
+        engine.component_mut::<Fha>(self.fha).connect(sw);
+    }
+}
+
+impl DeviceHandle {
+    /// Plugs this device into switch `sw`; `route` installs its local
+    /// PBR entry.
+    pub(crate) fn attach(self, engine: &mut Engine, sw: ComponentId, route: bool) {
+        plug(engine, sw, self.fea, route.then_some(self.node));
+        engine.component_mut::<Fea>(self.fea).connect(sw);
     }
 }
 
 /// Builds a host directly attached to one device (no switch).
 pub fn direct(engine: &mut Engine, spec: TopologySpec, device: Box<dyn Endpoint>) -> Topology {
-    let mut b = Builder::new(engine, spec);
-    let staged = b.stage_devices(vec![device]);
-    let host = b.make_host();
-    let (fea, _node) = staged[0];
-    b.engine.component_mut::<Fha>(host.fha).connect(fea);
-    b.engine.component_mut::<Fea>(fea).connect(host.fha);
-    Topology {
-        hosts: b.hosts,
-        devices: b.devices,
-        switches: Vec::new(),
-        addr_map: b.map,
-        manager: None,
-    }
+    let mut adapters = Adapters::new(spec);
+    let dev = adapters.device(engine, device);
+    let host = adapters.host(engine);
+    engine.component_mut::<Fha>(host.fha).connect(dev.fea);
+    engine.component_mut::<Fea>(dev.fea).connect(host.fha);
+    adapters.topology(vec![host], vec![dev])
 }
 
 /// Builds `n_hosts` hosts and the given devices around one switch, with
-/// routes pre-installed.
+/// routes pre-installed: the one-switch [`chain`].
 pub fn single_switch(
     engine: &mut Engine,
     spec: TopologySpec,
     n_hosts: usize,
     devices: Vec<Box<dyn Endpoint>>,
 ) -> Topology {
-    let mut b = Builder::new(engine, spec);
-    let staged = b.stage_devices(devices);
-    let sw = b
-        .engine
-        .add_component("fs0", FabricSwitch::new(spec.switch));
-    for _ in 0..n_hosts {
-        let host = b.make_host();
-        b.attach_to_switch(sw, host.fha, Some(host.node));
-    }
-    for (fea, node) in staged {
-        b.attach_to_switch(sw, fea, Some(node));
-    }
-    Topology {
-        hosts: b.hosts,
-        devices: b.devices,
-        switches: vec![sw],
-        addr_map: b.map,
-        manager: None,
-    }
-}
-
-/// One stage of a [`chain`] topology.
-pub struct StageSpec {
-    /// Hosts attached to this stage's switch.
-    pub n_hosts: usize,
-    /// Devices attached to this stage's switch.
-    pub devices: Vec<Box<dyn Endpoint>>,
+    chain(engine, spec, vec![DomainSpec { n_hosts, devices }])
 }
 
 /// Builds a linear chain of switches (stage 0 — stage 1 — …), with hosts
 /// and devices attached per stage and chain routes installed. Used by the
 /// congestion back-propagation experiment (E3e).
-pub fn chain(engine: &mut Engine, spec: TopologySpec, stages: Vec<StageSpec>) -> Topology {
-    assert!(!stages.is_empty(), "need at least one stage");
-    let mut b = Builder::new(engine, spec);
-    // Stage staging order: devices first (address map), remembering stages.
-    let mut staged_per_stage: Vec<Vec<(ComponentId, NodeId)>> = Vec::new();
-    let mut hosts_per_stage: Vec<usize> = Vec::new();
-    for stage in stages {
-        staged_per_stage.push(b.stage_devices(stage.devices));
-        hosts_per_stage.push(stage.n_hosts);
-    }
-    let switches: Vec<ComponentId> = (0..staged_per_stage.len())
-        .map(|i| {
-            b.engine
-                .add_component(format!("fs{i}"), FabricSwitch::new(spec.switch))
-        })
-        .collect();
-    // Inter-switch links.
-    let mut right_port: Vec<Option<usize>> = vec![None; switches.len()];
-    let mut left_port: Vec<Option<usize>> = vec![None; switches.len()];
-    for i in 0..switches.len().saturating_sub(1) {
-        let (pa, pb) = b.link_switches(switches[i], switches[i + 1]);
-        right_port[i] = Some(pa);
-        left_port[i + 1] = Some(pb);
-    }
-    // Attachments, collecting (stage, node) for route fill.
-    let mut node_stage: Vec<(NodeId, usize)> = Vec::new();
-    for (i, &sw) in switches.iter().enumerate() {
-        for _ in 0..hosts_per_stage[i] {
-            let host = b.make_host();
-            b.attach_to_switch(sw, host.fha, Some(host.node));
-            node_stage.push((host.node, i));
-        }
-        for &(fea, node) in &staged_per_stage[i] {
-            b.attach_to_switch(sw, fea, Some(node));
-            node_stage.push((node, i));
-        }
-    }
-    // Chain routes: from each switch toward nodes at other stages.
-    for (i, &sw) in switches.iter().enumerate() {
-        for &(node, stage) in &node_stage {
-            if stage == i {
-                continue; // local PBR already installed by attach.
-            }
-            // A node at a farther stage implies the chain link toward it
-            // was created in the wiring loop above.
-            #[allow(clippy::expect_used)]
-            let port = if stage > i {
-                right_port[i].expect("right link exists")
-            } else {
-                left_port[i].expect("left link exists")
-            };
-            b.engine
-                .component_mut::<FabricSwitch>(sw)
-                .routing
-                .add_pbr(node, port);
-        }
-    }
-    Topology {
-        hosts: b.hosts,
-        devices: b.devices,
-        switches,
-        addr_map: b.map,
-        manager: None,
-    }
+///
+/// The chain is the one-column mesh plan: one domain, so every link is a
+/// direct wire, and its dimension-ordered escape route is the single
+/// transit candidate toward each remote stage.
+///
+/// # Panics
+///
+/// Panics if `stages` is empty.
+pub fn chain(engine: &mut Engine, spec: TopologySpec, stages: Vec<DomainSpec>) -> Topology {
+    let kind = PodKind::Mesh {
+        cols: 1,
+        rows: stages.len(),
+    };
+    let (plan, devices) = PodPlan::line(kind, stages);
+    let mut fabric = instantiate(
+        Engines::One(engine),
+        &plan,
+        &spec,
+        None,
+        SimTime::ZERO,
+        devices,
+    );
+    fabric.domains.swap_remove(0)
 }
 
 /// Builds the Figure 1 infrastructure: two host servers, two cross-linked
@@ -415,40 +352,29 @@ pub fn figure1(engine: &mut Engine, spec: TopologySpec) -> Topology {
             256 << 20,
         ))
     };
-    let mut b = Builder::new(engine, spec);
-    let fam1 = b.stage_devices(vec![dimm(), dimm(), dimm()]);
-    let fam2 = b.stage_devices(vec![dimm(), dimm(), dimm()]);
-    let faa = b.stage_devices(vec![accel(), accel()]);
-    let fs1 = b
-        .engine
-        .add_component("fs1", FabricSwitch::new(spec.switch));
-    let fs2 = b
-        .engine
-        .add_component("fs2", FabricSwitch::new(spec.switch));
-    b.link_switches(fs1, fs2);
-    let h1 = b.make_host();
-    let h2 = b.make_host();
-    // No route pre-install: the manager fills tables (None for peer_node).
-    b.attach_to_switch(fs1, h1.fha, None);
-    b.attach_to_switch(fs2, h2.fha, None);
-    for &(fea, _) in &fam1 {
-        b.attach_to_switch(fs1, fea, None);
+    let mut adapters = Adapters::new(spec);
+    let devices: Vec<DeviceHandle> = [dimm(), dimm(), dimm(), dimm(), dimm(), dimm()]
+        .into_iter()
+        .chain([accel(), accel()])
+        .map(|dev| adapters.device(engine, dev))
+        .collect();
+    let fs1 = engine.add_component("fs1", FabricSwitch::new(spec.switch));
+    let fs2 = engine.add_component("fs2", FabricSwitch::new(spec.switch));
+    plug(engine, fs1, fs2, None);
+    plug(engine, fs2, fs1, None);
+    let hosts = vec![adapters.host(engine), adapters.host(engine)];
+    // No route pre-install: the manager fills the tables. fs1 carries
+    // host 1 and the first FAM chassis, fs2 everything else.
+    hosts[0].attach(engine, fs1, false);
+    hosts[1].attach(engine, fs2, false);
+    for (i, dev) in devices.iter().enumerate() {
+        dev.attach(engine, if i < 3 { fs1 } else { fs2 }, false);
     }
-    for &(fea, _) in &fam2 {
-        b.attach_to_switch(fs2, fea, None);
-    }
-    for &(fea, _) in &faa {
-        b.attach_to_switch(fs2, fea, None);
-    }
-    let manager = b
-        .engine
-        .add_component("fabric-manager", FabricManager::new(vec![fs1, fs2], None));
+    let manager = engine.add_component("fabric-manager", FabricManager::new(vec![fs1, fs2], None));
     Topology {
-        hosts: b.hosts,
-        devices: b.devices,
         switches: vec![fs1, fs2],
-        addr_map: b.map,
         manager: Some(manager),
+        ..adapters.topology(hosts, devices)
     }
 }
 
@@ -492,15 +418,15 @@ mod tests {
             &mut engine,
             TopologySpec::default(),
             vec![
-                StageSpec {
+                DomainSpec {
                     n_hosts: 2,
                     devices: vec![],
                 },
-                StageSpec {
+                DomainSpec {
                     n_hosts: 0,
                     devices: vec![],
                 },
-                StageSpec {
+                DomainSpec {
                     n_hosts: 0,
                     devices: vec![mk()],
                 },

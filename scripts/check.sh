@@ -89,4 +89,9 @@ r = json.loads(sys.stdin.read())
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 done
 
+echo "==> perfbench lockfile unchanged (the smoke above must not rewrite it)"
+# A crate or dependency change that alters the benchmark's resolved graph
+# shows up here instead of silently landing in the benchmark's checkout.
+git diff --exit-code -- perfbench/Cargo.lock
+
 echo "all checks passed"

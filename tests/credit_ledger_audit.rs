@@ -10,7 +10,8 @@
 
 use fcc::fabric::adapter::{HostCompletion, HostOp, HostRequest};
 use fcc::fabric::endpoint::PipelinedMemory;
-use fcc::fabric::topology::{self, StageSpec, TopologySpec, FAM_BASE};
+use fcc::fabric::sharded::DomainSpec;
+use fcc::fabric::topology::{self, TopologySpec, FAM_BASE};
 use fcc::fabric::{audit_topology, AllocPolicy};
 use fcc::sim::{Component, Ctx, Engine, Msg, SimTime};
 
@@ -46,11 +47,11 @@ fn quiescent_chain_passes_credit_audit_and_reports_no_deadlock() {
         &mut engine,
         spec,
         vec![
-            StageSpec {
+            DomainSpec {
                 n_hosts: 2,
                 devices: vec![],
             },
-            StageSpec {
+            DomainSpec {
                 n_hosts: 0,
                 devices: vec![fam()],
             },

@@ -15,8 +15,9 @@
 
 use fcc::fabric::adapter::{Fea, Fha, HostCompletion, HostOp, HostRequest};
 use fcc::fabric::endpoint::{Endpoint, PipelinedMemory};
+use fcc::fabric::sharded::DomainSpec;
 use fcc::fabric::switch::{FabricSwitch, FlowId, InstallRate, QueueDiscipline, SwitchConfig};
-use fcc::fabric::topology::{self, StageSpec, TopologySpec, FAM_BASE};
+use fcc::fabric::topology::{self, TopologySpec, FAM_BASE};
 use fcc::fabric::AllocPolicy;
 use fcc::proto::addr::{AddrMap, AddrRange, NodeId};
 use fcc::proto::link::CreditConfig;
@@ -186,15 +187,15 @@ fn build(engine: &mut Engine, shape: Shape, spec: TopologySpec) -> Built {
             engine,
             spec,
             vec![
-                StageSpec {
+                DomainSpec {
                     n_hosts: 2,
                     devices: vec![device()],
                 },
-                StageSpec {
+                DomainSpec {
                     n_hosts: 1,
                     devices: vec![],
                 },
-                StageSpec {
+                DomainSpec {
                     n_hosts: 1,
                     devices: vec![device()],
                 },
