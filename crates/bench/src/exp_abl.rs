@@ -85,13 +85,8 @@ fn run_mode(mode: FlitMode, op_bytes: u32, count: u64, seed: u64) -> (f64, f64) 
     (g.ops_per_us(), g.latency.summary_ns().mean)
 }
 
-/// Runs the flit-mode ablation.
-pub fn run_flit(quick: bool) -> FlitAblation {
-    run_flit_seeded(quick, 0)
-}
-
-/// [`run_flit`] with a caller-supplied RNG seed salt.
-pub fn run_flit_seeded(quick: bool, seed: u64) -> FlitAblation {
+/// Runs the flit-mode ablation with RNG seed salt `seed`.
+pub fn run_flit(quick: bool, seed: u64) -> FlitAblation {
     let bulk_n = if quick { 200 } else { 1000 };
     let small_n = if quick { 500 } else { 3000 };
     let b68 = run_mode(FlitMode::Flit68, 16384, bulk_n, seed);
@@ -292,13 +287,8 @@ fn run_paths(adaptive: bool, quick: bool, seed: u64) -> f64 {
         .sum()
 }
 
-/// Runs the adaptive-routing ablation.
-pub fn run_adaptive(quick: bool) -> AdaptiveAblation {
-    run_adaptive_seeded(quick, 0)
-}
-
-/// [`run_adaptive`] with a caller-supplied RNG seed salt.
-pub fn run_adaptive_seeded(quick: bool, seed: u64) -> AdaptiveAblation {
+/// Runs the adaptive-routing ablation with RNG seed salt `seed`.
+pub fn run_adaptive(quick: bool, seed: u64) -> AdaptiveAblation {
     AdaptiveAblation {
         deterministic: run_paths(false, quick, seed),
         adaptive: run_paths(true, quick, seed),
@@ -342,13 +332,8 @@ pub struct CreditAblation {
     pub points: Vec<(u32, f64)>,
 }
 
-/// Runs the credit-depth sweep on the long calibrated links.
-pub fn run_credits(quick: bool) -> CreditAblation {
-    run_credits_seeded(quick, 0)
-}
-
-/// [`run_credits`] with a caller-supplied RNG seed salt.
-pub fn run_credits_seeded(quick: bool, seed: u64) -> CreditAblation {
+/// Runs the credit-depth sweep on the long calibrated links with RNG seed salt `seed`.
+pub fn run_credits(quick: bool, seed: u64) -> CreditAblation {
     let count = if quick { 150 } else { 800 };
     let mut points = Vec::new();
     for &flits in &[16u32, 128, 1024, 2048] {
@@ -416,7 +401,7 @@ mod tests {
 
     #[test]
     fn big_flits_win_bulk_small_ops_prefer_small_flits() {
-        let r = run_flit(true);
+        let r = run_flit(true, 0);
         assert!(
             r.bulk.1 > r.bulk.0 * 1.5,
             "256B flits should win bulk: {} vs {}",
@@ -433,7 +418,7 @@ mod tests {
 
     #[test]
     fn adaptive_routing_exploits_path_diversity() {
-        let r = run_adaptive(true);
+        let r = run_adaptive(true, 0);
         assert!(
             r.gain() > 1.3,
             "two paths should beat one: {} vs {}",
@@ -444,7 +429,7 @@ mod tests {
 
     #[test]
     fn throughput_rises_until_bdp_then_flattens() {
-        let r = run_credits(true);
+        let r = run_credits(true, 0);
         let t16 = r.points[0].1;
         let t1024 = r.points[2].1;
         let t2048 = r.points[3].1;

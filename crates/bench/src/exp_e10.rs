@@ -244,13 +244,8 @@ fn multiplexed_faa(ctx_switch: SimTime, invocations: u64, seed: u64) -> (f64, u6
     (s.finished_at.as_us(), switches)
 }
 
-/// Runs E10.
-pub fn run(quick: bool) -> E10Result {
-    run_seeded(quick, 0)
-}
-
-/// [`run`] with a caller-supplied RNG seed salt.
-pub fn run_seeded(quick: bool, seed: u64) -> E10Result {
+/// Runs E10 with RNG seed salt `seed`.
+pub fn run(quick: bool, seed: u64) -> E10Result {
     let invocations = if quick { 400 } else { 2000 };
     let fabric_launch_ns = fabric_launch(seed);
     let rdma_launch_ns = rdma_launch(seed);
@@ -312,7 +307,7 @@ mod tests {
 
     #[test]
     fn fabric_launch_beats_rdma_launch() {
-        let r = run(true);
+        let r = run(true, 0);
         assert!(
             r.launch_advantage() > 1.2,
             "fabric {} vs rdma {}",
@@ -324,7 +319,7 @@ mod tests {
 
     #[test]
     fn slow_context_switches_dominate_multiplexed_runs() {
-        let r = run(true);
+        let r = run(true, 0);
         assert!(
             r.slow_switch_us > r.fast_switch_us * 2.0,
             "fast {} vs slow {}",

@@ -206,19 +206,9 @@ fn run_scenario(mode: Mode, quick: bool, cap: &mut Capture, seed: u64) -> E11Sce
     }
 }
 
-/// Runs E11.
-pub fn run(quick: bool) -> E11Result {
-    run_captured(quick, &mut Capture::disabled())
-}
-
-/// Runs E11, feeding telemetry into `cap`. Scenario labels:
-/// `e11-steady`, `e11-managed`, `e11-yank`.
-pub fn run_captured(quick: bool, cap: &mut Capture) -> E11Result {
-    run_captured_seeded(quick, cap, 0)
-}
-
-/// [`run_captured`] with a caller-supplied RNG seed salt.
-pub fn run_captured_seeded(quick: bool, cap: &mut Capture, seed: u64) -> E11Result {
+/// Runs E11 with RNG seed salt `seed`, feeding telemetry into `cap`. Scenario
+/// labels: `e11-steady`, `e11-managed`, `e11-yank`.
+pub fn run(quick: bool, cap: &mut Capture, seed: u64) -> E11Result {
     E11Result {
         steady: run_scenario(Mode::Steady, quick, cap, seed),
         managed: run_scenario(Mode::Managed, quick, cap, seed),
@@ -285,7 +275,7 @@ mod tests {
 
     #[test]
     fn managed_drain_is_lossless_while_yank_is_not() {
-        let r = run(true);
+        let r = run(true, &mut Capture::disabled(), 0);
         assert_eq!(r.managed.lost_objects, 0, "managed drain loses nothing");
         assert_eq!(r.managed.survived, r.managed.objects);
         assert!(!r.managed.deadlocked, "managed drain never wedges");

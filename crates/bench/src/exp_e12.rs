@@ -33,7 +33,7 @@ use fcc_fabric::sharded::{sharded_chain, DomainSpec, ShardedFabric};
 use fcc_fabric::switch::{FabricSwitch, QueueDiscipline};
 use fcc_sched::{CreditPartition, FabricScheduler, TenantShare};
 use fcc_sim::{ComponentId, Histogram, ShardedEngine, SimTime};
-use fcc_telemetry::{record_deadlock, tenant_metric, TraceSink};
+use fcc_telemetry::tenant_metric;
 
 use crate::capture::Capture;
 use crate::exp_e3::{fabrex_device, fabrex_spec};
@@ -155,18 +155,8 @@ impl E12Result {
     }
 }
 
-/// Runs E12 with one worker thread.
-pub fn run_e12(quick: bool) -> E12Result {
-    run_e12_captured_seeded(quick, &mut Capture::disabled(), 0, 1)
-}
-
 /// Runs E12, feeding telemetry into `cap`, with `shards` worker threads.
-pub fn run_e12_captured_seeded(
-    quick: bool,
-    cap: &mut Capture,
-    seed: u64,
-    shards: usize,
-) -> E12Result {
+pub fn run_e12(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E12Result {
     let idle = run_mode(Mode::Idle, quick, cap, seed, shards);
     let off = run_mode(Mode::Off, quick, cap, seed, shards);
     let on = run_mode(Mode::On, quick, cap, seed, shards);
@@ -252,15 +242,8 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
             }
         }
     }
-    let mut sinks: Vec<TraceSink> = Vec::new();
-    if cap.is_enabled() {
-        for (d, topo) in fabric.domains.iter().enumerate() {
-            let sink = TraceSink::recording();
-            sink.begin_process(&format!("e12-{}-d{d}", mode.label()));
-            topo.enable_tracing(sharded.engine_mut(d), &sink);
-            sinks.push(sink);
-        }
-    }
+    let label = format!("e12-{}", mode.label());
+    cap.begin_sharded(&label, &mut sharded, &fabric);
     let mut victims: Vec<(usize, usize, ComponentId)> = Vec::new();
     let mut hogs: Vec<(usize, ComponentId)> = Vec::new();
     for d in 0..DOMAINS {
@@ -304,34 +287,17 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
     }
     sharded.run(shards);
     // Deterministic harvest, in domain order.
-    let mut violations = 0u64;
+    let violations = fabric.audit(&sharded).findings.len() as u64;
     let (mut admitted, mut deferred) = (0u64, 0u64);
-    for d in 0..DOMAINS {
-        let engine = sharded.engine(d);
-        for &sw in &fabric.domains[d].switches {
-            let s = engine.component::<FabricSwitch>(sw);
-            let report = s.audit();
-            violations += report.findings.len() as u64;
-            if let Some(sched) = s.scheduler() {
+    for (d, topo) in fabric.domains.iter().enumerate() {
+        for &sw in &topo.switches {
+            if let Some(sched) = sharded.engine(d).component::<FabricSwitch>(sw).scheduler() {
                 admitted += sched.admitted;
                 deferred += sched.deferred;
             }
         }
     }
-    for (d, sink) in sinks.into_iter().enumerate() {
-        if let Some(dump) = sink.into_dump() {
-            cap.sink.absorb(dump);
-        }
-        let engine = sharded.engine(d);
-        fabric.domains[d].collect_metrics(
-            engine,
-            &mut cap.metrics,
-            &format!("e12-{}-d{d}.", mode.label()),
-        );
-        if let Some(report) = engine.deadlock_report() {
-            record_deadlock(&cap.sink, &mut cap.metrics, &report, engine.now());
-        }
-    }
+    cap.end_sharded(&label, &sharded, &fabric);
     let mut victim_latency = Histogram::new();
     for &(d, tenant, lg) in &victims {
         let h = &sharded.engine(d).component::<LoadGen>(lg).latency;
@@ -423,9 +389,9 @@ mod tests {
     /// fan-out (shards select threads, not decomposition).
     #[test]
     fn results_identical_across_worker_counts() {
-        let base = run_e12_captured_seeded(true, &mut Capture::disabled(), 7, 1);
+        let base = run_e12(true, &mut Capture::disabled(), 7, 1);
         for workers in [2, 4] {
-            let r = run_e12_captured_seeded(true, &mut Capture::disabled(), 7, workers);
+            let r = run_e12(true, &mut Capture::disabled(), 7, workers);
             assert_eq!(r.total_events, base.total_events, "workers={workers}");
             assert_eq!(r.victim_p99_idle_ns, base.victim_p99_idle_ns);
             assert_eq!(r.victim_p99_off_ns, base.victim_p99_off_ns);
@@ -440,7 +406,7 @@ mod tests {
     /// per-tenant ledger audit, while hogs still make progress.
     #[test]
     fn scheduler_bounds_victim_inflation_with_clean_ledgers() {
-        let r = run_e12(true);
+        let r = run_e12(true, &mut Capture::disabled(), 0, 1);
         assert_eq!(r.tenants, 64);
         assert_eq!(r.ledger_violations, 0, "tenant ledger audit must be clean");
         assert!(r.victim_p99_idle_ns > 0.0, "victims idle-ran");

@@ -41,7 +41,7 @@ use fcc_fabric::switch::{FabricSwitch, QueueDiscipline};
 use fcc_sched::{tenant_rates, CreditPartition, FabricScheduler, TenantShare};
 use fcc_serve::{Backend, KvStore, KvStoreCfg, ServeClient, ServeClientCfg, StartClient};
 use fcc_sim::{ComponentId, ShardedEngine, SimTime};
-use fcc_telemetry::{record_deadlock, SloAccountant, TraceSink};
+use fcc_telemetry::SloAccountant;
 use fcc_workloads::{DiurnalModulator, ZipfStream};
 
 use crate::capture::Capture;
@@ -216,18 +216,8 @@ impl E13Result {
     }
 }
 
-/// Runs E13 with one worker thread.
-pub fn run_e13(quick: bool) -> E13Result {
-    run_e13_captured_seeded(quick, &mut Capture::disabled(), 0, 1)
-}
-
 /// Runs E13, feeding telemetry into `cap`, with `shards` worker threads.
-pub fn run_e13_captured_seeded(
-    quick: bool,
-    cap: &mut Capture,
-    seed: u64,
-    shards: usize,
-) -> E13Result {
+pub fn run_e13(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E13Result {
     let base = run_mode(Mode::Base, quick, cap, seed, shards);
     let off = run_mode(Mode::Off, quick, cap, seed, shards);
     let on = run_mode(Mode::On, quick, cap, seed, shards);
@@ -363,15 +353,8 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
             }
         }
     }
-    let mut sinks: Vec<TraceSink> = Vec::new();
-    if cap.is_enabled() {
-        for (d, topo) in fabric.domains.iter().enumerate() {
-            let sink = TraceSink::recording();
-            sink.begin_process(&format!("e13-{}-d{d}", mode.label()));
-            topo.enable_tracing(sharded.engine_mut(d), &sink);
-            sinks.push(sink);
-        }
-    }
+    let label = format!("e13-{}", mode.label());
+    cap.begin_sharded(&label, &mut sharded, &fabric);
     // Per-domain serving stacks + the interference pair.
     let mut stores: Vec<ComponentId> = Vec::new();
     let mut clients: Vec<(usize, ComponentId)> = Vec::new();
@@ -485,7 +468,7 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
                 // mix the run seed and the tenant, never the mode.
                 seed: 0xC11E ^ (seed << 8) ^ u64::from(tenant),
             });
-            if let Some(sink) = sinks.get(d) {
+            if let Some(sink) = cap.domain_sink(d) {
                 client.set_trace(sink.track(&format!("client-d{d}h{h}")));
             }
             let engine = sharded.engine_mut(d);
@@ -522,13 +505,7 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
     }
     sharded.run(shards);
     // Deterministic harvest, in domain order.
-    let mut violations = 0u64;
-    for d in 0..DOMAINS {
-        let engine = sharded.engine(d);
-        for &sw in &fabric.domains[d].switches {
-            violations += engine.component::<FabricSwitch>(sw).audit().findings.len() as u64;
-        }
-    }
+    let violations = fabric.audit(&sharded).findings.len() as u64;
     let mut lost_objects = 0u64;
     for (d, &store_id) in stores.iter().enumerate() {
         let s = sharded.engine(d).component::<KvStore>(store_id);
@@ -560,20 +537,7 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
         peak.export(&format!("e13-{}-peak.", mode.label()), &mut cap.metrics);
         trough.export(&format!("e13-{}-trough.", mode.label()), &mut cap.metrics);
     }
-    for (d, sink) in sinks.into_iter().enumerate() {
-        if let Some(dump) = sink.into_dump() {
-            cap.sink.absorb(dump);
-        }
-        let engine = sharded.engine(d);
-        fabric.domains[d].collect_metrics(
-            engine,
-            &mut cap.metrics,
-            &format!("e13-{}-d{d}.", mode.label()),
-        );
-        if let Some(report) = engine.deadlock_report() {
-            record_deadlock(&cap.sink, &mut cap.metrics, &report, engine.now());
-        }
-    }
+    cap.end_sharded(&label, &sharded, &fabric);
     ModeRun {
         peak,
         trough,
@@ -649,9 +613,9 @@ mod tests {
     /// fan-out (shards select threads, not decomposition).
     #[test]
     fn results_identical_across_worker_counts() {
-        let base = run_e13_captured_seeded(true, &mut Capture::disabled(), 7, 1);
+        let base = run_e13(true, &mut Capture::disabled(), 7, 1);
         for workers in [2, 4] {
-            let r = run_e13_captured_seeded(true, &mut Capture::disabled(), 7, workers);
+            let r = run_e13(true, &mut Capture::disabled(), 7, workers);
             assert_eq!(r.total_events, base.total_events, "workers={workers}");
             assert_eq!(r.requests, base.requests);
             assert_eq!(r.base_p99_peak_ns, base.base_p99_peak_ns);
@@ -665,7 +629,7 @@ mod tests {
     /// the SLO the baseline misses at peak, the scheduler recovers tail.
     #[test]
     fn serving_slo_acceptance() {
-        let r = run_e13(true);
+        let r = run_e13(true, &mut Capture::disabled(), 0, 1);
         assert_eq!(r.tenants, 48);
         assert!(r.requests > 1000, "clients ran: {} requests", r.requests);
         assert_eq!(r.lost_objects, 0, "no lost updates/allocations/handles");

@@ -24,13 +24,11 @@
 
 use std::fmt;
 
-use fcc_fabric::audit_topology;
 use fcc_fabric::credit::AllocPolicy;
 use fcc_fabric::pods::{sharded_pod, PodKind, PodSpec};
 use fcc_fabric::switch::{FabricSwitch, QueueDiscipline};
 use fcc_fabric::wormhole::VcConfig;
 use fcc_sim::{ShardedEngine, SimTime};
-use fcc_telemetry::{record_deadlock, TraceSink};
 
 use crate::capture::Capture;
 use crate::exp_e3::{fabrex_device, fabrex_spec};
@@ -84,22 +82,12 @@ impl E14Result {
     }
 }
 
-/// Runs E14 with one worker thread.
-pub fn run_e14(quick: bool) -> E14Result {
-    run_e14_captured_seeded(quick, &mut Capture::disabled(), 0, 1)
-}
-
 /// Runs E14, feeding telemetry into `cap`, with `shards` worker threads.
 ///
 /// Quick mode shrinks the pod to one leaf per spine and four hosts per
 /// leaf (32 hosts) and trims the per-host op count; the topology family,
 /// VC shape, and traffic pattern are unchanged.
-pub fn run_e14_captured_seeded(
-    quick: bool,
-    cap: &mut Capture,
-    seed: u64,
-    shards: usize,
-) -> E14Result {
+pub fn run_e14(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E14Result {
     let (leaves_per_spine, hosts_per_edge, ops) = if quick { (1, 4, 8u64) } else { (4, 8, 24u64) };
     let mut sharded = ShardedEngine::new(0xE14 ^ seed, DOMAINS);
     let mut topo = fabrex_spec(QueueDiscipline::Wormhole, AllocPolicy::Fair);
@@ -118,16 +106,7 @@ pub fn run_e14_captured_seeded(
     let plan = spec.plan();
     let specs = plan.domain_specs(|_, _| fabrex_device());
     let (plan, fabric) = sharded_pod(&mut sharded, &spec, specs);
-    // Per-domain trace sinks, re-interned in domain order after the run.
-    let mut sinks: Vec<TraceSink> = Vec::new();
-    if cap.is_enabled() {
-        for (d, topo) in fabric.domains.iter().enumerate() {
-            let sink = TraceSink::recording();
-            sink.begin_process(&format!("e14-d{d}"));
-            topo.enable_tracing(sharded.engine_mut(d), &sink);
-            sinks.push(sink);
-        }
-    }
+    cap.begin_sharded("e14", &mut sharded, &fabric);
     // Load: host `gh` writes a fixed count of 1 KiB ops to the device of
     // a rotating *remote* spine group, so all traffic is leaf-spine-leaf
     // and every spine carries worms in both directions.
@@ -154,29 +133,15 @@ pub fn run_e14_captured_seeded(
     }
     sharded.run(shards);
     // Deterministic harvest, in domain order.
-    let mut deadlock_events = 0u64;
+    let deadlock_events = cap.end_sharded("e14", &sharded, &fabric);
+    let audit_findings = fabric.audit(&sharded).findings.len() as u64;
     let mut credit_violations = 0u64;
-    let mut audit_findings = 0u64;
     let mut makespan = SimTime::ZERO;
-    let mut sinks = sinks.into_iter();
-    for d in 0..DOMAINS {
-        if let Some(sink) = sinks.next() {
-            if let Some(dump) = sink.into_dump() {
-                cap.sink.absorb(dump);
-            }
-        }
+    for (d, topo) in fabric.domains.iter().enumerate() {
         let engine = sharded.engine(d);
-        if cap.is_enabled() {
-            fabric.domains[d].collect_metrics(engine, &mut cap.metrics, &format!("e14-d{d}."));
-        }
-        if let Some(report) = engine.deadlock_report() {
-            deadlock_events += 1;
-            record_deadlock(&cap.sink, &mut cap.metrics, &report, engine.now());
-        }
-        for &sw in &fabric.domains[d].switches {
+        for &sw in &topo.switches {
             credit_violations += engine.component::<FabricSwitch>(sw).vc_violations();
         }
-        audit_findings += audit_topology(engine, &fabric.domains[d]).findings.len() as u64;
         makespan = makespan.max(engine.now());
     }
     let completed: u64 = loads
@@ -247,9 +212,9 @@ mod tests {
     /// results and event counts are identical for any fan-out.
     #[test]
     fn results_identical_across_worker_counts() {
-        let base = run_e14_captured_seeded(true, &mut Capture::disabled(), 7, 1);
+        let base = run_e14(true, &mut Capture::disabled(), 7, 1);
         for workers in [2, 4, 8] {
-            let r = run_e14_captured_seeded(true, &mut Capture::disabled(), 7, workers);
+            let r = run_e14(true, &mut Capture::disabled(), 7, workers);
             assert_eq!(r.total_events, base.total_events, "workers={workers}");
             assert_eq!(r.completed, base.completed);
             assert_eq!(r.makespan_us, base.makespan_us);
@@ -260,7 +225,7 @@ mod tests {
     /// clean — the runtime counterpart of `check-routing`'s proof.
     #[test]
     fn pod_quiesces_without_deadlock() {
-        let r = run_e14(true);
+        let r = run_e14(true, &mut Capture::disabled(), 0, 1);
         assert_eq!(r.hosts, 32, "quick pod: 8 spines x 1 leaf x 4 hosts");
         assert!(
             r.quiesced_clean(),

@@ -115,19 +115,9 @@ fn e3a_device() -> Box<dyn Endpoint> {
     ))
 }
 
-/// Runs E3a.
-pub fn run_a(quick: bool) -> E3aResult {
-    run_a_captured(quick, &mut Capture::disabled())
-}
-
-/// Runs E3a, feeding telemetry into `cap`. Scenario (process) labels:
-/// `e3a-inhost`, `e3a-w{N}`.
-pub fn run_a_captured(quick: bool, cap: &mut Capture) -> E3aResult {
-    run_a_captured_seeded(quick, cap, 0)
-}
-
-/// [`run_a_captured`] with a caller-supplied RNG seed salt.
-pub fn run_a_captured_seeded(quick: bool, cap: &mut Capture, seed: u64) -> E3aResult {
+/// Runs E3a with RNG seed salt `seed`, feeding telemetry into `cap`. Scenario
+/// (process) labels: `e3a-inhost`, `e3a-w{N}`.
+pub fn run_a(quick: bool, cap: &mut Capture, seed: u64) -> E3aResult {
     let count = if quick { 300 } else { 2000 };
     // In-host: direct attach, single writer.
     let inhost_ns = {
@@ -248,20 +238,10 @@ impl E3bResult {
     }
 }
 
-/// Runs E3b.
-pub fn run_b(quick: bool) -> E3bResult {
-    run_b_captured(quick, &mut Capture::disabled())
-}
-
-/// Runs E3b, feeding telemetry into `cap`. Scenario labels: `e3b-alone`,
-/// `e3b-bulk` — comparing the two process groups' `credit` spans shows
-/// the 16 KiB writers camping on link credits.
-pub fn run_b_captured(quick: bool, cap: &mut Capture) -> E3bResult {
-    run_b_captured_seeded(quick, cap, 0)
-}
-
-/// [`run_b_captured`] with a caller-supplied RNG seed salt.
-pub fn run_b_captured_seeded(quick: bool, cap: &mut Capture, seed: u64) -> E3bResult {
+/// Runs E3b with RNG seed salt `seed`, feeding telemetry into `cap`. Scenario
+/// labels: `e3b-alone`, `e3b-bulk` — comparing the two process groups'
+/// `credit` spans shows the 16 KiB writers camping on link credits.
+pub fn run_b(quick: bool, cap: &mut Capture, seed: u64) -> E3bResult {
     let count = if quick { 400 } else { 3000 };
     let mut run = |with_bulk: bool| -> SummaryNs {
         let mut engine = Engine::new((0xE3B ^ seed) + with_bulk as u64);
@@ -452,25 +432,10 @@ fn run_alloc_policy(
     }
 }
 
-/// Runs E3c.
-pub fn run_c(quick: bool) -> E3cResult {
-    run_c_captured(quick, &mut Capture::disabled())
-}
-
-/// [`run_c`] with a caller-supplied RNG seed salt.
-pub fn run_c_seeded(quick: bool, seed: u64) -> E3cResult {
-    run_c_captured_seeded(quick, &mut Capture::disabled(), seed)
-}
-
-/// Runs E3c, feeding telemetry into `cap`. Scenario labels: `e3c-fair`,
-/// `e3c-rampup` — the ramp-up process shows `arb` (`switch.arb_wait`)
-/// spans piling up on the bursty hosts' ports.
-pub fn run_c_captured(quick: bool, cap: &mut Capture) -> E3cResult {
-    run_c_captured_seeded(quick, cap, 0)
-}
-
-/// [`run_c_captured`] with a caller-supplied RNG seed salt.
-pub fn run_c_captured_seeded(quick: bool, cap: &mut Capture, seed: u64) -> E3cResult {
+/// Runs E3c with RNG seed salt `seed`, feeding telemetry into `cap`. Scenario
+/// labels: `e3c-fair`, `e3c-rampup` — the ramp-up process shows `arb`
+/// (`switch.arb_wait`) spans piling up on the bursty hosts' ports.
+pub fn run_c(quick: bool, cap: &mut Capture, seed: u64) -> E3cResult {
     E3cResult {
         outcomes: vec![
             run_alloc_policy(
@@ -561,18 +526,10 @@ impl E3dResult {
 /// Runs E3d: one host drives a slow and a fast device through the same
 /// switch input port; the head flit to the credit-starved slow output
 /// blocks flits to the idle fast output iff the queueing is FIFO.
-pub fn run_d(quick: bool) -> E3dResult {
-    run_d_captured(quick, &mut Capture::disabled())
-}
-
-/// Runs E3d, feeding telemetry into `cap`. Scenario labels: `e3d-fifo`,
-/// `e3d-voq`.
-pub fn run_d_captured(quick: bool, cap: &mut Capture) -> E3dResult {
-    run_d_captured_seeded(quick, cap, 0)
-}
-
-/// [`run_d_captured`] with a caller-supplied RNG seed salt.
-pub fn run_d_captured_seeded(quick: bool, cap: &mut Capture, seed: u64) -> E3dResult {
+///
+/// `seed` salts the RNG streams; telemetry goes into `cap` under
+/// scenario labels `e3d-fifo`, `e3d-voq`.
+pub fn run_d(quick: bool, cap: &mut Capture, seed: u64) -> E3dResult {
     let horizon = if quick {
         SimTime::from_us(200.0)
     } else {
@@ -706,19 +663,12 @@ impl E3eResult {
 /// end, the victim targets an idle device one hop away — and still starves
 /// because the shared inter-switch link's ingress credits are camped by
 /// the hog's backlog.
-pub fn run_e(quick: bool) -> E3eResult {
-    run_e_captured(quick, &mut Capture::disabled())
-}
-
-/// Runs E3e, feeding telemetry into `cap`. Scenario labels: `e3e-hog`,
-/// `e3e-alone` — the hog process's `credit` spans on the inter-switch
-/// ports show starvation back-propagating to the victim.
-pub fn run_e_captured(quick: bool, cap: &mut Capture) -> E3eResult {
-    run_e_captured_seeded(quick, cap, 0)
-}
-
-/// [`run_e_captured`] with a caller-supplied RNG seed salt.
-pub fn run_e_captured_seeded(quick: bool, cap: &mut Capture, seed: u64) -> E3eResult {
+///
+/// `seed` salts the RNG streams; telemetry goes into `cap` under
+/// scenario labels `e3e-hog`, `e3e-alone` — the hog process's `credit`
+/// spans on the inter-switch ports show starvation back-propagating to
+/// the victim.
+pub fn run_e(quick: bool, cap: &mut Capture, seed: u64) -> E3eResult {
     let horizon = if quick {
         SimTime::from_us(200.0)
     } else {
@@ -853,7 +803,7 @@ mod tests {
 
     #[test]
     fn e3a_concurrency_adds_hundreds_of_ns() {
-        let r = run_a(true);
+        let r = run_a(true, &mut Capture::disabled(), 0);
         // Disaggregation alone costs something; concurrency adds more.
         let d1 = r.delta_at(1);
         let d8 = r.delta_at(8);
@@ -867,7 +817,7 @@ mod tests {
 
     #[test]
     fn e3b_bulk_interleaving_inflates_tails() {
-        let r = run_b(true);
+        let r = run_b(true, &mut Capture::disabled(), 0);
         assert!(
             r.p99_inflation() > 2.0,
             "p99 {} → {}",
@@ -883,7 +833,7 @@ mod tests {
 
     #[test]
     fn e3c_ramp_up_starves_bursty_flows() {
-        let r = run_c(true);
+        let r = run_c(true, &mut Capture::disabled(), 0);
         let fair = r.get("static-fair");
         let ramp = r.get("exp ramp-up");
         assert!(
@@ -902,7 +852,7 @@ mod tests {
 
     #[test]
     fn e3d_fifo_hol_blocks_the_fast_flow() {
-        let r = run_d(true);
+        let r = run_d(true, &mut Capture::disabled(), 0);
         assert!(
             r.hol_factor() > 2.0,
             "VOQ should recover >2x: fifo={} voq={}",
@@ -913,7 +863,7 @@ mod tests {
 
     #[test]
     fn e3e_congestion_spreads_to_the_victim() {
-        let r = run_e(true);
+        let r = run_e(true, &mut Capture::disabled(), 0);
         assert!(
             r.degradation() > 2.0,
             "victim degradation {}: alone {} vs congested {}",

@@ -24,7 +24,6 @@ use fcc_fabric::credit::AllocPolicy;
 use fcc_fabric::sharded::{sharded_chain, DomainSpec, ShardedFabric};
 use fcc_fabric::switch::QueueDiscipline;
 use fcc_sim::{jain_fairness, ComponentId, ShardedEngine, SimTime};
-use fcc_telemetry::{record_deadlock, TraceSink};
 
 use crate::capture::Capture;
 use crate::exp_e3::{fabrex_device, fabrex_spec};
@@ -62,23 +61,8 @@ pub struct E3xResult {
     pub total_events: u64,
 }
 
-/// Runs E3x with one worker thread.
-pub fn run_x(quick: bool) -> E3xResult {
-    run_x_captured_seeded(quick, &mut Capture::disabled(), 0, 1)
-}
-
 /// Runs E3x, feeding telemetry into `cap`, with `shards` worker threads.
-///
-/// Telemetry is captured through one [`TraceSink`] per domain (a sink
-/// may not span engines that run on different threads) and absorbed into
-/// `cap` in domain order after the run, so the export is byte-identical
-/// to a serial run.
-pub fn run_x_captured_seeded(
-    quick: bool,
-    cap: &mut Capture,
-    seed: u64,
-    shards: usize,
-) -> E3xResult {
+pub fn run_x(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E3xResult {
     let horizon = if quick {
         SimTime::from_us(25.0)
     } else {
@@ -99,18 +83,7 @@ pub fn run_x_captured_seeded(
         domains,
         SimTime::from_ns(CROSS_LATENCY_NS),
     );
-    // Per-domain trace sinks: each engine runs on a worker thread, so
-    // each gets its own sink; they are re-interned into `cap` in domain
-    // order below.
-    let mut sinks: Vec<TraceSink> = Vec::new();
-    if cap.is_enabled() {
-        for (d, topo) in fabric.domains.iter().enumerate() {
-            let sink = TraceSink::recording();
-            sink.begin_process(&format!("e3x-d{d}"));
-            topo.enable_tracing(sharded.engine_mut(d), &sink);
-            sinks.push(sink);
-        }
-    }
+    cap.begin_sharded("e3x", &mut sharded, &fabric);
     // Tenants. Per domain: six shallow local victims, one local bulk
     // streamer, one deep-window hog camping the device four hops away.
     let mut victims: Vec<(usize, ComponentId)> = Vec::new();
@@ -150,17 +123,7 @@ pub fn run_x_captured_seeded(
         }
     }
     sharded.run(shards);
-    // Deterministic harvest, in domain order.
-    for (d, sink) in sinks.into_iter().enumerate() {
-        if let Some(dump) = sink.into_dump() {
-            cap.sink.absorb(dump);
-        }
-        let engine = sharded.engine(d);
-        fabric.domains[d].collect_metrics(engine, &mut cap.metrics, &format!("e3x-d{d}."));
-        if let Some(report) = engine.deadlock_report() {
-            record_deadlock(&cap.sink, &mut cap.metrics, &report, engine.now());
-        }
-    }
+    cap.end_sharded("e3x", &sharded, &fabric);
     let tput = |lgs: &[(usize, ComponentId)]| -> Vec<f64> {
         lgs.iter()
             .map(|&(d, lg)| {
@@ -223,9 +186,9 @@ mod tests {
     /// any worker fan-out (shards select threads, not decomposition).
     #[test]
     fn results_identical_across_worker_counts() {
-        let base = run_x_captured_seeded(true, &mut Capture::disabled(), 7, 1);
+        let base = run_x(true, &mut Capture::disabled(), 7, 1);
         for workers in [2, 4] {
-            let r = run_x_captured_seeded(true, &mut Capture::disabled(), 7, workers);
+            let r = run_x(true, &mut Capture::disabled(), 7, workers);
             assert_eq!(r.total_events, base.total_events, "workers={workers}");
             assert_eq!(r.victim_ops_us, base.victim_ops_us);
             assert_eq!(r.bulk_ops_us, base.bulk_ops_us);
@@ -235,7 +198,7 @@ mod tests {
 
     #[test]
     fn every_tenant_class_makes_progress() {
-        let r = run_x(true);
+        let r = run_x(true, &mut Capture::disabled(), 0, 1);
         assert_eq!(r.tenants, 64);
         assert!(r.victim_ops_us > 0.0, "victims starved completely");
         assert!(r.bulk_ops_us > 0.0, "bulk writers starved completely");

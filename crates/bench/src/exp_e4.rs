@@ -226,13 +226,8 @@ impl Component for ManagedWorker {
 #[derive(Debug, Clone, Copy)]
 struct Start;
 
-/// Runs E4.
-pub fn run(quick: bool) -> E4Result {
-    run_seeded(quick, 0)
-}
-
-/// [`run`] with a caller-supplied RNG seed salt.
-pub fn run_seeded(quick: bool, seed: u64) -> E4Result {
+/// Runs E4 with RNG seed salt `seed`.
+pub fn run(quick: bool, seed: u64) -> E4Result {
     let chunks = if quick { 8 } else { 32 };
     let compute = SimTime::from_us(20.0);
     // Synchronous.
@@ -348,7 +343,7 @@ mod tests {
 
     #[test]
     fn managed_movement_hides_transfer_stalls() {
-        let r = run(true);
+        let r = run(true, 0);
         assert!(
             r.speedup() > 1.15,
             "managed must beat sync: {} vs {}",

@@ -111,13 +111,8 @@ fn run_policy(
     }
 }
 
-/// Runs E5.
-pub fn run(quick: bool) -> E5Result {
-    run_seeded(quick, 0)
-}
-
-/// [`run`] with a caller-supplied RNG seed salt.
-pub fn run_seeded(quick: bool, seed: u64) -> E5Result {
+/// Runs E5 with RNG seed salt `seed`.
+pub fn run(quick: bool, seed: u64) -> E5Result {
     let accesses = if quick { 20_000 } else { 200_000 };
     let mut rng = StdRng::seed_from_u64(0xE5 ^ seed);
     E5Result {
@@ -169,7 +164,7 @@ mod tests {
 
     #[test]
     fn migration_beats_static_placements_under_skew() {
-        let r = run(true);
+        let r = run(true, 0);
         let remote = r.get("all-remote").mean_ns;
         let spread = r.get("static-spread").mean_ns;
         let unified = r.get("unified heap").mean_ns;

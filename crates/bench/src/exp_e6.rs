@@ -73,13 +73,8 @@ fn executors(n: usize) -> Vec<Executor> {
         .collect()
 }
 
-/// Runs E6.
-pub fn run(quick: bool) -> E6Result {
-    run_seeded(quick, 0)
-}
-
-/// [`run`] with a caller-supplied RNG seed salt.
-pub fn run_seeded(quick: bool, seed: u64) -> E6Result {
+/// Runs E6 with RNG seed salt `seed`.
+pub fn run(quick: bool, seed: u64) -> E6Result {
     let (width, depth) = if quick { (4, 4) } else { (8, 8) };
     let tasks = dag(width, depth, 50.0);
     let execs = executors(4);
@@ -188,7 +183,7 @@ mod tests {
 
     #[test]
     fn idempotent_recovery_wins_at_moderate_failure_rates() {
-        let r = run(true);
+        let r = run(true, 0);
         assert!(r.naive_clobber_corrupts);
         assert!(r.versioned_is_safe);
         // At the rare-failure end, idempotent mode has no overhead and its

@@ -15,6 +15,7 @@ use fcc_fabric::topology::{self, TopologySpec, FAM_BASE};
 use fcc_proto::phys::PhysConfig;
 use fcc_sim::{jain_fairness, Component, Ctx, Engine, Msg, SimTime};
 
+use crate::capture::Capture;
 use crate::exp_e3;
 use crate::loadgen::{AddrPattern, LoadCfg, LoadGen, StartLoad};
 
@@ -198,16 +199,11 @@ fn contended_with_reservations(quick: bool, seed: u64) -> (f64, f64, f64) {
     (hog_tput, bursty_mean, jain)
 }
 
-/// Runs E7.
-pub fn run(quick: bool) -> E7Result {
-    run_seeded(quick, 0)
-}
-
-/// [`run`] with a caller-supplied RNG seed salt.
-pub fn run_seeded(quick: bool, seed: u64) -> E7Result {
+/// Runs E7 with RNG seed salt `seed`.
+pub fn run(quick: bool, seed: u64) -> E7Result {
     let control_rtt_ns = measure_control_rtt(seed);
     // Uncoordinated baseline: reuse E3c's ramp-up outcome.
-    let e3c = exp_e3::run_c_seeded(quick, seed);
+    let e3c = exp_e3::run_c(quick, &mut Capture::disabled(), seed);
     let ramp = e3c.get("exp ramp-up");
     let jain_before = jain_fairness(&[ramp.hog_tput, ramp.bursty_tput, ramp.bursty_tput]);
     let (hog, bursty, jain_after) = contended_with_reservations(quick, seed);
@@ -265,7 +261,7 @@ mod tests {
 
     #[test]
     fn reservations_restore_fairness() {
-        let r = run(true);
+        let r = run(true, 0);
         assert!(
             r.jain_after > r.jain_before + 0.1,
             "Jain {} → {}",

@@ -110,13 +110,8 @@ fn faa_executors() -> Vec<Executor> {
     ]
 }
 
-/// Runs E8.
-pub fn run(quick: bool) -> E8Result {
-    run_seeded(quick, 0)
-}
-
-/// [`run`] with a caller-supplied RNG seed salt.
-pub fn run_seeded(quick: bool, seed: u64) -> E8Result {
+/// Runs E8 with RNG seed salt `seed`.
+pub fn run(quick: bool, seed: u64) -> E8Result {
     // Functional pass: the real DSP pipeline.
     let mut rng = StdRng::seed_from_u64(0xE8 ^ seed);
     let pipeline = UplinkPipeline::default();
@@ -219,7 +214,7 @@ mod tests {
 
     #[test]
     fn case_study_shape() {
-        let r = run(true);
+        let r = run(true, 0);
         assert_eq!(r.ber_35db, 0.0, "clean at high SNR");
         assert!(r.ber_15db < 0.2, "usable at 15 dB: {}", r.ber_15db);
         let host = r.get("host-only");

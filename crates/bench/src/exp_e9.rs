@@ -66,13 +66,8 @@ fn run_remote(pattern: AccessPattern, window: usize, seed: u64) -> CoreReport {
         .expect("completed")
 }
 
-/// Runs E9.
-pub fn run(quick: bool) -> E9Result {
-    run_seeded(quick, 0)
-}
-
-/// [`run`] with a caller-supplied RNG seed salt.
-pub fn run_seeded(quick: bool, seed: u64) -> E9Result {
+/// Runs E9 with RNG seed salt `seed`.
+pub fn run(quick: bool, seed: u64) -> E9Result {
     let count = if quick { 600 } else { 4000 };
     let mut window_sweep = Vec::new();
     for &window in &[1usize, 2, 4, 8, 16, 32] {
@@ -152,7 +147,7 @@ mod tests {
 
     #[test]
     fn throughput_scales_with_window_then_saturates() {
-        let r = run(true);
+        let r = run(true, 0);
         let get = |w: usize| {
             r.window_sweep
                 .iter()
@@ -174,7 +169,7 @@ mod tests {
 
     #[test]
     fn small_remote_working_sets_are_cache_accelerated() {
-        let r = run(true);
+        let r = run(true, 0);
         let small = r.ws_sweep[0].1;
         let large = r.ws_sweep.last().expect("swept").1;
         // 16 KiB fits L1: ~5 ns. 64 MiB misses everything: ~1575 ns.

@@ -42,13 +42,8 @@ impl Component for Sink {
     }
 }
 
-/// Runs F1.
-pub fn run() -> F1Result {
-    run_seeded(0)
-}
-
-/// [`run`] with a caller-supplied RNG seed salt.
-pub fn run_seeded(seed: u64) -> F1Result {
+/// Runs F1 with RNG seed salt `seed`.
+pub fn run(seed: u64) -> F1Result {
     let mut engine = Engine::new(0xF1 ^ seed);
     let topo = topology::figure1(&mut engine, TopologySpec::default());
     let manager = topo.manager.expect("figure1 provides a manager");
@@ -128,7 +123,7 @@ mod tests {
 
     #[test]
     fn figure1_discovers_and_routes_everything() {
-        let r = run();
+        let r = run(0);
         assert_eq!(r.hosts, 2);
         assert_eq!(r.devices, 8);
         assert_eq!(r.switches, 2);

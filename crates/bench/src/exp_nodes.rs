@@ -127,13 +127,8 @@ fn drain_mean(rig: &mut Rig) -> f64 {
     lats.iter().map(|l| l.as_ns()).sum::<f64>() / lats.len() as f64
 }
 
-/// Runs the node-type comparison.
-pub fn run(quick: bool) -> NodeTypeResult {
-    run_seeded(quick, 0)
-}
-
-/// [`run`] with a caller-supplied RNG seed salt.
-pub fn run_seeded(quick: bool, seed: u64) -> NodeTypeResult {
+/// Runs the node-type comparison with RNG seed salt `seed`.
+pub fn run(quick: bool, seed: u64) -> NodeTypeResult {
     let ops = if quick { 100 } else { 500 };
     // Expander-style: raw CXL.mem reads through the FHA (no local cache).
     let expander_ns = {
@@ -265,7 +260,7 @@ mod tests {
 
     #[test]
     fn node_type_ordering_holds() {
-        let r = run(true);
+        let r = run(true, 0);
         // Private CC-NUMA data caches locally: far below the expander.
         assert!(
             r.ccnuma_private_ns < r.expander_ns / 5.0,

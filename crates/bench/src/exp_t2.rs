@@ -140,20 +140,11 @@ fn independent(
     }
 }
 
-/// Runs T2. `quick` shortens op counts (CI use).
-pub fn run(quick: bool) -> T2Result {
-    run_captured(quick, &mut Capture::disabled())
-}
-
-/// Runs T2, feeding telemetry into `cap`. The four remote-tier
-/// measurements become scenarios `t2-remote-{rd,wr}-{lat,tput}`; the
-/// on-chip tiers never touch the fabric and stay untraced.
-pub fn run_captured(quick: bool, cap: &mut Capture) -> T2Result {
-    run_captured_seeded(quick, cap, 0)
-}
-
-/// [`run_captured`] with a caller-supplied RNG seed salt.
-pub fn run_captured_seeded(quick: bool, cap: &mut Capture, seed: u64) -> T2Result {
+/// Runs T2 with RNG seed salt `seed`, feeding telemetry into `cap`. `quick`
+/// shortens op counts (CI use). The four remote-tier measurements become
+/// scenarios `t2-remote-{rd,wr}-{lat,tput}`; the on-chip tiers never touch
+/// the fabric and stay untraced.
+pub fn run(quick: bool, cap: &mut Capture, seed: u64) -> T2Result {
     let n: u64 = if quick { 2_000 } else { 10_000 };
     let tp: u64 = if quick { 5_000 } else { 30_000 };
     let mut tiers = Vec::new();
@@ -327,7 +318,7 @@ mod tests {
 
     #[test]
     fn table2_shape_holds() {
-        let r = run(true);
+        let r = run(true, &mut Capture::disabled(), 0);
         for t in &r.tiers {
             assert!(
                 within(t.read_ns, t.paper.0, 0.15),

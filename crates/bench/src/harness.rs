@@ -235,7 +235,7 @@ pub fn run_one(
             s.push(kv("fabrics", r.rows.len() as f64));
         }
         "t2" => {
-            let r = exp_t2::run_captured_seeded(quick, cap, seed);
+            let r = exp_t2::run(quick, cap, seed);
             put(&mut text, &r);
             for t in &r.tiers {
                 let tier = slug(t.name);
@@ -247,7 +247,7 @@ pub fn run_one(
             s.push(kv("remote_local_ratio", r.remote_local_ratio()));
         }
         "f1" => {
-            let r = exp_f1::run_seeded(seed);
+            let r = exp_f1::run(seed);
             put(&mut text, &r);
             s.push(kv("hosts", r.hosts as f64));
             s.push(kv("devices", r.devices as f64));
@@ -258,7 +258,7 @@ pub fn run_one(
             s.push(kv("mean_read_ns", r.mean_read_ns));
         }
         "e3a" => {
-            let r = exp_e3::run_a_captured_seeded(quick, cap, seed);
+            let r = exp_e3::run_a(quick, cap, seed);
             put(&mut text, &r);
             s.push(kv("inhost_ns", r.inhost_ns));
             for &(w, ns) in &r.disaggregated {
@@ -267,7 +267,7 @@ pub fn run_one(
             s.push(kv("delta_w8_ns", r.delta_at(8)));
         }
         "e3b" => {
-            let r = exp_e3::run_b_captured_seeded(quick, cap, seed);
+            let r = exp_e3::run_b(quick, cap, seed);
             put(&mut text, &r);
             s.push(kv("alone_mean_ns", r.alone.mean));
             s.push(kv("alone_p99_ns", r.alone.p99));
@@ -277,7 +277,7 @@ pub fn run_one(
             s.push(kv("p99_inflation", r.p99_inflation()));
         }
         "e3c" => {
-            let r = exp_e3::run_c_captured_seeded(quick, cap, seed);
+            let r = exp_e3::run_c(quick, cap, seed);
             put(&mut text, &r);
             for o in &r.outcomes {
                 let p = slug(o.policy);
@@ -287,7 +287,7 @@ pub fn run_one(
             }
         }
         "e3d" => {
-            let r = exp_e3::run_d_captured_seeded(quick, cap, seed);
+            let r = exp_e3::run_d(quick, cap, seed);
             put(&mut text, &r);
             s.push(kv("fifo_fast_ops_us", r.fifo_fast_tput));
             s.push(kv("voq_fast_ops_us", r.voq_fast_tput));
@@ -295,7 +295,7 @@ pub fn run_one(
             s.push(kv("hol_factor", r.hol_factor()));
         }
         "e3e" => {
-            let r = exp_e3::run_e_captured_seeded(quick, cap, seed);
+            let r = exp_e3::run_e(quick, cap, seed);
             put(&mut text, &r);
             s.push(kv("victim_alone_ops_us", r.victim_alone));
             s.push(kv("victim_congested_ops_us", r.victim_congested));
@@ -303,7 +303,7 @@ pub fn run_one(
             s.push(kv("degradation", r.degradation()));
         }
         "e3x" => {
-            let r = exp_e3x::run_x_captured_seeded(quick, cap, seed, shards);
+            let r = exp_e3x::run_x(quick, cap, seed, shards);
             put(&mut text, &r);
             s.push(kv("tenants", r.tenants as f64));
             s.push(kv("victim_ops_us", r.victim_ops_us));
@@ -313,7 +313,7 @@ pub fn run_one(
             s.push(kv("total_events", r.total_events as f64));
         }
         "e12" => {
-            let r = exp_e12::run_e12_captured_seeded(quick, cap, seed, shards);
+            let r = exp_e12::run_e12(quick, cap, seed, shards);
             put(&mut text, &r);
             s.push(kv("tenants", r.tenants as f64));
             s.push(kv("victim_p99_idle_ns", r.victim_p99_idle_ns));
@@ -334,7 +334,7 @@ pub fn run_one(
             s.push(kv("total_events", r.total_events as f64));
         }
         "e13" => {
-            let r = exp_e13::run_e13_captured_seeded(quick, cap, seed, shards);
+            let r = exp_e13::run_e13(quick, cap, seed, shards);
             put(&mut text, &r);
             s.push(kv("tenants", r.tenants as f64));
             s.push(kv("requests", r.requests as f64));
@@ -355,7 +355,7 @@ pub fn run_one(
             s.push(kv("total_events", r.total_events as f64));
         }
         "e14" => {
-            let r = exp_e14::run_e14_captured_seeded(quick, cap, seed, shards);
+            let r = exp_e14::run_e14(quick, cap, seed, shards);
             put(&mut text, &r);
             s.push(kv("hosts", r.hosts as f64));
             s.push(kv("switches", r.switches as f64));
@@ -373,7 +373,7 @@ pub fn run_one(
             s.push(kv("total_events", r.total_events as f64));
         }
         "e4" => {
-            let r = exp_e4::run_seeded(quick, seed);
+            let r = exp_e4::run(quick, seed);
             put(&mut text, &r);
             s.push(kv("chunks", r.chunks as f64));
             s.push(kv("sync_us", r.sync_us));
@@ -383,7 +383,7 @@ pub fn run_one(
             s.push(kv("speedup", r.speedup()));
         }
         "e5" => {
-            let r = exp_e5::run_seeded(quick, seed);
+            let r = exp_e5::run(quick, seed);
             put(&mut text, &r);
             for o in &r.outcomes {
                 let p = slug(o.policy);
@@ -394,7 +394,7 @@ pub fn run_one(
             s.push(kv("speedup_vs_remote", r.speedup_vs_remote()));
         }
         "e6" => {
-            let r = exp_e6::run_seeded(quick, seed);
+            let r = exp_e6::run(quick, seed);
             put(&mut text, &r);
             s.push(kv("baseline_us", r.baseline_us));
             for p in &r.points {
@@ -415,7 +415,7 @@ pub fn run_one(
             s.push(kv("versioned_is_safe", r.versioned_is_safe as u64 as f64));
         }
         "e7" => {
-            let r = exp_e7::run_seeded(quick, seed);
+            let r = exp_e7::run(quick, seed);
             put(&mut text, &r);
             s.push(kv("control_rtt_ns", r.control_rtt_ns));
             s.push(kv("uncoordinated_hog_ops_us", r.uncoordinated.0));
@@ -426,7 +426,7 @@ pub fn run_one(
             s.push(kv("jain_after", r.jain_after));
         }
         "e8" => {
-            let r = exp_e8::run_seeded(quick, seed);
+            let r = exp_e8::run(quick, seed);
             put(&mut text, &r);
             s.push(kv("ber_15db", r.ber_15db));
             s.push(kv("ber_35db", r.ber_35db));
@@ -436,7 +436,7 @@ pub fn run_one(
             s.push(kv("unifabric_with_failure_us", r.unifabric_with_failure_us));
         }
         "e9" => {
-            let r = exp_e9::run_seeded(quick, seed);
+            let r = exp_e9::run(quick, seed);
             put(&mut text, &r);
             for &(w, mops) in &r.window_sweep {
                 s.push(kv(&format!("window{w}_mops"), mops));
@@ -446,7 +446,7 @@ pub fn run_one(
             }
         }
         "e10" => {
-            let r = exp_e10::run_seeded(quick, seed);
+            let r = exp_e10::run(quick, seed);
             put(&mut text, &r);
             s.push(kv("fabric_launch_ns", r.fabric_launch_ns));
             s.push(kv("rdma_launch_ns", r.rdma_launch_ns));
@@ -456,7 +456,7 @@ pub fn run_one(
             s.push(kv("switches", r.switches as f64));
         }
         "e11" => {
-            let r = exp_e11::run_captured_seeded(quick, cap, seed);
+            let r = exp_e11::run(quick, cap, seed);
             put(&mut text, &r);
             s.push(kv("steady_p99_ns", r.steady.p99_ns));
             s.push(kv("managed_p99_ns", r.managed.p99_ns));
@@ -470,7 +470,7 @@ pub fn run_one(
             s.push(kv("yank_deadlocked", r.yank.deadlocked as u64 as f64));
         }
         "nodes" => {
-            let r = exp_nodes::run_seeded(quick, seed);
+            let r = exp_nodes::run(quick, seed);
             put(&mut text, &r);
             s.push(kv("expander_ns", r.expander_ns));
             s.push(kv("ccnuma_private_ns", r.ccnuma_private_ns));
@@ -478,7 +478,7 @@ pub fn run_one(
             s.push(kv("snoops", r.snoops as f64));
         }
         "abl-flit" => {
-            let r = exp_abl::run_flit_seeded(quick, seed);
+            let r = exp_abl::run_flit(quick, seed);
             put(&mut text, &r);
             s.push(kv("bulk_flit68_ops_us", r.bulk.0));
             s.push(kv("bulk_flit256_ops_us", r.bulk.1));
@@ -486,13 +486,13 @@ pub fn run_one(
             s.push(kv("small_flit256_ns", r.small.1));
         }
         "abl-adaptive" => {
-            let r = exp_abl::run_adaptive_seeded(quick, seed);
+            let r = exp_abl::run_adaptive(quick, seed);
             put(&mut text, &r);
             s.push(kv("deterministic_ops_us", r.deterministic));
             s.push(kv("adaptive_ops_us", r.adaptive));
         }
         "abl-credits" => {
-            let r = exp_abl::run_credits_seeded(quick, seed);
+            let r = exp_abl::run_credits(quick, seed);
             put(&mut text, &r);
             for &(flits, tput) in &r.points {
                 s.push(kv(&format!("credits{flits}_ops_us"), tput));
@@ -542,9 +542,9 @@ pub fn run_scenario(
 
 /// Runs `ids` across up to `jobs` threads (1 = serial, on the caller's
 /// thread), returning outputs in `ids` order. `shards` is the worker
-/// fan-out handed to sharded-executor scenarios (currently `e3x`);
-/// engine-per-scenario experiments ignore it. Exports are byte-identical
-/// for any `(jobs, shards)` combination.
+/// fan-out handed to the sharded-executor scenarios (`e3x`, `e12`,
+/// `e13`, `e14`); engine-per-scenario experiments ignore it. Exports are
+/// byte-identical for any `(jobs, shards)` combination.
 ///
 /// Scenarios share nothing — each gets its own `Engine`s, RNG streams
 /// (derived from `seed`), and capture — so the only cross-scenario state

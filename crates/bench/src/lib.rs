@@ -3,12 +3,14 @@
 //! Experiment harness: regenerates every table, figure, and quantified
 //! in-text claim of the paper.
 //!
-//! Each `exp_*` module exposes a `run(quick) -> <Result>` function with a
-//! `Display` implementation that prints the paper-style table, plus
-//! structured fields the integration tests assert *shape* properties on
-//! (who wins, by roughly what factor). The `experiments` binary dispatches
-//! by experiment id; Criterion micro-benchmarks in `benches/` reuse the
-//! same runners.
+//! Each `exp_*` module exposes one `run*` function per scenario, taking
+//! `quick`, the RNG seed salt and, where the scenario is traced, a
+//! [`capture::Capture`] (and `shards` on the sharded executor). Its
+//! result has a `Display` implementation that prints the paper-style
+//! table, plus structured fields the integration tests assert *shape*
+//! properties on (who wins, by roughly what factor). The `experiments`
+//! binary dispatches by experiment id through [`harness::run_one`];
+//! `bench_gate` times the same runs.
 //!
 //! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured numbers.

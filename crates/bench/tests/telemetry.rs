@@ -7,9 +7,9 @@ use fcc_bench::capture::Capture;
 use fcc_bench::exp_e3;
 use fcc_bench::loadgen::{AddrPattern, LoadCfg, LoadGen, StartLoad};
 use fcc_fabric::endpoint::PipelinedMemory;
-use fcc_fabric::sharded::DomainSpec;
+use fcc_fabric::sharded::{sharded_chain, DomainSpec};
 use fcc_fabric::topology::{self, TopologySpec};
-use fcc_sim::{Engine, SimTime};
+use fcc_sim::{Engine, ShardedEngine, SimTime};
 use fcc_telemetry::{json, TraceData};
 
 /// A traced two-switch (host — s0 — s1 — device) run: the golden
@@ -122,7 +122,7 @@ fn exported_trace_has_perfetto_shape() {
 #[test]
 fn e3b_trace_shows_credit_waits_growing_and_tail_inflation() {
     let mut cap = Capture::recording();
-    let r = exp_e3::run_b_captured(true, &mut cap);
+    let r = exp_e3::run_b(true, &mut cap, 0);
     // The run itself shows the paper's drastic degradation...
     assert!(r.p99_inflation() >= 10.0, "p99 {}", r.p99_inflation());
     // ...and the exported trace alone reproduces the whole story.
@@ -184,20 +184,12 @@ impl fcc_fabric::endpoint::Endpoint for DeadDevice {
     }
 }
 
-#[test]
-fn deadlock_report_lands_in_exported_trace() {
-    let mut cap = Capture::recording();
-    let mut engine = Engine::new(0xDEAD);
-    let topo = topology::single_switch(
-        &mut engine,
-        TopologySpec::default(),
-        1,
-        vec![Box::new(DeadDevice)],
-    );
-    cap.begin_scenario("wedged", &mut engine, &topo);
-    let cfg = LoadCfg {
-        fha: topo.hosts[0].fha,
-        base: topo.devices[0].range.base,
+/// A one-op read from host 0 to the first device at `base`: the op the
+/// wedged fabrics below never complete.
+fn one_read(fha: fcc_sim::ComponentId, base: u64) -> LoadGen {
+    LoadGen::new(LoadCfg {
+        fha,
+        base,
         len: 1 << 16,
         op_bytes: 64,
         write: false,
@@ -205,13 +197,13 @@ fn deadlock_report_lands_in_exported_trace() {
         count: Some(1),
         stop_at: SimTime::MAX,
         pattern: AddrPattern::Sequential,
-    };
-    let lg = engine.add_component("load-h0", LoadGen::new(cfg));
-    engine.post(lg, SimTime::ZERO, StartLoad);
-    engine.run_until_idle();
-    let report = engine.deadlock_report();
-    assert!(report.is_some(), "run must wedge");
-    cap.end_scenario("wedged", &engine, &topo);
+    })
+}
+
+/// Asserts that a wedged run's deadlock report reached both export
+/// streams of `cap`: a deadlock event naming the stuck FHA in the trace,
+/// and `stuck` stuck components in the metrics.
+fn assert_deadlock_exported(cap: &Capture, stuck: u64) {
     let data = TraceData::from_json(&cap.sink.to_chrome_json()).expect("parses");
     let deadlocks = data.deadlock_events();
     assert!(
@@ -225,9 +217,68 @@ fn deadlock_report_lands_in_exported_trace() {
     );
     assert_eq!(
         cap.metrics.counter("sim.deadlock.stuck_components"),
-        Some(report.map(|r| r.stuck.len() as u64).unwrap_or(0)),
+        Some(stuck),
         "deadlock also lands in the metrics stream"
     );
     let rendered = data.render_report();
     assert!(rendered.contains("deadlock"), "report section renders");
+}
+
+#[test]
+fn deadlock_report_lands_in_exported_trace() {
+    // One engine, closed by `end_scenario`.
+    let mut cap = Capture::recording();
+    let mut engine = Engine::new(0xDEAD);
+    let topo = topology::single_switch(
+        &mut engine,
+        TopologySpec::default(),
+        1,
+        vec![Box::new(DeadDevice)],
+    );
+    cap.begin_scenario("wedged", &mut engine, &topo);
+    let lg = engine.add_component(
+        "load-h0",
+        one_read(topo.hosts[0].fha, topo.devices[0].range.base),
+    );
+    engine.post(lg, SimTime::ZERO, StartLoad);
+    engine.run_until_idle();
+    let report = engine.deadlock_report().expect("run must wedge");
+    cap.end_scenario("wedged", &engine, &topo);
+    assert_deadlock_exported(&cap, report.stuck.len() as u64);
+
+    // Two domains, closed by `end_sharded`: the host in domain 0 reads
+    // the dead device across the inter-domain cable.
+    let mut cap = Capture::recording();
+    let mut sharded = ShardedEngine::new(0xDEAD, 2);
+    let fabric = sharded_chain(
+        &mut sharded,
+        TopologySpec::default(),
+        vec![
+            DomainSpec {
+                n_hosts: 1,
+                devices: vec![],
+            },
+            DomainSpec {
+                n_hosts: 0,
+                devices: vec![Box::new(DeadDevice)],
+            },
+        ],
+        SimTime::from_ns(200.0),
+    );
+    cap.begin_sharded("wedged-sharded", &mut sharded, &fabric);
+    let read = one_read(
+        fabric.domains[0].hosts[0].fha,
+        fabric.domains[1].devices[0].range.base,
+    );
+    let engine = sharded.engine_mut(0);
+    let lg = engine.add_component("load-d0h0", read);
+    engine.post(lg, SimTime::ZERO, StartLoad);
+    sharded.run(2);
+    let stuck: u64 = (0..2)
+        .filter_map(|d| sharded.engine(d).deadlock_report())
+        .map(|r| r.stuck.len() as u64)
+        .sum();
+    let wedged = cap.end_sharded("wedged-sharded", &sharded, &fabric);
+    assert!(wedged >= 1, "a domain must report the wedge");
+    assert_deadlock_exported(&cap, stuck);
 }
