@@ -140,6 +140,16 @@ impl RampUpState {
         &self.alloc
     }
 
+    /// Adds an input at the floor (a port added mid-run) and re-grants
+    /// the pool. The new input sorts last among the floor-level inputs,
+    /// so no existing allocation changes.
+    pub(crate) fn add_input(&mut self) {
+        self.desired.push(self.floor);
+        self.alloc.push(0);
+        self.used.push(0);
+        self.grant();
+    }
+
     /// Releases input `i`'s ramp history on detach: its desired
     /// allocation drops to the floor and the pool is re-granted, so a
     /// departed port's grown share returns to the contenders instead of

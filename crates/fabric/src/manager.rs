@@ -70,11 +70,6 @@ impl FabricManager {
         }
     }
 
-    /// Whether initialization has finished.
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
     /// Discovered endpoints (valid once done).
     pub fn endpoints(&self) -> &BTreeMap<ComponentId, (NodeId, bool)> {
         &self.endpoints

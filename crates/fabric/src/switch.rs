@@ -11,11 +11,16 @@
 //!   credits return upstream only when a flit departs — this is what makes
 //!   congestion back-propagate across switches (§3 D#3, "credit
 //!   coordination").
-//! * [`QueueDiscipline::Fifo`] keeps one FIFO per input: a head flit whose
-//!   output is credit-starved blocks younger flits to idle outputs —
-//!   head-of-line blocking (§3 D#3, "credit-flow scheduling").
-//! * [`QueueDiscipline::Voq`] keeps virtual output queues, removing HOL
-//!   blocking; outputs arbitrate round-robin across inputs.
+//! * Every discipline queues in ingress lanes `[input][lane]` and differs
+//!   only in which lane a flit joins. [`QueueDiscipline::Fifo`] uses one
+//!   lane per input: a head flit whose output is credit-starved blocks
+//!   younger flits to idle outputs — head-of-line blocking (§3 D#3,
+//!   "credit-flow scheduling"). [`QueueDiscipline::Voq`] gives each input
+//!   one lane per output (virtual output queues), removing HOL blocking.
+//!   [`QueueDiscipline::Wormhole`] uses one lane per virtual channel.
+//! * One sweep dispatches every discipline: inputs take turns round-robin,
+//!   and only lane heads past the forwarding latency and not parked on an
+//!   exhausted egress resource are examined.
 //! * Egress credit allocation follows [`AllocPolicy`]: static-fair, the
 //!   exponential ramp-up scheme the paper critiques, or arbitrated
 //!   reservations installed by the central arbiter.
@@ -224,8 +229,7 @@ struct Worm {
     split: bool,
 }
 
-/// Sweep state of an ingress lane's head flit: a wormhole lane, or a
-/// FIFO input (tracked as lane 0).
+/// Sweep state of an ingress lane's head flit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Head {
     /// The lane is empty.
@@ -309,11 +313,10 @@ pub struct FabricSwitch {
     peer_to_port: HashMap<ComponentId, usize>,
     /// Routing table (public so topology builders can pre-install routes).
     pub routing: RoutingTable,
-    /// VOQ discipline: queues[input][output]; empty under the others.
-    voq: Vec<Vec<VecDeque<Entry>>>,
-    /// Ingress queues[input][lane]: wormhole lanes, or under FIFO the
-    /// input's one queue in lane 0. Ports without VC flow control
-    /// (endpoint-facing) keep a single lane-0 queue.
+    /// Ingress queues[input][lane]. FIFO: the input's one queue in lane
+    /// 0. VOQ: lane `o` queues toward output `o`, one per port. Wormhole:
+    /// one lane per VC on ports configured via
+    /// [`FabricSwitch::set_vc_link`], a single lane 0 elsewhere.
     vcq: Vec<Vec<VecDeque<Entry>>>,
     /// Per-egress-port VC credit ledgers (only on links configured via
     /// [`FabricSwitch::set_vc_link`]).
@@ -324,12 +327,10 @@ pub struct FabricSwitch {
     free_worms: Vec<WormSlot>,
     /// Transaction id → worm slot, consulted once per admitted flit.
     worm_of: BTreeMap<u64, WormSlot>,
-    /// Head state per `[input][lane]` (wormhole lanes; a FIFO input is
-    /// lane 0).
+    /// Head state per `[input][lane]`, in step with `vcq`.
     heads: Vec<Vec<Head>>,
-    /// Sweep work per input: its `Active` heads, or under VOQ its queued
-    /// flits. `ready` has a bit set for each input with any; the sweep
-    /// visits only those.
+    /// `Active` heads per input. `ready` has a bit set for each input
+    /// with any; the sweep visits only those.
     active: Vec<usize>,
     ready: InputMask,
     /// Heads inside the forwarding latency, earliest `ready_at` first.
@@ -338,9 +339,9 @@ pub struct FabricSwitch {
     waiters: Vec<PortWaiters>,
     /// Routing-table version the parked escape decisions were made under.
     routes_seen: u64,
-    /// Flits committed toward each egress: VOQ-queued flits plus the
-    /// undelivered remainder of every worm routed to it (the adaptive
-    /// routing load).
+    /// Flits committed toward each egress at admission: VOQ-queued flits
+    /// plus the undelivered remainder of every worm routed to it (the
+    /// adaptive routing load).
     committed: Vec<u64>,
     rr_input: usize,
     ramp: Vec<Option<RampUpState>>,
@@ -371,7 +372,6 @@ impl FabricSwitch {
             ports: Vec::new(),
             peer_to_port: HashMap::new(),
             routing: RoutingTable::new(crate::routing::DomainId(0)),
-            voq: Vec::new(),
             vcq: Vec::new(),
             vc_links: Vec::new(),
             worms: Vec::new(),
@@ -407,23 +407,35 @@ impl FabricSwitch {
     pub fn add_port_with(&mut self, phys: PhysConfig, credit: CreditConfig) -> usize {
         let idx = self.ports.len();
         self.ports.push(LinkPort::new(phys, credit));
-        if self.cfg.queueing == QueueDiscipline::Voq {
-            // Every existing row gains a column; the new row is square.
-            for q in &mut self.voq {
-                q.push(VecDeque::new());
+        self.vcq.push(Vec::new());
+        self.heads.push(Vec::new());
+        // Under VOQ lanes are outputs: every input gains one toward the
+        // new port, and the new input has one per port.
+        let (inputs, lanes) = if self.cfg.queueing == QueueDiscipline::Voq {
+            (0..=idx, idx + 1)
+        } else {
+            (idx..=idx, 1)
+        };
+        for i in inputs {
+            while self.vcq[i].len() < lanes {
+                self.add_lane(i);
             }
-            self.voq
-                .push((0..self.ports.len()).map(|_| VecDeque::new()).collect());
+        }
+        for state in self.ramp.iter_mut().flatten() {
+            state.add_input();
         }
         self.ramp.push(None);
-        self.vcq.push(vec![VecDeque::new()]);
         self.vc_links.push(None);
-        self.heads.push(vec![Head::Empty]);
         self.active.push(0);
         self.ready.push(idx);
         self.waiters.push(PortWaiters::default());
         self.committed.push(0);
         idx
+    }
+
+    fn add_lane(&mut self, i: usize) {
+        self.vcq[i].push(VecDeque::new());
+        self.heads[i].push(Head::Empty);
     }
 
     /// Enables per-virtual-channel flow control on `port` (a wormhole
@@ -434,13 +446,15 @@ impl FabricSwitch {
     /// tag — and their link-layer credit pools should be at least
     /// `vcs * buf_flits` per class so the per-lane ledgers, not the
     /// shared class pool, are the binding flow-control constraint (the
-    /// escape-VC deadlock argument needs lane isolation).
+    /// escape-VC deadlock argument needs lane isolation). Under
+    /// [`QueueDiscipline::Wormhole`] the port's input also gets one
+    /// ingress lane per VC (at least 2).
     pub fn set_vc_link(&mut self, port: usize, cfg: VcConfig) {
         self.vc_links[port] = Some(VcLink::new(cfg));
-        let lanes = usize::from(cfg.vcs.max(2));
-        while self.vcq[port].len() < lanes {
-            self.vcq[port].push(VecDeque::new());
-            self.heads[port].push(Head::Empty);
+        if self.cfg.queueing == QueueDiscipline::Wormhole {
+            while self.vcq[port].len() < usize::from(cfg.vcs.max(2)) {
+                self.add_lane(port);
+            }
         }
     }
 
@@ -488,29 +502,14 @@ impl FabricSwitch {
         if port >= self.ports.len() {
             return Err(format!("port {port} out of range"));
         }
-        let inbound: usize = self
-            .voq
-            .get(port)
-            .map_or(0, |row| row.iter().map(VecDeque::len).sum());
-        let outbound: usize = self.voq.iter().map(|row| row[port].len()).sum();
-        if inbound + outbound > 0 {
-            return Err(format!(
-                "port {port}: {inbound} flit(s) from it, {outbound} toward it"
-            ));
-        }
-        let lanes: usize = self.vcq[port].iter().map(|q| q.len()).sum();
+        let lanes: usize = self.vcq[port].iter().map(VecDeque::len).sum();
         if lanes > 0 {
             return Err(format!("port {port}: {lanes} flit(s) in ingress lanes"));
         }
-        let toward = self
-            .worms
-            .iter()
-            .flatten()
-            .filter(|w| w.out == port)
-            .count();
-        if toward > 0 {
+        if self.committed[port] > 0 {
             return Err(format!(
-                "port {port}: {toward} worm(s) in transit toward it"
+                "port {port}: {} flit(s) committed toward it",
+                self.committed[port]
             ));
         }
         if let Some(vl) = &self.vc_links[port] {
@@ -576,25 +575,7 @@ impl FabricSwitch {
 
     /// Total flits waiting in ingress queues.
     pub fn queued(&self) -> usize {
-        let voq: usize = self
-            .voq
-            .iter()
-            .flat_map(|row| row.iter().map(|q| q.len()))
-            .sum();
-        let vcq: usize = self
-            .vcq
-            .iter()
-            .flat_map(|row| row.iter().map(|q| q.len()))
-            .sum();
-        voq + vcq
-    }
-
-    /// Current ramp-up allocations for an output (empty if unused).
-    pub fn ramp_allocations(&self, output: usize) -> Vec<u32> {
-        self.ramp[output]
-            .as_ref()
-            .map(|s| s.allocations().to_vec())
-            .unwrap_or_default()
+        self.vcq.iter().flatten().map(VecDeque::len).sum()
     }
 
     /// Audits every credit ledger this switch maintains: each port's link
@@ -789,28 +770,20 @@ impl FabricSwitch {
         matches!(self.cfg.allocation, AllocPolicy::Fair) && self.sched.is_none()
     }
 
-    /// Adds (`up`) or removes one unit of input `i`'s sweep work, keeping
-    /// its `ready` bit in step.
-    fn count_active(&mut self, i: usize, up: bool) {
-        if up {
-            self.active[i] += 1;
-        } else {
+    /// Sets a head's state, keeping its input's `Active` count and `ready`
+    /// bit in step.
+    fn set_head(&mut self, i: usize, l: usize, next: Head) {
+        let prev = std::mem::replace(&mut self.heads[i][l], next);
+        if prev == Head::Active {
             self.active[i] -= 1;
+        }
+        if next == Head::Active {
+            self.active[i] += 1;
         }
         self.ready.set(i, self.active[i] > 0);
     }
 
-    fn set_head(&mut self, i: usize, l: usize, next: Head) {
-        let prev = std::mem::replace(&mut self.heads[i][l], next);
-        if prev == Head::Active {
-            self.count_active(i, false);
-        }
-        if next == Head::Active {
-            self.count_active(i, true);
-        }
-    }
-
-    /// Classifies the (new) front flit of a wormhole lane or FIFO input.
+    /// Classifies the (new) front flit of an ingress lane.
     fn refresh_head(&mut self, i: usize, l: usize, now: SimTime) {
         let next = match self.vcq[i][l].front() {
             None => Head::Empty,
@@ -888,61 +861,41 @@ impl FabricSwitch {
             return;
         };
         let class = payload.msg_class();
-        let flow = Self::flow_of(&payload);
-        let ready_at = ctx.now() + self.cfg.fwd_latency;
-        // Output resolution is deferred to dispatch for adaptive routing,
-        // but unroutable flits are dropped immediately.
-        if self.routing.route(dst).is_none() {
+        let now = ctx.now();
+        let mut worm = None;
+        // The lane the flit joins. FIFO defers output resolution to
+        // dispatch (adaptive routing), but every discipline drops an
+        // unroutable flit here.
+        let lane = match self.cfg.queueing {
+            _ if self.routing.route(dst).is_none() => None,
+            QueueDiscipline::Fifo => Some(0),
+            QueueDiscipline::Voq => self.pick_output(dst, now).inspect(|&out| {
+                self.committed[out] += 1;
+            }),
+            QueueDiscipline::Wormhole => {
+                let lane = usize::from(in_vc.unwrap_or(0)).min(self.vcq[in_port].len() - 1);
+                worm = self.admit_worm((in_port, lane), &payload, dst, now);
+                worm.map(|_| lane)
+            }
+        };
+        let Some(lane) = lane else {
             self.unroutable.inc();
             self.ports[in_port].release(ctx, class);
             self.return_in_vc(ctx, in_port, in_vc);
             return;
-        }
-        let mut entry = Entry {
+        };
+        let ready_at = now + self.cfg.fwd_latency;
+        self.vcq[in_port][lane].push_back(Entry {
+            flow: Self::flow_of(&payload),
             payload,
             class,
             ready_at,
-            flow,
-            enqueued_at: ctx.now(),
+            enqueued_at: now,
             in_vc,
-            worm: None,
-        };
-        match self.cfg.queueing {
-            QueueDiscipline::Fifo => {
-                self.vcq[in_port][0].push_back(entry);
-                if self.vcq[in_port][0].len() == 1 {
-                    self.refresh_head(in_port, 0, ctx.now());
-                }
-            }
-            QueueDiscipline::Voq => {
-                // route() was checked above, but a racing route removal
-                // would leave no candidate: drop rather than panic.
-                let Some(out) = self.pick_output(dst, ctx.now()) else {
-                    self.unroutable.inc();
-                    self.ports[in_port].release(ctx, class);
-                    self.return_in_vc(ctx, in_port, in_vc);
-                    return;
-                };
-                self.voq[in_port][out].push_back(entry);
-                self.committed[out] += 1;
-                self.count_active(in_port, true);
-            }
-            QueueDiscipline::Wormhole => {
-                let lane = usize::from(entry.in_vc.unwrap_or(0));
-                let lane = lane.min(self.vcq[in_port].len().saturating_sub(1));
-                let Some(slot) = self.admit_worm((in_port, lane), &entry.payload, dst, ctx.now())
-                else {
-                    self.unroutable.inc();
-                    self.ports[in_port].release(ctx, class);
-                    self.return_in_vc(ctx, in_port, in_vc);
-                    return;
-                };
-                entry.worm = Some(slot);
-                self.vcq[in_port][lane].push_back(entry);
-                if self.vcq[in_port][lane].len() == 1 {
-                    self.refresh_head(in_port, lane, ctx.now());
-                }
-            }
+            worm,
+        });
+        if self.vcq[in_port][lane].len() == 1 {
+            self.refresh_head(in_port, lane, now);
         }
         self.arm_tick(ctx);
         self.arm_sched_tick(ctx);
@@ -1088,7 +1041,7 @@ impl FabricSwitch {
                 for (from, to) in [(rr, n), (0, rr)] {
                     let mut at = from;
                     while let Some(i) = self.ready.next_in(at, to) {
-                        if self.try_dispatch_input(ctx, i, now, reserved_phase, &mut next_kick) {
+                        if self.try_dispatch(ctx, i, now, reserved_phase, &mut next_kick) {
                             progress = true;
                         }
                         at = i + 1;
@@ -1128,148 +1081,18 @@ impl FabricSwitch {
         }
     }
 
-    /// Attempts to dispatch one flit from input `i`; returns whether one moved.
-    fn try_dispatch_input(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        i: usize,
-        now: SimTime,
-        reserved_phase: bool,
-        next_kick: &mut Option<SimTime>,
-    ) -> bool {
-        match self.cfg.queueing {
-            QueueDiscipline::Fifo => self.try_dispatch_fifo(ctx, i, now, reserved_phase, next_kick),
-            QueueDiscipline::Voq => self.try_dispatch_voq(ctx, i, now, reserved_phase, next_kick),
-            QueueDiscipline::Wormhole => {
-                self.try_dispatch_wormhole(ctx, i, now, reserved_phase, next_kick)
-            }
-        }
-    }
-
-    /// Attempts to dispatch input `i`'s FIFO head. Like a wormhole lane,
-    /// only an `Active` head is examined: one inside the forwarding
-    /// latency waits in the timed heap, and one refused by its egress
-    /// link's credits parks on that link when its output is fixed until
-    /// a route edit (see [`Self::fifo_output_fixed`]).
-    fn try_dispatch_fifo(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        i: usize,
-        now: SimTime,
-        reserved_phase: bool,
-        next_kick: &mut Option<SimTime>,
-    ) -> bool {
-        let Some(head) = self.vcq[i][0].front() else {
-            return false;
-        };
-        debug_assert!(head.ready_at <= now, "active heads are ready");
-        let (flow, class) = (head.flow, head.class);
-        let Some(dst) = Self::dst_of(&head.payload) else {
-            // admit() only queues routable payloads; drop defensively.
-            self.unroutable.inc();
-            if self.vcq[i][0].pop_front().is_some() {
-                self.refresh_head(i, 0, now);
-                self.ports[i].release(ctx, class);
-            }
-            return true;
-        };
-        let Some(out) = self.pick_output(dst, now) else {
-            return false;
-        };
-        match self.policy_gate(i, out, flow, now, reserved_phase) {
-            Ok(()) => {}
-            Err(Some(at)) => {
-                self.note_kick(next_kick, at);
-                return false;
-            }
-            // HOL blocking: the whole input queue waits behind its head.
-            Err(None) => return false,
-        }
-        // Tenant out of partition credits: wait for the SchedTick refill.
-        if !self.sched_admits(flow) {
-            return false;
-        }
-        if !self.ports[out].link.can_send(class) {
-            if self.fifo_output_fixed(dst) {
-                self.park(i, 0, Wait::Link(out));
-            }
-            return false;
-        }
-        let Some(entry) = self.vcq[i][0].pop_front() else {
-            return false;
-        };
-        self.refresh_head(i, 0, now);
-        self.finish_dispatch(ctx, i, out, entry, now, None);
-        true
-    }
-
-    /// Whether a FIFO head bound for `dst` leaves through the same output
-    /// until the routing table changes: routing is deterministic, or the
-    /// destination has a single candidate. An adaptive pick among several
-    /// candidates follows queue and wire backlogs, which move without any
-    /// event on the parked head's link.
-    fn fifo_output_fixed(&self, dst: NodeId) -> bool {
-        !self.cfg.adaptive || self.routing.route(dst).is_some_and(|c| c.len() == 1)
-    }
-
-    fn try_dispatch_voq(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        i: usize,
-        now: SimTime,
-        reserved_phase: bool,
-        next_kick: &mut Option<SimTime>,
-    ) -> bool {
-        let n = self.ports.len();
-        for o in 0..n {
-            let out = (i + o) % n;
-            let Some((ready_at, flow, class)) = self.voq[i][out]
-                .front()
-                .map(|h| (h.ready_at, h.flow, h.class))
-            else {
-                continue;
-            };
-            if ready_at > now {
-                self.note_kick(next_kick, ready_at);
-                continue;
-            }
-            match self.policy_gate(i, out, flow, now, reserved_phase) {
-                Ok(()) => {}
-                Err(Some(at)) => {
-                    self.note_kick(next_kick, at);
-                    continue;
-                }
-                Err(None) => continue,
-            }
-            // Tenant out of partition credits: wait for the SchedTick refill.
-            if !self.sched_admits(flow) {
-                continue;
-            }
-            if !self.ports[out].link.can_send(class) {
-                continue;
-            }
-            let Some(entry) = self.voq[i][out].pop_front() else {
-                continue;
-            };
-            self.committed[out] -= 1;
-            self.count_active(i, false);
-            self.finish_dispatch(ctx, i, out, entry, now, None);
-            return true;
-        }
-        false
-    }
-
-    /// Attempts to dispatch one flit from input `i`'s ingress lanes
-    /// (wormhole discipline). Lanes are independent: a worm stalled on
-    /// lane 2's egress credits never blocks lane 0's escape traffic on
-    /// the same input — the isolation the deadlock argument rests on.
+    /// Attempts to dispatch one flit from input `i`'s `Active` heads;
+    /// returns whether one moved (or was dropped).
     ///
-    /// Only `Active` heads are examined. A head inside the forwarding
-    /// latency waits in the timed heap, and one that fails an egress gate
-    /// is parked on that resource until an event that can free it (see
-    /// [`Wait`]); skipping either cannot change the outcome, because
-    /// examining it would fail without side effects.
-    fn try_dispatch_wormhole(
+    /// Lanes are independent: a head stalled on one egress never blocks
+    /// another lane of the same input. Under VOQ that ends head-of-line
+    /// blocking; under wormhole it is the lane isolation the deadlock
+    /// argument rests on. A head inside the forwarding latency waits in
+    /// the timed heap, and one that fails an egress gate is parked on that
+    /// resource until an event that can free it (see [`Wait`]); skipping
+    /// either cannot change the outcome, because examining it would fail
+    /// without side effects.
+    fn try_dispatch(
         &mut self,
         ctx: &mut Ctx<'_>,
         i: usize,
@@ -1277,7 +1100,14 @@ impl FabricSwitch {
         reserved_phase: bool,
         next_kick: &mut Option<SimTime>,
     ) -> bool {
-        for l in 0..self.vcq[i].len() {
+        // VOQ scans outputs `(i + o) % n`, so each input favours a
+        // different output.
+        let start = if self.cfg.queueing == QueueDiscipline::Voq {
+            i
+        } else {
+            0
+        };
+        for l in (start..self.vcq[i].len()).chain(0..start) {
             if self.heads[i][l] != Head::Active {
                 continue;
             }
@@ -1293,9 +1123,22 @@ impl FabricSwitch {
             }) else {
                 continue;
             };
-            // Every wormhole-admitted flit has a worm (created at admit);
-            // a missing one means its transfer raced a teardown — drop.
-            let Some((slot, worm)) = self.live_worm(slot, id) else {
+            // The egress the head leaves by and, under wormhole, its worm.
+            let egress = match self.cfg.queueing {
+                QueueDiscipline::Fifo => match dst.map(|d| self.pick_output(d, now)) {
+                    Some(Some(out)) => Some((out, None)),
+                    // The destination lost every route: wait for an edit.
+                    Some(None) => continue,
+                    None => None,
+                },
+                QueueDiscipline::Voq => Some((l, None)),
+                QueueDiscipline::Wormhole => {
+                    self.live_worm(slot, id).map(|(s, w)| (w.out, Some((s, w))))
+                }
+            };
+            let Some((out, worm)) = egress else {
+                // admit() queues only routable flits, a wormhole flit with
+                // its worm; one without either raced a teardown — drop.
                 if let Some(entry) = self.vcq[i][l].pop_front() {
                     self.refresh_head(i, l, now);
                     self.unroutable.inc();
@@ -1304,42 +1147,32 @@ impl FabricSwitch {
                 }
                 return true;
             };
-            let out = worm.out;
             match self.policy_gate(i, out, flow, now, reserved_phase) {
                 Ok(()) => {}
                 Err(Some(at)) => {
                     self.note_kick(next_kick, at);
                     continue;
                 }
+                // A FIFO input's whole queue waits behind its head.
                 Err(None) => continue,
             }
             // Tenant out of partition credits: wait for the SchedTick refill.
             if !self.sched_admits(flow) {
                 continue;
             }
-            if !self.ports[out].link.can_send(class) {
-                self.park(i, l, Wait::Link(out));
-                continue;
-            }
-            // Per-VC egress gate. Escape lane 0 is eligible only when the
-            // egress is the destination's primary (deterministic) route.
-            let gate = match self.vc_links[out].as_mut() {
+            // The egress link, then a worm's per-VC gate. A refused head
+            // parks on the resource while its egress stays fixed.
+            let gate = match &worm {
+                _ if !self.ports[out].link.can_send(class) => Err(Wait::Link(out)),
+                Some((_, w)) => self.vc_gate(w, dst),
                 None => Ok(None),
-                Some(vl) => match worm.lane {
-                    Some(v) if vl.can_send(v) => Ok(Some(v)),
-                    Some(v) => Err(Wait::Lane(out, v)),
-                    None => {
-                        let escape_ok = dst
-                            .and_then(|d| self.routing.route(d))
-                            .is_some_and(|c| c.first() == Some(&out));
-                        vl.allocate(id, escape_ok).map(Some).ok_or(Wait::Pool(out))
-                    }
-                },
             };
             let out_vc = match gate {
                 Ok(v) => v,
                 Err(wait) => {
-                    self.park(i, l, wait);
+                    if self.egress_fixed(dst) {
+                        self.park(i, l, wait);
+                    }
                     continue;
                 }
             };
@@ -1347,37 +1180,85 @@ impl FabricSwitch {
                 continue;
             };
             self.refresh_head(i, l, now);
-            if let Some(v) = out_vc {
-                if let Some(vl) = self.vc_links[out].as_mut() {
-                    vl.consume(v, id);
-                }
+            if self.cfg.queueing != QueueDiscipline::Fifo {
+                self.committed[out] -= 1;
             }
-            self.committed[out] -= 1;
-            let remaining = worm.remaining - 1;
-            if remaining == 0 {
-                self.worms[slot as usize] = None;
-                self.free_worms.push(slot);
-                self.worm_of.remove(&id);
-                if let Some(v) = out_vc {
-                    if let Some(vl) = self.vc_links[out].as_mut() {
-                        vl.release(v);
-                    }
-                    self.wake(Wait::Pool(out));
-                }
-            } else {
-                self.worms[slot as usize] = Some(Worm {
-                    lane: out_vc,
-                    remaining,
-                    ..worm
-                });
-            }
-            if worm.split {
-                self.wake_all();
+            if let Some((s, w)) = worm {
+                self.advance_worm(s, w, out_vc);
             }
             self.finish_dispatch(ctx, i, out, entry, now, out_vc);
             return true;
         }
         false
+    }
+
+    /// Whether a head's egress stays the same until the routing table
+    /// changes. VOQ and wormhole fix it at admission. A FIFO head picks
+    /// at dispatch, so it is fixed when routing is deterministic or its
+    /// destination has a single candidate: an adaptive pick among several
+    /// follows queue and wire backlogs, which move without any event on
+    /// the parked head's link.
+    fn egress_fixed(&self, dst: Option<NodeId>) -> bool {
+        self.cfg.queueing != QueueDiscipline::Fifo
+            || !self.cfg.adaptive
+            || dst
+                .and_then(|d| self.routing.route(d))
+                .is_some_and(|c| c.len() == 1)
+    }
+
+    /// The per-VC egress gate of a worm's next flit: the lane it holds,
+    /// or for a header a newly allocated one. Escape lane 0 is eligible
+    /// only when the egress is the destination's primary (deterministic)
+    /// route. `Ok(None)` when the egress has no VC flow control.
+    fn vc_gate(&mut self, worm: &Worm, dst: Option<NodeId>) -> Result<Option<u8>, Wait> {
+        let out = worm.out;
+        let Some(vl) = self.vc_links[out].as_mut() else {
+            return Ok(None);
+        };
+        match worm.lane {
+            Some(v) if vl.can_send(v) => Ok(Some(v)),
+            Some(v) => Err(Wait::Lane(out, v)),
+            None => {
+                let escape_ok = dst
+                    .and_then(|d| self.routing.route(d))
+                    .is_some_and(|c| c.first() == Some(&out));
+                vl.allocate(worm.id, escape_ok)
+                    .map(Some)
+                    .ok_or(Wait::Pool(out))
+            }
+        }
+    }
+
+    /// Books a dispatched flit of the worm in `slot` on its egress lane
+    /// `out_vc`; the tail frees the slot and releases the lane.
+    fn advance_worm(&mut self, slot: WormSlot, worm: Worm, out_vc: Option<u8>) {
+        let out = worm.out;
+        if let Some(v) = out_vc {
+            if let Some(vl) = self.vc_links[out].as_mut() {
+                vl.consume(v, worm.id);
+            }
+        }
+        let remaining = worm.remaining - 1;
+        if remaining == 0 {
+            self.worms[slot as usize] = None;
+            self.free_worms.push(slot);
+            self.worm_of.remove(&worm.id);
+            if let Some(v) = out_vc {
+                if let Some(vl) = self.vc_links[out].as_mut() {
+                    vl.release(v);
+                }
+                self.wake(Wait::Pool(out));
+            }
+        } else {
+            self.worms[slot as usize] = Some(Worm {
+                lane: out_vc,
+                remaining,
+                ..worm
+            });
+        }
+        if worm.split {
+            self.wake_all();
+        }
     }
 
     fn finish_dispatch(
@@ -1586,39 +1467,35 @@ impl Component for FabricSwitch {
     }
 
     fn outstanding(&self, out: &mut Vec<PendingWork>) {
-        for (i, row) in self.voq.iter().enumerate() {
-            for (o, q) in row.iter().enumerate() {
-                if !q.is_empty() {
-                    out.push(PendingWork {
-                        what: format!("{} flit(s) queued input {i} -> output {o}", q.len()),
-                        waiting_on: self.ports[o].peer_opt(),
-                    });
-                }
-            }
-        }
         for (i, row) in self.vcq.iter().enumerate() {
             for (l, q) in row.iter().enumerate() {
                 let Some(head) = q.front() else {
                     continue;
                 };
-                let pending = if self.cfg.queueing == QueueDiscipline::Fifo {
-                    // The whole FIFO waits behind its head's egress.
-                    PendingWork {
-                        what: format!("{} flit(s) queued at input {i}", q.len()),
-                        waiting_on: Self::dst_of(&head.payload)
-                            .and_then(|d| self.pick_output(d, SimTime::ZERO))
-                            .and_then(|o| self.ports[o].peer_opt()),
-                    }
-                } else {
-                    // The head's worm names the egress this lane waits on.
-                    PendingWork {
-                        what: format!("{} flit(s) queued input {i} lane {l}", q.len()),
-                        waiting_on: self
-                            .live_worm(head.worm, head.payload.trace_id())
-                            .and_then(|(_, w)| self.ports[w.out].peer_opt()),
-                    }
+                let n = q.len();
+                // The egress the lane waits on: the whole FIFO waits behind
+                // its head's, a VOQ lane is its output, and a wormhole
+                // lane's head names it through its worm.
+                let (what, egress) = match self.cfg.queueing {
+                    QueueDiscipline::Fifo => (
+                        format!("{n} flit(s) queued at input {i}"),
+                        Self::dst_of(&head.payload)
+                            .and_then(|d| self.pick_output(d, SimTime::ZERO)),
+                    ),
+                    QueueDiscipline::Voq => (
+                        format!("{n} flit(s) queued input {i} -> output {l}"),
+                        Some(l),
+                    ),
+                    QueueDiscipline::Wormhole => (
+                        format!("{n} flit(s) queued input {i} lane {l}"),
+                        self.live_worm(head.worm, head.payload.trace_id())
+                            .map(|(_, w)| w.out),
+                    ),
                 };
-                out.push(pending);
+                out.push(PendingWork {
+                    what,
+                    waiting_on: egress.and_then(|o| self.ports[o].peer_opt()),
+                });
             }
         }
         for (p, port) in self.ports.iter().enumerate() {
@@ -1639,34 +1516,72 @@ impl Component for FabricSwitch {
 mod tests {
     use super::*;
 
+    /// Lanes per input, checking that `heads` matches `vcq`.
+    fn lane_counts(sw: &FabricSwitch) -> Vec<usize> {
+        assert_eq!(sw.vcq.len(), sw.port_count());
+        for (q, h) in sw.vcq.iter().zip(&sw.heads) {
+            assert_eq!(q.len(), h.len());
+        }
+        sw.vcq.iter().map(Vec::len).collect()
+    }
+
     #[test]
     fn port_growth_keeps_voq_square() {
         let mut sw = FabricSwitch::new(SwitchConfig::fabrex_like());
-        for _ in 0..5 {
+        for _ in 0..3 {
+            sw.add_port();
+        }
+        assert_eq!(lane_counts(&sw), [3; 3]);
+        // A flit queued toward output 2 stays in its lane as ports are
+        // added.
+        sw.vcq[0][2].push_back(Entry {
+            payload: FlitPayload::Idle,
+            class: MsgClass::Req,
+            ready_at: SimTime::ZERO,
+            flow: FabricSwitch::flow_of(&FlitPayload::Idle),
+            enqueued_at: SimTime::ZERO,
+            in_vc: None,
+            worm: None,
+        });
+        for _ in 0..2 {
             sw.add_port();
         }
         assert_eq!(sw.port_count(), 5);
-        assert_eq!(sw.voq.len(), 5);
-        for row in &sw.voq {
-            assert_eq!(row.len(), 5);
-        }
-        assert_eq!(sw.queued(), 0);
+        assert_eq!(lane_counts(&sw), [5; 5]);
+        assert_eq!(sw.vcq[0][2].len(), 1);
+        assert_eq!(sw.queued(), 1);
     }
 
     #[test]
     fn only_voq_switches_grow_the_voq_matrix() {
-        for queueing in [QueueDiscipline::Fifo, QueueDiscipline::Wormhole] {
+        let vc = VcConfig {
+            vcs: 3,
+            buf_flits: 4,
+        };
+        for (queueing, lanes) in [
+            (QueueDiscipline::Fifo, [1, 1, 1]),
+            (QueueDiscipline::Wormhole, [1, 3, 1]),
+            (QueueDiscipline::Voq, [3, 3, 3]),
+        ] {
             let cfg = SwitchConfig {
                 queueing,
                 ..SwitchConfig::fabrex_like()
             };
             let mut sw = FabricSwitch::new(cfg);
-            for _ in 0..5 {
+            for _ in 0..3 {
                 sw.add_port();
             }
-            assert!(sw.voq.is_empty(), "{queueing:?}");
-            assert_eq!(sw.vcq.len(), 5, "{queueing:?}: one lane-0 queue per input");
+            sw.set_vc_link(1, vc);
+            assert_eq!(lane_counts(&sw), lanes, "{queueing:?}");
         }
+        // A one-VC link still gets the escape lane and one adaptive lane.
+        let mut sw = FabricSwitch::new(SwitchConfig {
+            queueing: QueueDiscipline::Wormhole,
+            ..SwitchConfig::fabrex_like()
+        });
+        sw.add_port();
+        sw.set_vc_link(0, VcConfig { vcs: 1, ..vc });
+        assert_eq!(lane_counts(&sw), [2]);
     }
 
     #[test]
@@ -1804,8 +1719,9 @@ mod tests {
             engine: Engine,
             sw: ComponentId,
             inputs: Vec<ComponentId>,
-            /// Egress probes; `sinks[k]` sits on switch port `inputs.len() + k`.
+            /// Egress probes; `sinks[k]` sits on switch port `out + k`.
             sinks: Vec<ComponentId>,
+            out: usize,
         }
 
         impl Rig {
@@ -1837,6 +1753,15 @@ mod tests {
                 Rig::build(cfg, inputs, None, sinks, None, credit)
             }
 
+            /// The same rig around a VOQ switch, without VC links.
+            fn voq(inputs: usize, sinks: usize, credit: CreditConfig) -> Rig {
+                let cfg = SwitchConfig {
+                    queueing: QueueDiscipline::Voq,
+                    ..SwitchConfig::fabrex_like()
+                };
+                Rig::build(cfg, inputs, None, sinks, None, credit)
+            }
+
             fn build(
                 cfg: SwitchConfig,
                 inputs: usize,
@@ -1846,47 +1771,52 @@ mod tests {
                 credit: CreditConfig,
             ) -> Rig {
                 let mut engine = Engine::new(1);
-                let phys = cfg.phys;
                 let sw = engine.add_component("sw", FabricSwitch::new(cfg));
-                let mut probe = |name: String, credit: CreditConfig| {
-                    let port = LinkPort::new(phys, credit);
-                    let held = Vec::new();
-                    let got = Vec::new();
-                    engine.add_component(name, Probe { port, held, got })
-                };
-                let inputs: Vec<_> = (0..inputs)
-                    .map(|k| probe(format!("in{k}"), CreditConfig::default()))
-                    .collect();
-                let sinks: Vec<_> = (0..sinks)
-                    .map(|k| probe(format!("out{k}"), credit))
-                    .collect();
-                let wiring = inputs
-                    .iter()
-                    .map(|&id| (id, CreditConfig::default(), in_vc))
-                    .chain(sinks.iter().map(|&id| (id, credit, out_vc)));
-                for (id, credit, vc) in wiring {
-                    let s = engine.component_mut::<FabricSwitch>(sw);
-                    let p = s.add_port_with(phys, credit);
-                    s.connect(p, id);
-                    if let Some(vc) = vc {
-                        s.set_vc_link(p, vc);
-                    }
-                    engine.component_mut::<Probe>(id).port.connect(sw);
-                }
-                let out = inputs.len();
-                let s = engine.component_mut::<FabricSwitch>(sw);
-                s.routing.add_pbr(DST, out);
-                s.routing.add_pbr(ELSEWHERE, out + sinks.len() - 1);
-                Rig {
+                let mut rig = Rig {
                     engine,
                     sw,
-                    inputs,
-                    sinks,
+                    inputs: Vec::new(),
+                    sinks: Vec::new(),
+                    out: inputs,
+                };
+                for k in 0..inputs {
+                    let id = rig.attach(format!("in{k}"), CreditConfig::default(), in_vc);
+                    rig.inputs.push(id);
                 }
+                for k in 0..sinks {
+                    let id = rig.attach(format!("out{k}"), credit, out_vc);
+                    rig.sinks.push(id);
+                }
+                let out = rig.out;
+                let s = rig.switch_mut();
+                s.routing.add_pbr(DST, out);
+                s.routing.add_pbr(ELSEWHERE, out + sinks - 1);
+                rig
+            }
+
+            /// Wires a new probe to a new switch port (also mid-run).
+            fn attach(
+                &mut self,
+                name: String,
+                credit: CreditConfig,
+                vc: Option<VcConfig>,
+            ) -> ComponentId {
+                let phys = self.switch().cfg.phys;
+                let port = LinkPort::new(phys, credit);
+                let (held, got) = (Vec::new(), Vec::new());
+                let id = self.engine.add_component(name, Probe { port, held, got });
+                let s = self.switch_mut();
+                let p = s.add_port_with(phys, credit);
+                s.connect(p, id);
+                if let Some(vc) = vc {
+                    s.set_vc_link(p, vc);
+                }
+                self.engine.component_mut::<Probe>(id).port.connect(self.sw);
+                id
             }
 
             fn out(&self) -> usize {
-                self.inputs.len()
+                self.out
             }
 
             fn switch(&self) -> &FabricSwitch {
@@ -2113,7 +2043,7 @@ mod tests {
             let sink = rig.sinks[0];
             let sw = rig.switch_mut();
             let err = sw.detach_port(out).expect_err("worm in transit");
-            assert!(err.contains("1 worm(s) in transit toward it"), "{err}");
+            assert!(err.contains("1 flit(s) committed toward it"), "{err}");
             let mut pending = Vec::new();
             sw.outstanding(&mut pending);
             assert!(
@@ -2271,39 +2201,106 @@ mod tests {
         }
 
         #[test]
+        fn voq_head_parked_on_link_credits_blocks_only_its_lane() {
+            let mut rig = Rig::voq(1, 2, one_credit());
+            let (out, alt) = (rig.out(), rig.out() + 1);
+            // The second read toward DST finds its egress out of credits
+            // and parks in its lane; the read toward ELSEWHERE, queued
+            // behind it at the same input, leaves through the other lane.
+            rig.send(
+                0.0,
+                0,
+                [reads(1, DST, 2), reads(3, ELSEWHERE, 1)].concat(),
+                None,
+            );
+            rig.run_until_us(1.0);
+            assert_eq!(rig.delivered(0), 1);
+            assert_eq!(rig.delivered(1), 1, "no head-of-line blocking");
+            assert_eq!(rig.head(0, out), Head::Parked);
+            assert_eq!(rig.head(0, alt), Head::Empty);
+            let sink = rig.sinks[0];
+            let mut pending = Vec::new();
+            rig.switch().outstanding(&mut pending);
+            assert_eq!(pending.len(), 1, "{pending:?}");
+            assert_eq!(
+                pending[0].what,
+                format!("1 flit(s) queued input 0 -> output {out}")
+            );
+            assert_eq!(pending[0].waiting_on, Some(sink));
+            // Freeing the first read returns a CreditUpdate on its egress.
+            rig.cmd(1.0, 0, Cmd::Free(None));
+            rig.run_until_us(2.0);
+            assert_eq!(rig.delivered(0), 2);
+            assert_eq!(rig.head(0, out), Head::Empty);
+        }
+
+        #[test]
+        fn ramp_up_allocator_takes_a_port_added_mid_run() {
+            let cfg = SwitchConfig {
+                allocation: AllocPolicy::default_ramp_up(),
+                ..SwitchConfig::fabrex_like()
+            };
+            let mut rig = Rig::build(cfg, 1, None, 1, None, CreditConfig::default());
+            // Traffic creates the egress's ramp-up state for two ports.
+            rig.send(0.0, 0, reads(1, DST, 2), None);
+            rig.run_until_us(5.0);
+            assert_eq!(rig.delivered(0), 2);
+            // A third port joins mid-run and sends through that egress.
+            let id = rig.attach("in1".to_string(), CreditConfig::default(), None);
+            rig.inputs.push(id);
+            rig.send(5.0, 1, reads(3, DST, 2), None);
+            rig.engine.run_until_idle();
+            assert_eq!(rig.delivered(0), 4);
+            let sw = rig.switch();
+            assert_eq!(
+                sw.ramp[rig.out()].as_ref().map(|r| r.allocations().len()),
+                Some(3)
+            );
+            assert!(sw.audit().is_clean(), "{:?}", sw.audit());
+        }
+
+        #[test]
         fn no_fifo_head_parks_under_a_scheduler() {
             use fcc_sched::{CreditPartition, TenantShare};
 
-            let mut rig = Rig::fifo(1, 1, one_credit(), false);
-            rig.send(0.0, 0, reads(1, DST, 2), None);
-            rig.run_until_us(1.0);
-            assert_eq!(rig.head(0, 0), Head::Parked);
-            // Installing a scheduler wakes the parked head, and it is not
-            // parked again: every sweep probes its tenant gate.
-            let mut part = CreditPartition::new(64);
-            let share = TenantShare {
-                group: 0,
-                weight: 1,
-                floor: 64,
-            };
-            part.add_tenant(1, share);
-            let mut sched = FabricScheduler::new(part, SimTime::from_us(10.0));
-            sched.map_node(NodeId(1), 1);
-            rig.post_to_switch(1.0, InstallScheduler { sched });
-            rig.run_until_us(2.0);
-            assert_eq!(rig.head(0, 0), Head::Active);
-            rig.cmd(2.0, 0, Cmd::Free(None));
-            rig.run_until_us(3.0);
-            assert_eq!(rig.delivered(0), 2);
-            // A head refused by the link again stays active.
-            rig.send(3.0, 0, reads(3, DST, 1), None);
-            rig.run_until_us(4.0);
-            assert_eq!(rig.delivered(0), 2);
-            assert_eq!(rig.head(0, 0), Head::Active);
-            // Drain, so the scheduler's window tick stops re-arming.
-            rig.cmd(4.0, 0, Cmd::Free(None));
-            rig.engine.run_until_idle();
-            assert_eq!(rig.delivered(0), 3);
+            for voq in [false, true] {
+                let mut rig = if voq {
+                    Rig::voq(1, 1, one_credit())
+                } else {
+                    Rig::fifo(1, 1, one_credit(), false)
+                };
+                // A VOQ input queues in the lane of its output.
+                let lane = if voq { rig.out() } else { 0 };
+                rig.send(0.0, 0, reads(1, DST, 2), None);
+                rig.run_until_us(1.0);
+                assert_eq!(rig.head(0, lane), Head::Parked, "voq {voq}");
+                // Installing a scheduler wakes the parked head, and it is not
+                // parked again: every sweep probes its tenant gate.
+                let mut part = CreditPartition::new(64);
+                let share = TenantShare {
+                    group: 0,
+                    weight: 1,
+                    floor: 64,
+                };
+                part.add_tenant(1, share);
+                let mut sched = FabricScheduler::new(part, SimTime::from_us(10.0));
+                sched.map_node(NodeId(1), 1);
+                rig.post_to_switch(1.0, InstallScheduler { sched });
+                rig.run_until_us(2.0);
+                assert_eq!(rig.head(0, lane), Head::Active, "voq {voq}");
+                rig.cmd(2.0, 0, Cmd::Free(None));
+                rig.run_until_us(3.0);
+                assert_eq!(rig.delivered(0), 2);
+                // A head refused by the link again stays active.
+                rig.send(3.0, 0, reads(3, DST, 1), None);
+                rig.run_until_us(4.0);
+                assert_eq!(rig.delivered(0), 2);
+                assert_eq!(rig.head(0, lane), Head::Active, "voq {voq}");
+                // Drain, so the scheduler's window tick stops re-arming.
+                rig.cmd(4.0, 0, Cmd::Free(None));
+                rig.engine.run_until_idle();
+                assert_eq!(rig.delivered(0), 3);
+            }
         }
     }
 }

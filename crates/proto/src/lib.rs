@@ -31,5 +31,5 @@ pub mod registry;
 pub use addr::{AddrMap, AddrRange, InterleaveGranularity, NodeId};
 pub use channel::{CacheOpcode, Channel, IoOpcode, MemOpcode, TransactionKind};
 pub use flit::{Flit, FlitMode, FlitPayload};
-pub use link::{CreditConfig, CreditCounter, LinkLayer, LinkLayerError, VirtualChannel};
+pub use link::{CreditConfig, CreditCounter, LinkLayer, LinkLayerError};
 pub use phys::{Bifurcation, LinkSpeed, PhysConfig};

@@ -24,20 +24,6 @@ use serde::{Deserialize, Serialize};
 use crate::channel::MsgClass;
 use crate::flit::{Flit, FlitMode, FlitPayload};
 
-/// A virtual channel on a link or switch port.
-///
-/// VCs map 1:1 to credit classes at the link layer; switches may add
-/// port-local VCs on top (see `fcc-fabric`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct VirtualChannel(pub u8);
-
-impl VirtualChannel {
-    /// The VC carrying a given credit class.
-    pub fn for_class(class: MsgClass) -> Self {
-        VirtualChannel(class.index() as u8)
-    }
-}
-
 /// Static credit configuration for one side of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CreditConfig {

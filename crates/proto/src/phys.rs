@@ -130,11 +130,6 @@ impl PhysConfig {
         let flits = bytes.div_ceil(per_flit).max(1);
         self.flit_serialization() * flits
     }
-
-    /// One-way latency of a single flit: serialization plus propagation.
-    pub fn flit_latency(&self) -> SimTime {
-        self.flit_serialization() + self.propagation
-    }
 }
 
 #[cfg(test)]

@@ -122,11 +122,6 @@ impl FabricScheduler {
         &self.partition
     }
 
-    /// Mutable access to the partition (reconfiguration).
-    pub fn partition_mut(&mut self) -> &mut CreditPartition {
-        &mut self.partition
-    }
-
     /// Audits the partition's per-tenant ledgers. See
     /// [`CreditPartition::audit`].
     pub fn audit(&self) -> Result<(), String> {

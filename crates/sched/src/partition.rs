@@ -183,11 +183,6 @@ impl CreditPartition {
         }
     }
 
-    /// The configured per-window pool.
-    pub fn configured_pool(&self) -> u32 {
-        self.pool
-    }
-
     /// The effective per-window pool: the configured pool, grown if
     /// needed so every tenant's floor is satisfiable. Allocations sum to
     /// exactly this value.

@@ -267,11 +267,6 @@ impl KvStore {
         self.index.get(&key).map_or(0, |e| e.version)
     }
 
-    /// Live keys in the index.
-    pub fn live_objects(&self) -> u64 {
-        self.index.len() as u64
-    }
-
     /// Index entries whose heap handle no longer resolves or whose
     /// version regressed to 0 — must be zero on a healthy store.
     pub fn integrity_violations(&self) -> u64 {

@@ -609,12 +609,6 @@ impl Engine {
         self.core.now
     }
 
-    /// Runs for an additional `duration` of simulated time.
-    pub fn run_for(&mut self, duration: SimTime) -> SimTime {
-        let deadline = self.core.now + duration;
-        self.run_until(deadline)
-    }
-
     /// Analyzes the simulation for a deadlock after the event queue has
     /// drained.
     ///

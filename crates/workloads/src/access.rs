@@ -1,6 +1,5 @@
 //! Address-stream generators.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Uniform random object/address indices in `[0, n)`.
@@ -105,11 +104,6 @@ impl ZipfStream {
         // First index with cdf >= u.
         self.cdf.partition_point(|&c| c < u) as u64
     }
-
-    /// Probability mass of rank 0 (the hottest item).
-    pub fn head_mass(&self) -> f64 {
-        self.cdf[0]
-    }
 }
 
 /// A random-cycle pointer chase: a permutation of `[0, n)` forming a
@@ -160,13 +154,6 @@ impl PointerChase {
     pub fn is_empty(&self) -> bool {
         self.next.is_empty()
     }
-}
-
-/// Shuffles a list of items into a random service order (utility used by
-/// several experiment harnesses).
-pub fn shuffled<T>(mut items: Vec<T>, rng: &mut impl Rng) -> Vec<T> {
-    items.shuffle(rng);
-    items
 }
 
 #[cfg(test)]
