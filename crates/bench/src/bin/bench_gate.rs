@@ -19,12 +19,13 @@
 //! wall-clock history of the suite survives baseline rewrites. `check`
 //! takes fresh medians and compares them against the committed `"_perf"`:
 //!
-//! * **events** must match the baseline exactly — event counts are
-//!   deterministic, so any drift is a simulation change, not noise;
+//! * **events** and every **scalar result** must match the baseline
+//!   exactly — both are deterministic, so any drift is a simulation
+//!   change, not noise;
 //! * **wall_ms** may not regress by more than `--tolerance` percent
 //!   (default 25); scenarios whose baseline wall-clock is under 5 ms are
 //!   exempt from the timing check (too small to measure reliably) but
-//!   still event-checked.
+//!   still event- and scalar-checked.
 //!
 //! `shards` gates the sharded executor itself: it runs one scenario
 //! (default `e3x`) serially and with `--shards <n>` (default 4) worker
@@ -37,15 +38,15 @@
 //! determinism contract is checkable anywhere.
 //!
 //! `--report` writes a per-scenario comparison JSON (the CI artifact).
-//! Exit code: 0 = green, 1 = regression or event drift, 2 = usage /
-//! baseline errors.
+//! Exit code: 0 = green, 1 = regression, event or scalar drift, 2 =
+//! usage / baseline errors.
 
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use fcc_bench::capture::Capture;
 use fcc_bench::harness::{baseline_json, results_json, run_ids, PerfSample, Scalars, ALL};
-use fcc_telemetry::json;
+use fcc_telemetry::json::{self, JsonValue};
 
 /// Tolerated wall-clock regression, percent.
 const DEFAULT_TOLERANCE: f64 = 25.0;
@@ -128,12 +129,39 @@ fn append_history(path: &str, runs: usize, perf: &[(String, PerfSample)]) -> Res
     std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
+/// Differences between a scenario's fresh scalars and its `baseline`
+/// object, one `key: baseline -> fresh` line each.
+fn scalar_drift(baseline: Option<&JsonValue>, fresh: &Scalars) -> Vec<String> {
+    let base = baseline.and_then(JsonValue::as_obj).unwrap_or(&[]);
+    let lookup = |k: &str| base.iter().find(|(bk, _)| bk == k).map(|(_, v)| v);
+    let mut drift = Vec::new();
+    for (k, v) in fresh {
+        // `results_json` writes non-finite values as null.
+        let (same, was) = match lookup(k) {
+            Some(JsonValue::Num(b)) => (b == v, b.to_string()),
+            Some(JsonValue::Null) => (!v.is_finite(), "null".to_string()),
+            Some(_) => (false, "not a number".to_string()),
+            None => (false, "missing".to_string()),
+        };
+        if !same {
+            drift.push(format!("{k}: {was} -> {v}"));
+        }
+    }
+    for (k, _) in base {
+        if fresh.iter().all(|(fk, _)| fk != k) {
+            drift.push(format!("{k}: no longer reported"));
+        }
+    }
+    drift
+}
+
 /// One scenario's baseline-vs-measured comparison.
 struct Row {
     id: String,
     base: PerfSample,
     fresh: PerfSample,
     wall_gated: bool,
+    scalars_ok: bool,
     ok: bool,
 }
 
@@ -165,10 +193,10 @@ fn check(
         );
         return ExitCode::from(2);
     };
-    let (_, fresh) = measure(runs, jobs);
+    let (results, fresh) = measure(runs, jobs);
     let mut rows: Vec<Row> = Vec::new();
     let mut failed = false;
-    for (id, perf) in fresh {
+    for ((id, perf), (_, scalars)) in fresh.into_iter().zip(&results) {
         let Some(entry) = perf_obj.iter().find(|(k, _)| *k == id).map(|(_, v)| v) else {
             eprintln!("FAIL {id}: not in baseline _perf (run `bench_gate update`)");
             failed = true;
@@ -181,7 +209,12 @@ fn check(
         let wall_gated = base.wall_ms >= MIN_GATED_WALL_MS;
         let wall_ok = !wall_gated || perf.wall_ms <= base.wall_ms * (1.0 + tolerance / 100.0);
         let events_ok = perf.events == base.events;
-        let ok = wall_ok && events_ok;
+        let drift = scalar_drift(doc.get(&id), scalars);
+        for d in &drift {
+            eprintln!("FAIL {id}: scalar {d} (simulation change, not noise)");
+        }
+        let scalars_ok = drift.is_empty();
+        let ok = wall_ok && events_ok && scalars_ok;
         if !events_ok {
             eprintln!(
                 "FAIL {id}: event count drifted {} -> {} (simulation change, not noise)",
@@ -194,7 +227,7 @@ fn check(
                 perf.wall_ms,
                 (perf.wall_ms / base.wall_ms - 1.0) * 100.0
             );
-        } else {
+        } else if scalars_ok {
             eprintln!(
                 "ok   {id}: wall {:.1} ms -> {:.1} ms, {} events{}",
                 base.wall_ms,
@@ -209,6 +242,7 @@ fn check(
             base,
             fresh: perf,
             wall_gated,
+            scalars_ok,
             ok,
         });
     }
@@ -222,13 +256,14 @@ fn check(
             out.push_str(&format!(
                 "    \"{}\": {{\"baseline_wall_ms\": {:.3}, \"wall_ms\": {:.3}, \
                  \"baseline_events\": {}, \"events\": {}, \"events_per_sec\": {:.1}, \
-                 \"timing_gated\": {}, \"pass\": {}}}",
+                 \"scalars_match\": {}, \"timing_gated\": {}, \"pass\": {}}}",
                 r.id,
                 r.base.wall_ms,
                 r.fresh.wall_ms,
                 r.base.events,
                 r.fresh.events,
                 r.fresh.events_per_sec(),
+                r.scalars_ok,
                 r.wall_gated,
                 r.ok
             ));

@@ -16,18 +16,19 @@
 //!   Every export is byte-identical for any `--jobs` value: scenarios are
 //!   fully isolated and outputs are assembled in scenario order.
 //! * `--shards <n>` sets the worker-thread fan-out of sharded-executor
-//!   scenarios (`e3x`, `e12`, `e13`; default 1). The shard decomposition
-//!   is fixed by
-//!   the topology, so exports are byte-identical for any `--shards`
-//!   value, composed freely with `--jobs`.
+//!   scenarios (`e3x`, `e12`, `e13`, `e14`; default 1). The shard
+//!   decomposition is fixed by the topology, so exports are
+//!   byte-identical for any `--shards` value, composed freely with
+//!   `--jobs`.
 //! * `--json <file>` writes every run experiment's scalar results as one
 //!   JSON object keyed by experiment id. Timing never appears here — the
 //!   simulation results are deterministic and diffable.
 //! * `--perf <file>` writes per-scenario wall-clock and events/sec (the
-//!   non-deterministic measurements) as JSON; `scripts/bench_gate.sh`
-//!   compares this against the committed baseline.
+//!   non-deterministic measurements) as JSON. Nothing reads it back:
+//!   the `bench_gate` binary takes its own measurements.
 //! * `--trace <file>` writes a Chrome-trace-event/Perfetto JSON causal
-//!   trace of the instrumented experiments (T2 and E3a–E3e); load it in
+//!   trace of the instrumented experiments (the `traced` column of
+//!   `list`: T2, E3a–E3e, E3x and E11–E14); load it in
 //!   `ui.perfetto.dev` or feed it to the `trace-report` binary.
 //! * `--metrics <file>` writes the hierarchical metrics registry
 //!   harvested from the same runs as JSON.

@@ -1,12 +1,12 @@
 //! E12 — pod-scale multi-tenant interference with and without the
 //! fabric-resident QoS scheduler ([`fcc_sched`]).
 //!
-//! The topology and tenant mix are E3x's: eight single-switch domains
-//! joined by long-haul cables, eight tenants per domain — six
-//! latency-sensitive victims issuing shallow local 64 B writes, one local
-//! bulk streamer, and one deep-window hog camping a device four chain
-//! hops away. E3x *demonstrates* the interference pathology; E12 measures
-//! the remedy. Three runs:
+//! The topology and tenant mix are E3x's (`exp_e3x`'s `Chain`): eight
+//! single-switch domains joined by long-haul cables, eight tenants per
+//! domain — six latency-sensitive victims issuing shallow local 64 B
+//! writes, one local bulk streamer, and one deep-window hog camping a
+//! device four chain hops away. E3x *demonstrates* the interference
+//! pathology; E12 measures the remedy. Three runs:
 //!
 //! 1. **idle** — hogs and bulk writers stay silent: the victims'
 //!    uncontended p99 floor.
@@ -28,46 +28,15 @@
 
 use std::fmt;
 
-use fcc_fabric::credit::AllocPolicy;
-use fcc_fabric::sharded::{sharded_chain, DomainSpec, ShardedFabric};
-use fcc_fabric::switch::{FabricSwitch, QueueDiscipline};
-use fcc_sched::{CreditPartition, FabricScheduler, TenantShare};
-use fcc_sim::{ComponentId, Histogram, ShardedEngine, SimTime};
-use fcc_telemetry::tenant_metric;
+use fcc_sim::{Histogram, SimTime};
 
 use crate::capture::Capture;
-use crate::exp_e3::{fabrex_device, fabrex_spec};
-use crate::exp_e3x::{CROSS_LATENCY_NS, DOMAINS, TENANTS_PER_DOMAIN};
-use crate::loadgen::{AddrPattern, LoadCfg, LoadGen, StartLoad};
+use crate::exp_e3x::{
+    mean, partition, Chain, Harvest, Role, DOMAINS, SHARED_REGIONS, TENANTS_PER_DOMAIN,
+};
 
-/// Victim tenants per domain (shallow local 64 B writers).
-const VICTIMS_PER_DOMAIN: usize = 6;
-/// The bulk tenant's per-op transfer size.
-const BULK_BYTES: u32 = 4096;
-/// The hog's window depth (as in E3e/E3x: deep enough to camp credits).
-const HOG_WINDOW: usize = 48;
 /// Scheduler credit pool per admission window at each switch.
 const SCHED_POOL: u32 = 320;
-/// Admission window length.
-const SCHED_WINDOW_NS: f64 = 1000.0;
-
-/// Tenant-share templates. Victims hold a floor and most of the weight;
-/// hogs are confined to a small share once victims are active.
-const VICTIM_SHARE: TenantShare = TenantShare {
-    group: 0,
-    weight: 8,
-    floor: 2,
-};
-const BULK_SHARE: TenantShare = TenantShare {
-    group: 1,
-    weight: 2,
-    floor: 1,
-};
-const HOG_SHARE: TenantShare = TenantShare {
-    group: 2,
-    weight: 1,
-    floor: 1,
-};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -100,12 +69,8 @@ struct ModeRun {
     victim_latency: Histogram,
     /// Mean hog throughput (ops/µs).
     hog_ops_us: f64,
-    /// Flits admitted by schedulers (0 when ungoverned).
-    admitted: u64,
-    /// Admission probes deferred by schedulers.
-    deferred: u64,
-    /// Per-tenant ledger audit findings across all switches.
-    violations: u64,
+    /// Audit findings and scheduler counters.
+    harvest: Harvest,
     /// Events dispatched.
     events: u64,
 }
@@ -171,165 +136,41 @@ pub fn run_e12(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E12R
         victim_p999_on_ns: s_on.p999,
         hog_ops_us_off: off.hog_ops_us,
         hog_ops_us_on: on.hog_ops_us,
-        sched_admitted: on.admitted,
-        sched_deferred: on.deferred,
-        ledger_violations: idle.violations + off.violations + on.violations,
+        sched_admitted: on.harvest.admitted,
+        sched_deferred: on.harvest.deferred,
+        ledger_violations: idle.harvest.findings + off.harvest.findings + on.harvest.findings,
         total_events: idle.events + off.events + on.events,
     }
 }
 
-/// The scheduler for domain `d`'s switch: the pod-wide share policy,
-/// with only the domain's **own** hosts mapped. Admission is enforced at
-/// each tenant's attachment point, where a deferred flit waits in its
-/// own host-port FIFO and backpressures only its own adapter. Governing
-/// transit flits mid-fabric instead would HOL-block ungoverned traffic
-/// (completions, other tenants' transit) behind a deferred flit and pin
-/// link credits for up to a window — admission control composes with
-/// credit flow control only at the edge.
-fn scheduler_for(fabric: &ShardedFabric, d: usize) -> FabricScheduler {
-    let mut part = CreditPartition::new(SCHED_POOL);
-    for dd in 0..DOMAINS {
-        for h in 0..TENANTS_PER_DOMAIN {
-            let tenant = (dd * TENANTS_PER_DOMAIN + h) as u32;
-            let share = if h < VICTIMS_PER_DOMAIN {
-                VICTIM_SHARE
-            } else if h == VICTIMS_PER_DOMAIN {
-                BULK_SHARE
-            } else {
-                HOG_SHARE
-            };
-            part.add_tenant(tenant, share);
-        }
-    }
-    let mut sched = FabricScheduler::new(part, SimTime::from_ns(SCHED_WINDOW_NS));
-    for (h, host) in fabric.domains[d].hosts.iter().enumerate() {
-        let tenant = (d * TENANTS_PER_DOMAIN + h) as u32;
-        sched.map_node(host.node, tenant);
-    }
-    sched
-}
-
-#[allow(clippy::too_many_lines)]
 fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> ModeRun {
     let horizon = if quick {
         SimTime::from_us(25.0)
     } else {
         SimTime::from_us(120.0)
     };
-    let mut sharded = ShardedEngine::new(0xE120 ^ seed ^ mode.salt(), DOMAINS);
-    let mut spec = fabrex_spec(QueueDiscipline::Fifo, AllocPolicy::Fair);
-    spec.fha_outstanding = 128;
-    let domains = (0..DOMAINS)
-        .map(|_| DomainSpec {
-            n_hosts: TENANTS_PER_DOMAIN,
-            devices: vec![fabrex_device()],
-        })
-        .collect();
-    let fabric: ShardedFabric = sharded_chain(
-        &mut sharded,
-        spec,
-        domains,
-        SimTime::from_ns(CROSS_LATENCY_NS),
-    );
+    let mut chain = Chain::new(0xE120 ^ seed ^ mode.salt(), TENANTS_PER_DOMAIN, 1, horizon);
     if mode == Mode::On {
-        for (d, topo) in fabric.domains.iter().enumerate() {
-            let sched = scheduler_for(&fabric, d);
-            let engine = sharded.engine_mut(d);
-            for &sw in &topo.switches {
-                engine
-                    .component_mut::<FabricSwitch>(sw)
-                    .install_scheduler(sched.clone());
-            }
-        }
+        chain.govern(&partition(SCHED_POOL, None));
     }
     let label = format!("e12-{}", mode.label());
-    cap.begin_sharded(&label, &mut sharded, &fabric);
-    let mut victims: Vec<(usize, usize, ComponentId)> = Vec::new();
-    let mut hogs: Vec<(usize, ComponentId)> = Vec::new();
-    for d in 0..DOMAINS {
-        let local_range = fabric.domains[d].devices[0].range;
-        let remote_range = fabric.domains[(d + DOMAINS / 2) % DOMAINS].devices[0].range;
-        for h in 0..TENANTS_PER_DOMAIN {
-            let fha = fabric.domains[d].hosts[h].fha;
-            let (base, op_bytes, window, class) = if h < VICTIMS_PER_DOMAIN {
-                (local_range.base, 64, 4, 0u8)
-            } else if h == VICTIMS_PER_DOMAIN {
-                (local_range.base + (1 << 24), BULK_BYTES, 8, 1)
-            } else {
-                (remote_range.base, 64, HOG_WINDOW, 2)
-            };
-            // Idle mode measures the victims' uncontended floor: only
-            // victim generators are started there.
-            if mode == Mode::Idle && class != 0 {
-                continue;
-            }
-            let cfg = LoadCfg {
-                fha,
-                base,
-                len: 1 << 20,
-                op_bytes,
-                write: true,
-                window,
-                count: None,
-                stop_at: horizon,
-                pattern: AddrPattern::Sequential,
-            };
-            let engine = sharded.engine_mut(d);
-            let lg =
-                engine.add_component(format!("load-{}-d{d}h{h}", mode.label()), LoadGen::new(cfg));
-            engine.post(lg, SimTime::ZERO, StartLoad);
-            match class {
-                0 => victims.push((d, d * TENANTS_PER_DOMAIN + h, lg)),
-                1 => {}
-                _ => hogs.push((d, lg)),
-            }
-        }
-    }
-    sharded.run(shards);
-    // Deterministic harvest, in domain order.
-    let violations = fabric.audit(&sharded).findings.len() as u64;
-    let (mut admitted, mut deferred) = (0u64, 0u64);
-    for (d, topo) in fabric.domains.iter().enumerate() {
-        for &sw in &topo.switches {
-            if let Some(sched) = sharded.engine(d).component::<FabricSwitch>(sw).scheduler() {
-                admitted += sched.admitted;
-                deferred += sched.deferred;
-            }
-        }
-    }
-    cap.end_sharded(&label, &sharded, &fabric);
-    let mut victim_latency = Histogram::new();
-    for &(d, tenant, lg) in &victims {
-        let h = &sharded.engine(d).component::<LoadGen>(lg).latency;
-        victim_latency.merge(h);
-        if cap.is_enabled() {
-            cap.metrics.record_histogram(
-                &tenant_metric(
-                    &format!("e12-{}.", mode.label()),
-                    tenant as u32,
-                    "latency_ps",
-                ),
-                h,
-            );
-        }
-    }
-    let hog_ops_us = if hogs.is_empty() {
-        0.0
+    cap.begin_sharded(&label, &mut chain.sharded, &chain.fabric);
+    // Idle mode measures the victims' uncontended floor: only victim
+    // generators are started there.
+    let roles: &[Role] = if mode == Mode::Idle {
+        &[Role::Victim]
     } else {
-        hogs.iter()
-            .map(|&(d, lg)| {
-                sharded.engine(d).component::<LoadGen>(lg).completed() as f64 / horizon.as_us()
-            })
-            .sum::<f64>()
-            / hogs.len() as f64
+        &Role::ALL
     };
+    chain.load_all(roles, &format!("load-{}-", mode.label()), SHARED_REGIONS);
+    chain.sharded.run(shards);
+    let harvest = chain.harvest();
+    cap.end_sharded(&label, &chain.sharded, &chain.fabric);
     ModeRun {
-        victim_latency,
-        hog_ops_us,
-        admitted,
-        deferred,
-        violations,
-        events: sharded.total_events(),
+        victim_latency: chain.latency(Role::Victim, cap, &format!("e12-{}.", mode.label())),
+        hog_ops_us: mean(&chain.ops_us(Role::Hog)),
+        harvest,
+        events: chain.sharded.total_events(),
     }
 }
 

@@ -1,13 +1,13 @@
 //! E13 — pod-scale far-memory serving with per-tenant SLO accounting
 //! ([`fcc_serve`]).
 //!
-//! The topology is E3x's 8-domain sharded chain. Each domain hosts one
-//! [`KvStore`] whose values live on the domain's fabric-attached device,
-//! six open-loop serving clients (tenants, Zipf keys, 90/10 read/write
-//! mix, value sizes 64 B–4 KiB) driven by a shared **diurnal** rate
-//! curve — a trough, a ramp, a peak plateau, a ramp back — plus the E12
-//! interference pair: a local bulk streamer and a deep-window hog
-//! camping a device four chain hops away. Three runs:
+//! The topology is E3x's 8-domain sharded chain (`exp_e3x`'s `Chain`).
+//! Each domain hosts one [`KvStore`] whose values live on the domain's
+//! fabric-attached device, six open-loop serving clients (tenants, Zipf
+//! keys, 90/10 read/write mix, value sizes 64 B–4 KiB) driven by a
+//! shared **diurnal** rate curve — a trough, a ramp, a peak plateau, a
+//! ramp back — plus the E12 interference pair: a local bulk streamer and
+//! a deep-window hog camping a device four chain hops away. Three runs:
 //!
 //! 1. **base** — the commfabric baseline: requests move through an
 //!    RDMA-style NIC (submission/completion pipeline) and bookkeeping
@@ -35,22 +35,17 @@ use std::fmt;
 
 use fcc_core::{FaaEngine, FunctionTemplate, MigrationAgent, TransactionEngine};
 use fcc_fabric::commfabric::{RdmaConfig, RdmaNic};
-use fcc_fabric::credit::AllocPolicy;
-use fcc_fabric::sharded::{sharded_chain, DomainSpec, ShardedFabric};
-use fcc_fabric::switch::{FabricSwitch, QueueDiscipline};
-use fcc_sched::{tenant_rates, CreditPartition, FabricScheduler, TenantShare};
+use fcc_sched::{tenant_rates, TenantShare};
 use fcc_serve::{Backend, KvStore, KvStoreCfg, ServeClient, ServeClientCfg, StartClient};
-use fcc_sim::{ComponentId, ShardedEngine, SimTime};
+use fcc_sim::{ComponentId, SimTime};
 use fcc_telemetry::SloAccountant;
 use fcc_workloads::{DiurnalModulator, ZipfStream};
 
 use crate::capture::Capture;
-use crate::exp_e3::{fabrex_device, fabrex_spec};
-use crate::exp_e3x::{CROSS_LATENCY_NS, DOMAINS, TENANTS_PER_DOMAIN};
-use crate::loadgen::{AddrPattern, LoadCfg, LoadGen, StartLoad};
+use crate::exp_e3x::{partition, Chain, Offsets, DOMAINS, TENANTS_PER_DOMAIN, VICTIMS_PER_DOMAIN};
 
-/// Serving clients (victim tenants) per domain.
-const CLIENTS_PER_DOMAIN: usize = 6;
+/// Serving clients per domain: they take the victim hosts.
+const CLIENTS_PER_DOMAIN: usize = VICTIMS_PER_DOMAIN;
 /// Keys per domain store.
 const KEYSPACE: u64 = 512;
 /// Zipf skew of key popularity.
@@ -65,17 +60,11 @@ const SLO_TARGET_NS: f64 = 5000.0;
 const TROUGH_RATE: f64 = 0.3;
 /// Open-loop arrival rate on the peak plateau.
 const PEAK_RATE: f64 = 1.2;
-/// The bulk streamer's per-op transfer size.
-const BULK_BYTES: u32 = 4096;
-/// The hog's window depth (as in E3x/E12).
-const HOG_WINDOW: usize = 48;
 /// Scheduler credit pool per admission window at each switch. Sized so
 /// the serving store's floor covers its peak demand (~43 flits/µs
 /// average, ~2x in an arrival cluster): admission must shape the
 /// *interference*, not the data path it protects.
 const SCHED_POOL: u32 = 1024;
-/// Admission window length.
-const SCHED_WINDOW_NS: f64 = 1000.0;
 /// Wire rate the per-tenant eTrans budgets divide. This is the pod's
 /// aggregate serving bandwidth (several 512 Gbit/s links), so a
 /// tenant's budget paces sustained write streams without stretching a
@@ -84,21 +73,6 @@ const BUDGET_GBPS: f64 = 2048.0;
 /// Flit size used to convert credit allocations into burst bytes.
 const BUDGET_FLIT_BYTES: u32 = 256;
 
-const VICTIM_SHARE: TenantShare = TenantShare {
-    group: 0,
-    weight: 8,
-    floor: 2,
-};
-const BULK_SHARE: TenantShare = TenantShare {
-    group: 1,
-    weight: 2,
-    floor: 1,
-};
-const HOG_SHARE: TenantShare = TenantShare {
-    group: 2,
-    weight: 1,
-    floor: 1,
-};
 /// The serving data path holds the lion's share: at peak one domain's
 /// store sources ~43 flits/µs into its switch (two FHA rounds per
 /// request, ~3 flits per value), twice that in an arrival cluster. The
@@ -109,9 +83,12 @@ const STORE_SHARE: TenantShare = TenantShare {
     weight: 48,
     floor: 96,
 };
-/// Tenant ids for the per-domain serving stores (the client tenants
-/// occupy `0..DOMAINS * TENANTS_PER_DOMAIN`).
-const STORE_TENANT_BASE: u32 = (DOMAINS * TENANTS_PER_DOMAIN) as u32;
+/// The interference pair writes from 128 MiB into its devices, clear
+/// of the stores' heaps.
+const PAIR_REGIONS: Offsets = Offsets {
+    bulk: 1 << 27,
+    hog: 1 << 27,
+};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
@@ -240,49 +217,6 @@ pub fn run_e13(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E13R
     }
 }
 
-/// The pod-wide credit partition: each domain's store holds a floored
-/// majority share (its flits carry every client's requests), the
-/// serving clients hold modest shares (they emit no switch flits — the
-/// shares exist so `tenant_rates` derives their PUT budgets from the
-/// same policy), the bulk streamer a small share, the hog a minimum.
-fn pod_partition() -> CreditPartition {
-    let mut part = CreditPartition::new(SCHED_POOL);
-    for d in 0..DOMAINS {
-        for h in 0..TENANTS_PER_DOMAIN {
-            let tenant = (d * TENANTS_PER_DOMAIN + h) as u32;
-            let share = if h < CLIENTS_PER_DOMAIN {
-                VICTIM_SHARE
-            } else if h == CLIENTS_PER_DOMAIN {
-                BULK_SHARE
-            } else {
-                HOG_SHARE
-            };
-            part.add_tenant(tenant, share);
-        }
-        part.add_tenant(STORE_TENANT_BASE + d as u32, STORE_SHARE);
-    }
-    part
-}
-
-/// The scheduler for domain `d`'s switch: the pod-wide policy with only
-/// the domain's own hosts mapped — admission gates at each tenant's
-/// edge (the E12 finding). The migration-agent hosts map to the store's
-/// tenant: the partition is work-conserving, so leaving the serving
-/// data path unmapped would let bulk and hog traffic absorb the store's
-/// unused share and starve it anyway.
-fn scheduler_for(fabric: &ShardedFabric, d: usize) -> FabricScheduler {
-    let mut sched = FabricScheduler::new(pod_partition(), SimTime::from_ns(SCHED_WINDOW_NS));
-    for (h, host) in fabric.domains[d].hosts.iter().enumerate() {
-        let tenant = if h < TENANTS_PER_DOMAIN {
-            (d * TENANTS_PER_DOMAIN + h) as u32
-        } else {
-            STORE_TENANT_BASE + d as u32
-        };
-        sched.map_node(host.node, tenant);
-    }
-    sched
-}
-
 /// Preloaded value size for a key: 60% 64 B, 30% 1 KiB, 10% 4 KiB.
 fn value_bytes(key: u64) -> u32 {
     match key % 10 {
@@ -321,52 +255,43 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
     };
     let (curve, peak_window, trough_window) = diurnal(horizon);
     let slo_target = SimTime::from_ns(SLO_TARGET_NS);
-    let mut sharded = ShardedEngine::new(0xE130 ^ seed ^ mode.salt(), DOMAINS);
-    let mut spec = fabrex_spec(QueueDiscipline::Fifo, AllocPolicy::Fair);
-    spec.fha_outstanding = 128;
     // Hosts 0..TENANTS_PER_DOMAIN face tenants; the last two carry the
     // store's migration agents. Four devices per domain: values stripe
     // across devices 0-1 (keys pin round-robin), staging slots across
     // devices 2-3, so a peak arrival cluster (~2x the plateau rate)
     // stays under every controller's occupancy instead of convoying on
     // one.
-    let domains = (0..DOMAINS)
-        .map(|_| DomainSpec {
-            n_hosts: TENANTS_PER_DOMAIN + 2,
-            devices: (0..4).map(|_| fabrex_device()).collect(),
-        })
-        .collect();
-    let fabric: ShardedFabric = sharded_chain(
-        &mut sharded,
-        spec,
-        domains,
-        SimTime::from_ns(CROSS_LATENCY_NS),
+    let mut chain = Chain::new(
+        0xE130 ^ seed ^ mode.salt(),
+        TENANTS_PER_DOMAIN + 2,
+        4,
+        horizon,
     );
+    // The pod-wide partition: each domain's store holds a floored
+    // majority share (its flits carry every client's requests), the
+    // serving clients hold victim shares (they emit no switch flits — the
+    // shares exist so `tenant_rates` derives their PUT budgets from the
+    // same policy), the bulk streamer a small share, the hog a minimum.
+    let part = partition(SCHED_POOL, Some(STORE_SHARE));
     if mode == Mode::On {
-        for (d, topo) in fabric.domains.iter().enumerate() {
-            let sched = scheduler_for(&fabric, d);
-            let engine = sharded.engine_mut(d);
-            for &sw in &topo.switches {
-                engine
-                    .component_mut::<FabricSwitch>(sw)
-                    .install_scheduler(sched.clone());
-            }
-        }
+        // The migration-agent hosts map to the store's tenant: the
+        // partition is work-conserving, so leaving the serving data path
+        // unmapped would let bulk and hog traffic absorb the store's
+        // unused share and starve it anyway.
+        chain.govern(&part);
     }
     let label = format!("e13-{}", mode.label());
-    cap.begin_sharded(&label, &mut sharded, &fabric);
+    cap.begin_sharded(&label, &mut chain.sharded, &chain.fabric);
     // Per-domain serving stacks + the interference pair.
     let mut stores: Vec<ComponentId> = Vec::new();
     let mut clients: Vec<(usize, ComponentId)> = Vec::new();
     for d in 0..DOMAINS {
-        let local_range = fabric.domains[d].devices[0].range;
         let data_bases: Vec<u64> = (0..2)
-            .map(|i| fabric.domains[d].devices[i].range.base)
+            .map(|i| chain.fabric.domains[d].devices[i].range.base)
             .collect();
         let staging_bases: Vec<u64> = (2..4)
-            .map(|i| fabric.domains[d].devices[i].range.base)
+            .map(|i| chain.fabric.domains[d].devices[i].range.base)
             .collect();
-        let remote_range = fabric.domains[(d + DOMAINS / 2) % DOMAINS].devices[0].range;
         // Bookkeeping: fabric-grade active messages on the FCC path
         // (shared-memory function launch, ~100 ns context switch). On
         // the baseline the same version bump is an RPC round through the
@@ -390,8 +315,8 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
             // cluster does not convoy the queue.
             let agents: Vec<ComponentId> = (0..48)
                 .map(|a| {
-                    let fha = fabric.domains[d].hosts[TENANTS_PER_DOMAIN + a % 2].fha;
-                    sharded.engine_mut(d).add_component(
+                    let fha = chain.fabric.domains[d].hosts[TENANTS_PER_DOMAIN + a % 2].fha;
+                    chain.sharded.engine_mut(d).add_component(
                         format!("mig-{}-d{d}a{a}", mode.label()),
                         MigrationAgent::new(fha, 4096, 8),
                     )
@@ -401,24 +326,21 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
             if mode == Mode::On {
                 // Same partition as the switches: one policy surface
                 // for fabric admission and host-side pacing.
-                te.source_budgets(&tenant_rates(
-                    &pod_partition(),
-                    BUDGET_GBPS,
-                    BUDGET_FLIT_BYTES,
-                ));
+                te.source_budgets(&tenant_rates(&part, BUDGET_GBPS, BUDGET_FLIT_BYTES));
             }
-            let etrans = sharded
+            let etrans = chain
+                .sharded
                 .engine_mut(d)
                 .add_component(format!("etrans-{}-d{d}", mode.label()), te);
             Backend::Fabric { etrans }
         } else {
-            let nic = sharded.engine_mut(d).add_component(
+            let nic = chain.sharded.engine_mut(d).add_component(
                 format!("nic-{}-d{d}", mode.label()),
                 RdmaNic::new(RdmaConfig::kernel_bypass()),
             );
             Backend::Rdma { nic }
         };
-        let faa = sharded.engine_mut(d).add_component(
+        let faa = chain.sharded.engine_mut(d).add_component(
             format!("faa-{}-d{d}", mode.label()),
             FaaEngine::new(
                 vec![
@@ -446,7 +368,8 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
             #[allow(clippy::expect_used)]
             store.preload(key, value_bytes(key)).expect("keyspace fits");
         }
-        let store_id = sharded
+        let store_id = chain
+            .sharded
             .engine_mut(d)
             .add_component(format!("kv-{}-d{d}", mode.label()), store);
         stores.push(store_id);
@@ -471,7 +394,7 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
             if let Some(sink) = cap.domain_sink(d) {
                 client.set_trace(sink.track(&format!("client-d{d}h{h}")));
             }
-            let engine = sharded.engine_mut(d);
+            let engine = chain.sharded.engine_mut(d);
             let cid = engine.add_component(format!("client-{}-d{d}h{h}", mode.label()), client);
             engine.post(cid, SimTime::ZERO, StartClient);
             clients.push((d, cid));
@@ -479,36 +402,16 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
         // The E12 interference pair rides along on the FCC runs.
         if mode.is_fcc() {
             for h in [CLIENTS_PER_DOMAIN, CLIENTS_PER_DOMAIN + 1] {
-                let fha = fabric.domains[d].hosts[h].fha;
-                let (base, op_bytes, window) = if h == CLIENTS_PER_DOMAIN {
-                    (local_range.base + (1 << 27), BULK_BYTES, 8)
-                } else {
-                    (remote_range.base + (1 << 27), 64, HOG_WINDOW)
-                };
-                let cfg = LoadCfg {
-                    fha,
-                    base,
-                    len: 1 << 20,
-                    op_bytes,
-                    write: true,
-                    window,
-                    count: None,
-                    stop_at: horizon,
-                    pattern: AddrPattern::Sequential,
-                };
-                let engine = sharded.engine_mut(d);
-                let lg = engine
-                    .add_component(format!("load-{}-d{d}h{h}", mode.label()), LoadGen::new(cfg));
-                engine.post(lg, SimTime::ZERO, StartLoad);
+                chain.load(d, h, &format!("load-{}-", mode.label()), PAIR_REGIONS);
             }
         }
     }
-    sharded.run(shards);
+    chain.sharded.run(shards);
     // Deterministic harvest, in domain order.
-    let violations = fabric.audit(&sharded).findings.len() as u64;
+    let violations = chain.harvest().findings;
     let mut lost_objects = 0u64;
     for (d, &store_id) in stores.iter().enumerate() {
-        let s = sharded.engine(d).component::<KvStore>(store_id);
+        let s = chain.sharded.engine(d).component::<KvStore>(store_id);
         lost_objects += s.lost_updates.get() + s.alloc_failures.get() + s.integrity_violations();
         if cap.is_enabled() {
             let prefix = format!("e13-{}-d{d}.kv.", mode.label());
@@ -528,7 +431,7 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
     let mut trough = SloAccountant::new(slo_target);
     let mut completed = 0u64;
     for &(d, cid) in &clients {
-        let c = sharded.engine(d).component::<ServeClient>(cid);
+        let c = chain.sharded.engine(d).component::<ServeClient>(cid);
         peak.merge(c.peak_slo());
         trough.merge(c.trough_slo());
         completed += c.completed.get();
@@ -537,14 +440,14 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
         peak.export(&format!("e13-{}-peak.", mode.label()), &mut cap.metrics);
         trough.export(&format!("e13-{}-trough.", mode.label()), &mut cap.metrics);
     }
-    cap.end_sharded(&label, &sharded, &fabric);
+    cap.end_sharded(&label, &chain.sharded, &chain.fabric);
     ModeRun {
         peak,
         trough,
         lost_objects,
         completed,
         violations,
-        events: sharded.total_events(),
+        events: chain.sharded.total_events(),
     }
 }
 

@@ -31,11 +31,6 @@ use fcc_sim::{Engine, SimTime, SummaryNs};
 use crate::capture::Capture;
 use crate::loadgen::{AddrPattern, LoadCfg, LoadGen, StartLoad};
 
-/// FabreX-like link: short cable, fast SerDes.
-pub(crate) fn fabrex_phys() -> PhysConfig {
-    PhysConfig::omega_like() // 25 ns propagation, 512 Gbit/s.
-}
-
 /// A FabreX-attached FPGA-card-like endpoint: per-byte controller
 /// occupancy makes 16 KiB writes hold the device ~256x longer than 64 B
 /// ones, as on the shared U55C card.
@@ -54,7 +49,9 @@ pub(crate) fn fabrex_device() -> Box<dyn Endpoint> {
 pub(crate) fn fabrex_spec(queueing: QueueDiscipline, allocation: AllocPolicy) -> TopologySpec {
     TopologySpec {
         switch: SwitchConfig {
-            phys: fabrex_phys(),
+            // FabreX-like link: short cable, fast SerDes (25 ns
+            // propagation, 512 Gbit/s).
+            phys: PhysConfig::omega_like(),
             fwd_latency: SimTime::from_ns(90.0),
             queueing,
             allocation,

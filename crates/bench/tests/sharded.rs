@@ -9,6 +9,11 @@
 //! (`e3e`, `e5`, `e11`) ignore the knob entirely — they ride along here
 //! to pin that passing `--shards` through the harness is a no-op for
 //! them.
+//!
+//! The serial run is also pinned across commits: its four exports must
+//! hash to the FNV-1a digests recorded in `SERIAL_DIGESTS`. A refactor
+//! that keeps every export byte-identical leaves them alone; a change
+//! that alters an export on purpose records the new digests here.
 
 use fcc_bench::capture::Capture;
 use fcc_bench::harness::{results_json, run_ids, ScenarioOutput};
@@ -22,6 +27,23 @@ fn ids() -> Vec<String> {
         .iter()
         .map(ToString::to_string)
         .collect()
+}
+
+/// FNV-1a (64-bit) digests of the serial quick seed-0 run's report text,
+/// scalar JSON, trace JSON and metrics JSON, in that order.
+const SERIAL_DIGESTS: [u64; 4] = [
+    0x9c55_a959_582b_687c,
+    0x6a83_a4b8_e8e6_5137,
+    0x9848_8561_26c4_3bda,
+    0xe6c5_3b0f_e74b_3fe8,
+];
+
+/// 64-bit FNV-1a: a fixed hash, unlike `DefaultHasher`, whose output may
+/// change between toolchains.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Reassembles outputs exactly the way the `experiments` binary does.
@@ -49,6 +71,11 @@ fn assemble(outputs: Vec<ScenarioOutput>) -> (String, String, String, String) {
 #[test]
 fn sharded_runs_are_byte_identical_for_every_worker_count() {
     let serial = assemble(run_ids(&ids(), true, 0, 1, true, 1));
+    let digests = [&serial.0, &serial.1, &serial.2, &serial.3].map(|s| fnv1a(s.as_bytes()));
+    assert_eq!(
+        digests, SERIAL_DIGESTS,
+        "serial exports changed; their digests are now {digests:#018x?}"
+    );
     for shards in [2, 4, 8] {
         let sharded = assemble(run_ids(&ids(), true, 0, 1, true, shards));
         assert_eq!(

@@ -572,36 +572,19 @@ struct ResponseDue {
 
 impl Fea {
     /// Creates an endpoint adapter around `device` with a deep (32-entry)
-    /// device admission queue.
+    /// device admission queue; [`Fea::set_queue_depth`] changes it.
     pub fn new(
         node: NodeId,
         phys: PhysConfig,
         credit: CreditConfig,
         device: Box<dyn Endpoint>,
     ) -> Self {
-        Self::with_queue_depth(node, phys, credit, device, 32)
-    }
-
-    /// Creates an endpoint adapter with an explicit device admission queue
-    /// depth (small depths make slow devices backpressure the fabric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue_depth` is zero.
-    pub fn with_queue_depth(
-        node: NodeId,
-        phys: PhysConfig,
-        credit: CreditConfig,
-        device: Box<dyn Endpoint>,
-        queue_depth: usize,
-    ) -> Self {
-        assert!(queue_depth > 0, "need at least one admission slot");
         Fea {
             node,
             port: LinkPort::new(phys, credit),
             device,
             reassembly: BTreeMap::new(),
-            queue_depth,
+            queue_depth: 32,
             in_service: 0,
             waiting: VecDeque::new(),
             trace: Track::default(),

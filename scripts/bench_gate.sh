@@ -2,8 +2,8 @@
 # Wall-clock regression gate: measures every experiment scenario (median
 # of 3 runs) and compares against the committed baseline in
 # BENCH_experiments.json, failing on a >25% wall-clock regression or any
-# event-count drift (event counts are deterministic, so drift means the
-# simulation changed, not the machine).
+# drift in event counts or scalar results (both are deterministic, so
+# drift means the simulation changed, not the machine).
 #
 # A second gate covers the sharded executor: the e3x scenario (64
 # tenants over an 8-domain chain) runs serially and with --shards 4,
