@@ -16,22 +16,27 @@
 //!   the active window `[cur_day, cur_day + nbuckets)`. Because the window
 //!   spans each ring residue exactly once, a bucket never mixes events of
 //!   two different days.
-//! * **Bucket order invariant** — each bucket is kept sorted by
-//!   `(time, seq)` *descending*, so the next event of the current day pops
-//!   from the back in `O(1)`. Inserts into the window binary-search their
-//!   slot; with a sane width a bucket holds a handful of entries, so the
-//!   memmove is a few dozen bytes.
-//! * **Far invariant** — events beyond the window sit in a min-heap
-//!   (`far`). Whenever `cur_day` advances, any `far` events whose day
-//!   entered the window migrate into the ring, so the ring-first pop order
-//!   is always globally correct.
+//! * **Bucket order invariant** — each bucket is a singly linked chain in
+//!   ascending `(time, seq)` order, threaded through one dense node array
+//!   indexed by the entry's `id`. A bucket owns no storage: it is a `u32`
+//!   head and a `u32` tail. A push appends at the tail in `O(1)` and walks
+//!   the chain from the head only when the new entry sorts before the
+//!   tail; a pop unlinks the head.
+//! * **Ring before far** — events beyond the window sit in a min-heap
+//!   (`far`), and every far event's day is at or past the window's end.
+//!   Whenever `cur_day` advances, the far events whose day entered the
+//!   window migrate into the ring, so every ring event sorts before every
+//!   far event. A non-empty cursor bucket's head is therefore the queue
+//!   minimum, and `peek`/`pop` read it without looking at the far heap.
 //! * **Occupancy bitmap** — one bit per bucket lets the cursor skip runs
 //!   of empty days with `trailing_zeros` instead of probing buckets one by
 //!   one, which keeps sparse phases (a lone millisecond timer) cheap.
 //!
 //! The queue stores `(time, seq, id)` triples where `id` indexes the
-//! engine's event slab; entries are 24 bytes and `Copy`, so bucket
-//! shuffles never touch the event payloads themselves.
+//! engine's event slab. Ids must be unique among queued entries (the slab
+//! never hands out a live slot twice); a popped id may be pushed again.
+//! The node array grows to the largest id seen and is reused for the
+//! queue's life, so the steady state pushes and pops without allocating.
 //!
 //! Determinism: pop order is exactly ascending `(time, seq)` — the same
 //! total order the seed heap produced — which `tests` verify against a
@@ -59,10 +64,41 @@ pub struct CalEntry {
 const BUCKET_SHIFT: u32 = 12;
 const WIDTH_SHIFT: u32 = 10;
 
+/// Chain terminator: an empty bucket's head, a chain's last `next`.
+const NIL: u32 = u32::MAX;
+/// `next` of a node whose id is not in the ring or the far heap.
+const IDLE: u32 = u32::MAX - 1;
+
+/// One ring entry's key and its successor in the bucket chain.
+#[derive(Clone, Copy)]
+struct Node {
+    time: u64,
+    seq: u64,
+    /// Next id in the chain, `NIL` at the tail (or while parked in the
+    /// far heap), `IDLE` when the id is not queued.
+    next: u32,
+}
+
+/// One bucket: the ends of its chain (`head == NIL` when empty; `tail` is
+/// then stale).
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+/// A bucket with no chain.
+const EMPTY: Chain = Chain {
+    head: NIL,
+    tail: NIL,
+};
+
 /// A monotone priority queue over `(time, seq)` keys.
 pub struct CalendarQueue {
+    /// Chain links and keys, indexed by entry id.
+    nodes: Vec<Node>,
     /// The bucket ring; see module docs for the invariants.
-    buckets: Vec<Vec<CalEntry>>,
+    chains: Vec<Chain>,
     /// `nbuckets - 1`, for masking a day onto the ring.
     mask: u64,
     /// Day the cursor is parked on; no queued event is earlier.
@@ -86,7 +122,8 @@ impl CalendarQueue {
     pub fn new() -> Self {
         let nbuckets = 1usize << BUCKET_SHIFT;
         CalendarQueue {
-            buckets: vec![Vec::new(); nbuckets],
+            nodes: Vec::new(),
+            chains: vec![EMPTY; nbuckets],
             mask: (nbuckets - 1) as u64,
             cur_day: 0,
             ring_len: 0,
@@ -103,6 +140,11 @@ impl CalendarQueue {
     #[inline]
     fn nbuckets(&self) -> u64 {
         self.mask + 1
+    }
+
+    #[inline]
+    fn bucket_of(&self, day: u64) -> usize {
+        (day & self.mask) as usize
     }
 
     /// Total queued entries (ring plus far heap).
@@ -125,44 +167,124 @@ impl CalendarQueue {
         }
     }
 
-    /// Inserts an entry. Engine scheduling guarantees `entry.time` is never
-    /// before the last popped time, which is what keeps the window
-    /// invariant cheap to maintain.
+    /// The queued entry whose node is `id`.
+    #[inline]
+    fn entry(&self, id: u32) -> CalEntry {
+        let n = self.nodes[id as usize];
+        CalEntry {
+            time: n.time,
+            seq: n.seq,
+            id,
+        }
+    }
+
+    /// The node for `id`, growing the array to cover it.
+    #[inline]
+    fn node_mut(&mut self, id: u32) -> &mut Node {
+        let i = id as usize;
+        if i >= self.nodes.len() {
+            let idle = Node {
+                time: 0,
+                seq: 0,
+                next: IDLE,
+            };
+            self.nodes.resize(i + 1, idle);
+        }
+        &mut self.nodes[i]
+    }
+
+    /// Inserts an entry.
+    ///
+    /// Preconditions (the engine's scheduling contract): `entry.time` is
+    /// never before the last popped time, which keeps the window invariant
+    /// cheap to maintain; and `entry.id` is not currently queued, because
+    /// the id names the entry's node in the chain array. Both are checked
+    /// by debug assertions.
     pub fn push(&mut self, entry: CalEntry) {
         let day = Self::day_of(entry.time);
         debug_assert!(day >= self.cur_day, "scheduling into a past day");
+        debug_assert!(
+            self.nodes
+                .get(entry.id as usize)
+                .is_none_or(|n| n.next == IDLE),
+            "id {} is already queued",
+            entry.id
+        );
         if day >= self.cur_day + self.nbuckets() {
+            self.node_mut(entry.id).next = NIL;
             self.far.push(Reverse(entry));
             return;
         }
-        let bucket = (day & self.mask) as usize;
-        let vec = &mut self.buckets[bucket];
-        // Descending order: find the first element smaller than `entry`
-        // and insert before it (back of the vec is the minimum).
-        let pos = vec.partition_point(|e| (e.time, e.seq) > (entry.time, entry.seq));
-        vec.insert(pos, entry);
-        self.ring_len += 1;
-        self.mark(bucket, true);
+        self.link(day, entry);
     }
 
-    /// Moves far events whose day has entered the window into the ring.
-    fn migrate_far(&mut self) {
-        let window_end = self.cur_day + self.nbuckets();
-        while let Some(Reverse(top)) = self.far.peek() {
-            if Self::day_of(top.time) >= window_end {
-                break;
-            }
-            // Far entries migrate through the normal insert path; `pop`
-            // below has already advanced `cur_day`, so they land in-window.
-            #[allow(clippy::expect_used)] // peek() above guarantees Some
-            let Reverse(entry) = self.far.pop().expect("peeked entry present");
-            let day = Self::day_of(entry.time);
-            let bucket = (day & self.mask) as usize;
-            let vec = &mut self.buckets[bucket];
-            let pos = vec.partition_point(|e| (e.time, e.seq) > (entry.time, entry.seq));
-            vec.insert(pos, entry);
-            self.ring_len += 1;
+    /// Links `entry` into the chain of in-window `day`, keeping the chain
+    /// ascending.
+    fn link(&mut self, day: u64, entry: CalEntry) {
+        let (id, key) = (entry.id, (entry.time, entry.seq));
+        *self.node_mut(id) = Node {
+            time: entry.time,
+            seq: entry.seq,
+            next: NIL,
+        };
+        let bucket = self.bucket_of(day);
+        let Chain { head, tail } = self.chains[bucket];
+        self.ring_len += 1;
+        if head == NIL {
+            self.chains[bucket] = Chain { head: id, tail: id };
             self.mark(bucket, true);
+            return;
+        }
+        let key_of = |n: &Node| (n.time, n.seq);
+        if key_of(&self.nodes[tail as usize]) < key {
+            self.nodes[tail as usize].next = id;
+            self.chains[bucket].tail = id;
+            return;
+        }
+        // Sorts before the tail: walk to the first later node. The walk
+        // stops at the tail at the latest, so it never leaves the chain.
+        let (mut prev, mut cur) = (NIL, head);
+        while key_of(&self.nodes[cur as usize]) < key {
+            prev = cur;
+            cur = self.nodes[cur as usize].next;
+        }
+        self.nodes[id as usize].next = cur;
+        if prev == NIL {
+            self.chains[bucket].head = id;
+        } else {
+            self.nodes[prev as usize].next = id;
+        }
+    }
+
+    /// Removes the head of `bucket`'s (non-empty) chain.
+    #[inline]
+    fn unlink_head(&mut self, bucket: usize) {
+        let id = self.chains[bucket].head;
+        let node = &mut self.nodes[id as usize];
+        let next = node.next;
+        node.next = IDLE;
+        self.chains[bucket].head = next;
+        if next == NIL {
+            self.mark(bucket, false);
+        }
+        self.ring_len -= 1;
+    }
+
+    /// Parks the cursor on `day` and moves far events whose day has
+    /// entered the window into the ring. Every migrated day lies past the
+    /// old window's end, so its bucket was emptied before the cursor got
+    /// here and the entries (popped in order) append at the tail.
+    fn advance(&mut self, day: u64) {
+        self.cur_day = day;
+        let window_end = day + self.nbuckets();
+        while self
+            .far
+            .peek()
+            .is_some_and(|Reverse(top)| Self::day_of(top.time) < window_end)
+        {
+            if let Some(Reverse(entry)) = self.far.pop() {
+                self.link(Self::day_of(entry.time), entry);
+            }
         }
     }
 
@@ -173,7 +295,7 @@ impl CalendarQueue {
             return None;
         }
         let nbuckets = self.nbuckets() as usize;
-        let start = (self.cur_day & self.mask) as usize;
+        let start = self.bucket_of(self.cur_day);
         let words = self.occupancy.len();
         let (start_word, start_bit) = (start / 64, start % 64);
         // Scan the bitmap circularly from `start`; because every ring
@@ -206,64 +328,72 @@ impl CalendarQueue {
         None
     }
 
+    /// The minimum when the cursor's bucket is empty: the head of the next
+    /// occupied day, else (ring empty) the far heap's minimum.
+    fn peek_later(&self) -> Option<CalEntry> {
+        match self.next_occupied_day() {
+            Some(day) => Some(self.entry(self.chains[self.bucket_of(day)].head)),
+            None => self.far.peek().map(|Reverse(e)| *e),
+        }
+    }
+
     /// The smallest `(time, seq)` entry, if any, without removing it.
     pub fn peek(&self) -> Option<CalEntry> {
-        let ring_min = self.next_occupied_day().and_then(|day| {
-            let bucket = (day & self.mask) as usize;
-            self.buckets[bucket].last().copied()
-        });
-        let far_min = self.far.peek().map(|Reverse(e)| *e);
-        match (ring_min, far_min) {
-            (Some(r), Some(f)) => Some(if (r.time, r.seq) <= (f.time, f.seq) {
-                r
-            } else {
-                f
-            }),
-            (Some(r), None) => Some(r),
-            (None, Some(f)) => Some(f),
-            (None, None) => None,
+        let head = self.chains[self.bucket_of(self.cur_day)].head;
+        if head != NIL {
+            return Some(self.entry(head));
         }
+        self.peek_later()
     }
 
     /// Removes and returns the smallest `(time, seq)` entry.
     pub fn pop(&mut self) -> Option<CalEntry> {
-        if self.ring_len == 0 {
-            // Ring drained: jump the cursor straight to the earliest far
-            // day (if any) and refill the window.
-            let Reverse(top) = self.far.peek()?;
-            self.cur_day = Self::day_of(top.time);
-            self.migrate_far();
+        self.pop_if(u64::MAX, |_| true)
+    }
+
+    /// Removes and returns the smallest entry if its time is at most
+    /// `deadline` and `accept` approves it; otherwise leaves the queue
+    /// (cursor included) untouched and returns `None`.
+    ///
+    /// One probe serves a deadline-bounded run loop and a batch that
+    /// extends while the next event matches: `accept` sees only the
+    /// minimum. The cursor moves only when an entry is actually removed,
+    /// so a caller may still push at any time from the last popped one on.
+    pub fn pop_if(
+        &mut self,
+        deadline: u64,
+        accept: impl FnOnce(CalEntry) -> bool,
+    ) -> Option<CalEntry> {
+        let mut bucket = self.bucket_of(self.cur_day);
+        let head = self.chains[bucket].head;
+        let entry = if head != NIL {
+            self.entry(head)
+        } else if Self::day_of(deadline) <= self.cur_day {
+            // The cursor's day is empty, so the minimum is past `deadline`.
+            return None;
+        } else {
+            self.peek_later()?
+        };
+        if entry.time > deadline || !accept(entry) {
+            return None;
         }
-        loop {
-            if let Some(day) = self.next_occupied_day() {
-                if day != self.cur_day {
-                    // Advance the cursor; far events may have entered the
-                    // window and can sort before the ring's next day.
-                    self.cur_day = day;
-                    self.migrate_far();
-                    continue;
-                }
-                let bucket = (day & self.mask) as usize;
-                // Occupancy bit set implies a non-empty bucket.
-                #[allow(clippy::expect_used)]
-                let entry = self.buckets[bucket].pop().expect("occupied bucket");
-                if self.buckets[bucket].is_empty() {
-                    self.mark(bucket, false);
-                }
-                self.ring_len -= 1;
-                return Some(entry);
-            }
-            // Ring empty again (migration raced the cursor forward).
-            let Reverse(top) = self.far.peek()?;
-            self.cur_day = Self::day_of(top.time);
-            self.migrate_far();
+        if head == NIL {
+            // Migration cannot disturb the target bucket (migrated days
+            // lie past the old window's end), so its head is still `entry`.
+            let day = Self::day_of(entry.time);
+            self.advance(day);
+            bucket = self.bucket_of(day);
+            debug_assert_eq!(self.chains[bucket].head, entry.id);
         }
+        self.unlink_head(bucket);
+        Some(entry)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     use super::*;
 
@@ -281,6 +411,23 @@ mod tests {
 
         fn pop(&mut self) -> Option<CalEntry> {
             self.heap.pop().map(|Reverse(e)| e)
+        }
+
+        fn peek(&self) -> Option<CalEntry> {
+            self.heap.peek().map(|Reverse(e)| *e)
+        }
+
+        fn pop_if(
+            &mut self,
+            deadline: u64,
+            accept: impl FnOnce(CalEntry) -> bool,
+        ) -> Option<CalEntry> {
+            let min = self.peek()?;
+            if min.time <= deadline && accept(min) {
+                self.pop()
+            } else {
+                None
+            }
         }
     }
 
@@ -364,42 +511,111 @@ mod tests {
         assert_eq!(q.pop().map(|e| e.seq), Some(3));
     }
 
+    /// One step of an engine-like driver for the oracle test.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Pop the minimum.
+        Pop,
+        /// One-probe pop through `now + slack`; `even_only` rejects odd
+        /// ids the way a batch rejects a message for another target.
+        PopIf { slack: u64, even_only: bool },
+        /// Push `count` entries at `now + delay`; `count > 1` is a burst
+        /// of equal timestamps that only `seq` orders.
+        Push { delay: u64, count: usize },
+    }
+
+    /// Draws [`Op`]s: pops and deadline pops, and pushes whose delay
+    /// falls in one of four classes (zero, within a bucket, a few buckets,
+    /// beyond the window).
+    struct EngineOp;
+
+    impl Strategy for EngineOp {
+        type Value = Op;
+
+        fn generate(&self, rng: &mut TestRng) -> Op {
+            let width = 1u64 << WIDTH_SHIFT;
+            let window = width << BUCKET_SHIFT;
+            match rng.below(9) {
+                0..=2 => Op::Pop,
+                3..=4 => {
+                    let slack = match rng.below(3) {
+                        0 => 0,
+                        1 => rng.below(4 * width),
+                        _ => rng.below(2 * window),
+                    };
+                    let even_only = rng.below(2) == 0;
+                    Op::PopIf { slack, even_only }
+                }
+                _ => {
+                    let delay = match rng.below(4) {
+                        // Zero delay lands in the cursor's own day.
+                        0 => 0,
+                        1 => 1 + rng.below(width - 1),
+                        2 => width + rng.below(63 * width),
+                        _ => window + rng.below(999 * window),
+                    };
+                    let count = if rng.below(4) == 0 {
+                        2 + rng.below(4) as usize
+                    } else {
+                        1
+                    };
+                    Op::Push { delay, count }
+                }
+            }
+        }
+    }
+
     proptest! {
-        /// The calendar queue and the heap oracle agree on pop order for
-        /// arbitrary monotone insert/pop interleavings (ops never schedule
-        /// before the last popped time, matching the engine contract).
+        /// The calendar queue and the heap oracle agree on every pop,
+        /// deadline pop and peek for arbitrary monotone interleavings
+        /// (pushes never land before the last popped time, matching the
+        /// engine contract). Ids are recycled LIFO like the engine's slab,
+        /// so the id-indexed chains see reuse while staying unique among
+        /// queued entries.
         #[test]
-        fn matches_heap_oracle(
-            ops in prop::collection::vec((0u64..3, 0u64..200_000u64), 1..400),
-        ) {
+        fn matches_heap_oracle(ops in prop::collection::vec(EngineOp, 1..400)) {
             let mut cal = CalendarQueue::new();
             let mut oracle = HeapOracle::default();
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            for (op, delay) in ops {
-                if op == 0 {
-                    // Pop from both; results must match.
-                    let a = cal.pop();
-                    let b = oracle.pop();
-                    prop_assert_eq!(a, b);
-                    if let Some(e) = a {
-                        now = e.time;
+            let (mut seq, mut now, mut fresh) = (0u64, 0u64, 0u32);
+            let mut free: Vec<u32> = Vec::new();
+            for op in ops {
+                let popped = match op {
+                    Op::Pop => {
+                        let a = cal.pop();
+                        prop_assert_eq!(a, oracle.pop());
+                        a
                     }
-                } else {
-                    // Push at now + delay (op==2 stretches far beyond the
-                    // window to exercise the far heap).
-                    let t = now + if op == 2 { delay * 100_000 } else { delay };
-                    let e = entry(t, seq);
-                    seq += 1;
-                    cal.push(e);
-                    oracle.push(e);
+                    Op::PopIf { slack, even_only } => {
+                        let accept = |e: CalEntry| !even_only || e.id.is_multiple_of(2);
+                        let a = cal.pop_if(now + slack, accept);
+                        prop_assert_eq!(a, oracle.pop_if(now + slack, accept));
+                        a
+                    }
+                    Op::Push { delay, count } => {
+                        for _ in 0..count {
+                            let id = free.pop().unwrap_or_else(|| {
+                                fresh += 1;
+                                fresh - 1
+                            });
+                            let e = CalEntry { time: now + delay, seq, id };
+                            seq += 1;
+                            cal.push(e);
+                            oracle.push(e);
+                        }
+                        None
+                    }
+                };
+                if let Some(e) = popped {
+                    now = e.time;
+                    free.push(e.id);
                 }
+                prop_assert_eq!(cal.peek(), oracle.peek());
+                prop_assert_eq!(cal.len(), oracle.heap.len());
             }
             // Drain both completely.
             loop {
                 let a = cal.pop();
-                let b = oracle.pop();
-                prop_assert_eq!(a, b);
+                prop_assert_eq!(a, oracle.pop());
                 if a.is_none() {
                     break;
                 }

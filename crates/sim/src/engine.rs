@@ -6,9 +6,11 @@
 //!   assigned at scheduling time, which makes simultaneous events fire in
 //!   scheduling order and keeps runs deterministic.
 //! * The pending set lives in an indexed calendar queue (see
-//!   [`crate::calendar`]) holding 24-byte `(time, seq, id)` entries; event
-//!   bodies sit in a slab recycled through a free list, so the steady-state
-//!   loop schedules and retires events without allocating.
+//!   [`crate::calendar`]) whose buckets chain `(time, seq)` keys through
+//!   one node array indexed by the event's slab id; event bodies sit in a
+//!   slab recycled through a free list, so the steady-state loop schedules
+//!   and retires events without allocating. Each dispatch probes the queue
+//!   once ([`CalendarQueue::pop_if`]).
 //! * Consecutive same-timestamp messages to one component are delivered as
 //!   a single batch: the component is checked out of its slot once and
 //!   receives the run through [`Component::on_batch`] (default: a loop over
@@ -242,13 +244,16 @@ impl EngineCore {
         }
     }
 
-    /// Whether queue entry `e` is a message for `target` (used to extend
-    /// a delivery batch without retiring the slot yet).
-    fn is_message_for(&self, e: CalEntry, target: ComponentId) -> bool {
-        matches!(
-            &self.slab[e.id as usize],
-            Slot::Occupied(EventKind::Message { target: t, .. }) if *t == target
-        )
+    /// Pops the next queued event if it is a message for `target` due at
+    /// `time` (used to extend a delivery batch in one queue probe).
+    fn pop_message_for(&mut self, time: SimTime, target: ComponentId) -> Option<CalEntry> {
+        let slab = &self.slab;
+        self.queue.pop_if(time.as_ps(), |e| {
+            matches!(
+                &slab[e.id as usize],
+                Slot::Occupied(EventKind::Message { target: t, .. }) if *t == target
+            )
+        })
     }
 }
 
@@ -520,17 +525,11 @@ impl Engine {
         // their larger sequence numbers and fire in global order later.
         debug_assert!(self.batch_buf.is_empty());
         self.batch_buf.push(first);
-        while let Some(next) = self.core.queue.peek() {
-            if next.time != time.as_ps() || !self.core.is_message_for(next, target) {
-                break;
-            }
-            let Some(e) = self.core.queue.pop() else {
-                break;
-            };
+        while let Some(e) = self.core.pop_message_for(time, target) {
             match self.core.take(e.id) {
                 EventKind::Message { msg, .. } => self.batch_buf.push(msg),
-                // fcc-lint: allow(panic-in-lib) -- is_message_for only matches Message entries
-                EventKind::Call(_) => unreachable!("is_message_for matched a closure"),
+                // fcc-lint: allow(panic-in-lib) -- pop_message_for only matches Message entries
+                EventKind::Call(_) => unreachable!("pop_message_for matched a closure"),
             }
         }
         let n = self.batch_buf.len();
@@ -597,14 +596,8 @@ impl Engine {
     /// the later of its current value and `deadline` only if an event
     /// actually reached it (the clock never runs ahead of dispatched work).
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        loop {
-            match self.core.queue.peek() {
-                Some(e) if e.time <= deadline.as_ps() => {}
-                _ => break,
-            }
-            if let Some(entry) = self.core.queue.pop() {
-                self.dispatch(entry);
-            }
+        while let Some(entry) = self.core.queue.pop_if(deadline.as_ps(), |_| true) {
+            self.dispatch(entry);
         }
         self.core.now
     }
@@ -825,6 +818,10 @@ impl Ctx<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use std::sync::{Arc, Mutex};
+
     use rand::Rng;
 
     use super::*;
@@ -1152,6 +1149,192 @@ mod tests {
             .map(|&(_, v)| v)
             .collect();
         assert_eq!(values, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// A message of the dispatch-order test. Its children are a pure
+    /// function of `tag`, so a replay can regenerate them.
+    struct Spark {
+        tag: u64,
+        gen: u32,
+    }
+
+    /// One logged delivery: `(batch, time ps, target index, tag)`.
+    type Delivery = (u64, u64, usize, u64);
+
+    /// Deliveries from every component, in dispatch order, numbered by
+    /// the `on_msg`/`on_batch` call that received them.
+    #[derive(Default)]
+    struct SparkLog {
+        batches: u64,
+        deliveries: Vec<Delivery>,
+    }
+
+    /// Relays each spark to its children and logs every delivery.
+    struct Sparker {
+        index: usize,
+        peers: Vec<ComponentId>,
+        log: Arc<Mutex<SparkLog>>,
+    }
+
+    const SPARK_TARGETS: usize = 4;
+    const SPARK_GENS: u32 = 10;
+
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The children of spark `tag`: `(target, delay ps, tag)`. Delays are
+    /// zero, under one calendar bucket (1024 ps), a few buckets, or past
+    /// the ~4.2 µs window; the coarse grid makes same-time runs common.
+    fn spark_children(tag: u64, gen: u32) -> Vec<(usize, u64, u64)> {
+        if gen >= SPARK_GENS {
+            return Vec::new();
+        }
+        let h = mix(tag);
+        (0..h % 3)
+            .map(|i| {
+                let c = mix(h ^ (i + 1));
+                let pick = (c >> 16) % 3;
+                let delay = match (c >> 8) % 4 {
+                    0 => 0,
+                    1 => 256 * (1 + pick),
+                    2 => 2048 << pick,
+                    _ => 5_000_000 * (1 + pick),
+                };
+                ((c % SPARK_TARGETS as u64) as usize, delay, c)
+            })
+            .collect()
+    }
+
+    impl Sparker {
+        fn deliver(&mut self, ctx: &mut Ctx<'_>, msgs: Vec<Msg>) {
+            let mut log = self.log.lock().expect("log lock");
+            log.batches += 1;
+            let batch = log.batches;
+            for msg in msgs {
+                let spark = msg.downcast::<Spark>().expect("spark payload");
+                log.deliveries
+                    .push((batch, ctx.now().as_ps(), self.index, spark.tag));
+                for (target, delay, tag) in spark_children(spark.tag, spark.gen) {
+                    let child = Spark {
+                        tag,
+                        gen: spark.gen + 1,
+                    };
+                    ctx.send(self.peers[target], SimTime::from_ps(delay), child);
+                }
+            }
+        }
+    }
+
+    impl Component for Sparker {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            self.deliver(ctx, vec![msg]);
+        }
+
+        fn on_batch(&mut self, ctx: &mut Ctx<'_>, batch: &mut MsgBatch<'_>) {
+            let msgs = std::iter::from_fn(|| batch.next_msg()).collect();
+            self.deliver(ctx, msgs);
+        }
+    }
+
+    /// `(time, seq, target, tag, gen)` of a spark awaiting replay.
+    type QueuedSpark = (u64, u64, usize, u64, u32);
+
+    /// The engine's dispatch order, replayed on a plain `BinaryHeap` of
+    /// `(time, seq)` keys. A batch is a maximal run of same-`(time,
+    /// target)` pops that were all queued before the run's first pop.
+    #[derive(Default)]
+    struct SparkReplay {
+        heap: BinaryHeap<Reverse<QueuedSpark>>,
+        seq: u64,
+        now: u64,
+        /// `(time, target, seq counter at its first pop)` of the open batch.
+        batch_key: Option<(u64, usize, u64)>,
+        log: SparkLog,
+    }
+
+    impl SparkReplay {
+        fn post(&mut self, target: usize, at: u64, tag: u64, gen: u32) {
+            let at = at.max(self.now);
+            self.heap.push(Reverse((at, self.seq, target, tag, gen)));
+            self.seq += 1;
+        }
+
+        fn run_until(&mut self, deadline: u64) {
+            while let Some(&Reverse((time, seq, target, tag, gen))) = self.heap.peek() {
+                if time > deadline {
+                    break;
+                }
+                self.heap.pop();
+                self.now = time;
+                let joins = matches!(self.batch_key,
+                    Some((t, g, start)) if (t, g) == (time, target) && seq < start);
+                if !joins {
+                    self.log.batches += 1;
+                    self.batch_key = Some((time, target, self.seq));
+                }
+                let batch = self.log.batches;
+                self.log.deliveries.push((batch, time, target, tag));
+                for (child_target, delay, child_tag) in spark_children(tag, gen) {
+                    self.post(child_target, time + delay, child_tag, gen + 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_order_and_batches_match_a_heap_replay() {
+        for seed in 0..24u64 {
+            let log = Arc::new(Mutex::new(SparkLog::default()));
+            let mut engine = Engine::new(seed);
+            // Components are numbered in insertion order.
+            let ids: Vec<ComponentId> = (0..SPARK_TARGETS as u32).map(ComponentId).collect();
+            for index in 0..SPARK_TARGETS {
+                let sparker = Sparker {
+                    index,
+                    peers: ids.clone(),
+                    log: log.clone(),
+                };
+                assert_eq!(
+                    engine.add_component(format!("s{index}"), sparker),
+                    ids[index]
+                );
+            }
+            let mut replay = SparkReplay::default();
+            // Harness posts between bounded runs: bursts at `now` (into the
+            // cursor's own day), near and far, then a deadline that may fall
+            // mid-bucket, several buckets out, or past the window.
+            for round in 0..12u64 {
+                for k in 0..6u64 {
+                    let h = mix(seed << 32 | round << 8 | k);
+                    let target = (h % SPARK_TARGETS as u64) as usize;
+                    let at = engine.now().as_ps() + [0, 0, 512, 3072][(h >> 8) as usize % 4];
+                    engine.post(ids[target], SimTime::from_ps(at), Spark { tag: h, gen: 0 });
+                    replay.post(target, at, h, 0);
+                }
+                let step = [0, 700, 9000, 6_000_000][(mix(seed ^ round) % 4) as usize];
+                let deadline = engine.now().as_ps() + step;
+                engine.run_until(SimTime::from_ps(deadline));
+                replay.run_until(deadline);
+                assert_eq!(
+                    engine.now().as_ps(),
+                    replay.now,
+                    "seed {seed} round {round}"
+                );
+            }
+            engine.run_until_idle();
+            replay.run_until(u64::MAX);
+            let got = log.lock().expect("log lock");
+            assert_eq!(got.deliveries, replay.log.deliveries, "seed {seed}");
+            assert!(
+                got.batches < got.deliveries.len() as u64,
+                "seed {seed}: no batches formed"
+            );
+            assert_eq!(engine.events_dispatched(), got.deliveries.len() as u64);
+        }
     }
 
     #[test]
