@@ -6,9 +6,9 @@
 //! The shard decomposition is fixed by the topology (one shard per
 //! switch domain); `--shards` only picks the worker-thread fan-out, so
 //! thread scheduling must be unobservable. Single-engine scenarios
-//! (`e3e`, `e5`, `e11`) ignore the knob entirely — they ride along here
-//! to pin that passing `--shards` through the harness is a no-op for
-//! them.
+//! (`e3e`, `e5`, `e11`, `nodes`) ignore the knob entirely — they ride
+//! along here to pin that passing `--shards` through the harness is a
+//! no-op for them.
 //!
 //! The serial run is also pinned across commits: its four exports must
 //! hash to the FNV-1a digests recorded in `SERIAL_DIGESTS`. A refactor
@@ -20,10 +20,11 @@ use fcc_bench::harness::{results_json, run_ids, ScenarioOutput};
 
 /// The sharded scenarios (`e3x`, the scheduler-governed `e12`, the
 /// serving-tier `e13`, and the wormhole pod `e14`) plus single-engine
-/// scenarios from three layers (fabric interference, placement policy,
-/// elastic composition).
+/// scenarios from four layers (fabric interference, placement policy,
+/// elastic composition, and `nodes`, the one scenario whose traffic
+/// ends at a CC-NUMA directory node).
 fn ids() -> Vec<String> {
-    ["e3x", "e12", "e13", "e14", "e3e", "e5", "e11"]
+    ["e3x", "e12", "e13", "e14", "e3e", "e5", "e11", "nodes"]
         .iter()
         .map(ToString::to_string)
         .collect()
@@ -32,8 +33,8 @@ fn ids() -> Vec<String> {
 /// FNV-1a (64-bit) digests of the serial quick seed-0 run's report text,
 /// scalar JSON, trace JSON and metrics JSON, in that order.
 const SERIAL_DIGESTS: [u64; 4] = [
-    0x9c55_a959_582b_687c,
-    0x6a83_a4b8_e8e6_5137,
+    0xea89_3188_3bd7_cf3f,
+    0xcec6_55e8_d0d0_ae4d,
     0x9848_8561_26c4_3bda,
     0xe6c5_3b0f_e74b_3fe8,
 ];

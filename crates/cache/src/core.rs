@@ -212,7 +212,6 @@ impl CpuCore {
 
     fn next_addr(run: &mut RunState) -> Option<(u64, bool)> {
         let (base, region, stride, count, write, _) = run.pattern.params();
-        let per_pass = (region / stride).max(1);
         match run.phase {
             Phase::Warmup => {
                 if run.warmup_left == 0 {
@@ -230,7 +229,6 @@ impl CpuCore {
                 let i = run.next_index;
                 run.next_index += 1;
                 run.issued += 1;
-                let _ = per_pass;
                 Some((base + (i * stride) % region, write))
             }
         }

@@ -415,7 +415,7 @@ impl ElasticCluster {
         reason: DrainReason,
     ) -> EvacuationPlan {
         let now = engine.now();
-        let (plan, node, submissions) = {
+        let (plan, submissions) = {
             let mut st = self.state.lock_state();
             let targets: Vec<usize> = (0..st.heap.node_count())
                 .filter(|&i| i != idx && st.heap.node_state(i) == NodeState::Active)
@@ -453,12 +453,11 @@ impl ElasticCluster {
                     reply_to: self.coordinator,
                 })
                 .collect();
-            (plan, node, submissions)
+            (plan, submissions)
         };
         for sub in submissions {
             engine.post(self.etrans, now, sub);
         }
-        let _ = node;
         if plan.stranded.is_empty() {
             self.schedule_detach(engine, idx, MAX_DETACH_POLLS);
         }

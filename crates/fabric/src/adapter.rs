@@ -12,15 +12,15 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use fcc_proto::addr::{AddrMap, NodeId};
-use fcc_proto::channel::{MemOpcode, Transaction, TransactionKind};
-use fcc_proto::flit::{flits_for_transfer, FlitPayload};
+use fcc_proto::channel::{MemOpcode, MsgClass, Transaction, TransactionKind};
+use fcc_proto::flit::{data_slots, FlitPayload};
 use fcc_proto::link::CreditConfig;
 use fcc_proto::phys::PhysConfig;
 use fcc_sim::{Component, ComponentId, Counter, Ctx, Histogram, Msg, PendingWork, SimTime};
 use fcc_telemetry::{TraceCtx, Track};
 
 use crate::endpoint::Endpoint;
-use crate::port::{FlitMsg, LinkPort, PortEvent};
+use crate::port::{FlitMsg, LinkPort, PortEvent, Reassembler};
 
 /// A host-side memory operation submitted to an [`Fha`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,9 +169,17 @@ struct PendingReq {
     issued_at: SimTime,
     is_read: bool,
     bytes: u32,
-    slots_expected: u64,
+    /// Data slots the response header announced (`None` until it lands).
+    slots_due: Option<u64>,
+    /// Response data slots received so far, before or after the header.
     slots_got: u64,
-    header_got: bool,
+}
+
+impl PendingReq {
+    /// Whether the response header and every slot it announced are in.
+    fn response_whole(&self) -> bool {
+        self.slots_due.is_some_and(|due| self.slots_got >= due)
+    }
 }
 
 /// A human-readable size suffix for RTT span labels (`64B`, `16KiB`).
@@ -306,32 +314,10 @@ impl Fha {
             ctx.now(),
             TraceCtx::new(id),
         );
-        let mode = self.port.phys.flit_mode;
-        let (kind, slots_out, slots_expected) = match req.op {
-            HostOp::Read { bytes, .. } => (
-                TransactionKind::Mem(MemOpcode::MemRd),
-                0,
-                flits_for_transfer(mode, bytes as u64),
-            ),
-            HostOp::Write { bytes, .. } => (
-                TransactionKind::Mem(MemOpcode::MemWr),
-                flits_for_transfer(mode, bytes as u64),
-                0,
-            ),
-            HostOp::Cache { op, bytes, .. } => {
-                let kind = TransactionKind::Cache(op);
-                let out = if kind.carries_data() && bytes > 0 {
-                    flits_for_transfer(mode, bytes as u64)
-                } else {
-                    0
-                };
-                let expect = if req.op.is_read() {
-                    flits_for_transfer(mode, bytes.max(64) as u64)
-                } else {
-                    0
-                };
-                (kind, out, expect)
-            }
+        let kind = match req.op {
+            HostOp::Read { .. } => TransactionKind::Mem(MemOpcode::MemRd),
+            HostOp::Write { .. } => TransactionKind::Mem(MemOpcode::MemWr),
+            HostOp::Cache { op, .. } => TransactionKind::Cache(op),
         };
         let txn = Transaction {
             id,
@@ -349,23 +335,11 @@ impl Fha {
                 issued_at,
                 is_read: req.op.is_read(),
                 bytes: req.op.bytes(),
-                slots_expected,
+                slots_due: None,
                 slots_got: 0,
-                header_got: false,
             },
         );
-        self.port.enqueue(ctx, FlitPayload::Transaction(txn));
-        for slot in 0..slots_out {
-            self.port.enqueue(
-                ctx,
-                FlitPayload::Data {
-                    txn_id: id,
-                    slot: slot as u32,
-                    src: self.node,
-                    dst: decoded.node,
-                },
-            );
-        }
+        self.port.send_transfer(ctx, txn);
     }
 
     fn complete(&mut self, ctx: &mut Ctx<'_>, id: u64) {
@@ -423,13 +397,14 @@ impl Fha {
                     }
                     return;
                 }
+                let mode = self.port.phys.flit_mode;
                 let Some(pending) = self.outstanding.get_mut(&id) else {
                     return;
                 };
-                pending.header_got = true;
-                let done = pending.slots_got >= pending.slots_expected;
-                // Writes complete on Cmp; reads on header + all data slots.
-                if !pending.is_read || done {
+                // Writes complete on Cmp; reads once the data slots the
+                // header announces are in too, whichever arrived first.
+                pending.slots_due = Some(data_slots(mode, &txn));
+                if pending.response_whole() {
                     self.complete(ctx, id);
                 }
             }
@@ -438,7 +413,7 @@ impl Fha {
                     return;
                 };
                 pending.slots_got += 1;
-                if pending.header_got && pending.slots_got >= pending.slots_expected {
+                if pending.response_whole() {
                     self.complete(ctx, txn_id);
                 }
             }
@@ -474,25 +449,7 @@ impl Component for Fha {
         };
         let msg = match msg.downcast::<SnoopReply>() {
             Ok(reply) => {
-                let txn = reply.txn;
-                let slots = if txn.kind.carries_data() && txn.bytes > 0 {
-                    flits_for_transfer(self.port.phys.flit_mode, txn.bytes as u64)
-                } else {
-                    0
-                };
-                let (id, src, dst) = (txn.id, txn.src, txn.dst);
-                self.port.enqueue(ctx, FlitPayload::Transaction(txn));
-                for slot in 0..slots {
-                    self.port.enqueue(
-                        ctx,
-                        FlitPayload::Data {
-                            txn_id: id,
-                            slot: slot as u32,
-                            src,
-                            dst,
-                        },
-                    );
-                }
+                self.port.send_transfer(ctx, reply.txn);
                 return;
             }
             Err(m) => m,
@@ -536,13 +493,6 @@ impl Component for Fha {
     }
 }
 
-#[derive(Debug)]
-struct Reassembly {
-    txn: Transaction,
-    slots_needed: u64,
-    slots_got: u64,
-}
-
 /// The Fabric Endpoint Adapter: terminates the fabric at a device.
 ///
 /// The FEA admits at most `queue_depth` transactions into the device at a
@@ -553,7 +503,7 @@ pub struct Fea {
     node: NodeId,
     port: LinkPort,
     device: Box<dyn Endpoint>,
-    reassembly: BTreeMap<u64, Reassembly>,
+    reassembly: Reassembler,
     queue_depth: usize,
     in_service: usize,
     waiting: VecDeque<(Transaction, SimTime)>,
@@ -567,7 +517,6 @@ pub struct Fea {
 #[derive(Debug)]
 struct ResponseDue {
     txn: Option<Transaction>,
-    slots: u64,
 }
 
 impl Fea {
@@ -583,7 +532,7 @@ impl Fea {
             node,
             port: LinkPort::new(phys, credit),
             device,
-            reassembly: BTreeMap::new(),
+            reassembly: Reassembler::default(),
             queue_depth: 32,
             in_service: 0,
             waiting: VecDeque::new(),
@@ -676,68 +625,23 @@ impl Fea {
         );
         self.serviced.inc();
         let delay = rsp.ready_at - ctx.now();
-        let (response, slots) = match rsp.kind {
-            Some(kind) => {
-                let slots = if kind.carries_data() && rsp.bytes > 0 {
-                    flits_for_transfer(self.port.phys.flit_mode, rsp.bytes as u64)
-                } else {
-                    0
-                };
-                (Some(txn.response(kind, rsp.bytes)), slots)
-            }
-            None => (None, 0),
-        };
-        ctx.send_self(
-            delay,
-            ResponseDue {
-                txn: response,
-                slots,
-            },
-        );
+        let response = rsp.kind.map(|kind| txn.response(kind, rsp.bytes));
+        ctx.send_self(delay, ResponseDue { txn: response });
     }
 
     fn on_payload(&mut self, ctx: &mut Ctx<'_>, payload: FlitPayload) {
         match payload {
             FlitPayload::Transaction(txn) => {
-                let mode = self.port.phys.flit_mode;
-                if txn.kind.carries_data() && txn.bytes > 0 {
-                    let needed = flits_for_transfer(mode, txn.bytes as u64);
-                    self.reassembly.insert(
-                        txn.id,
-                        Reassembly {
-                            txn,
-                            slots_needed: needed,
-                            slots_got: 0,
-                        },
-                    );
-                } else {
-                    // The request's credit is held until device admission.
+                // The request's credit is held until device admission.
+                if let Some(txn) = self.reassembly.header(self.port.phys.flit_mode, txn) {
                     self.try_admit(ctx, txn);
                 }
             }
             FlitPayload::Data { txn_id, .. } => {
                 // Data slots drain into the reassembly buffer immediately.
-                self.port.release(
-                    ctx,
-                    FlitPayload::Data {
-                        txn_id,
-                        slot: 0,
-                        src: self.node,
-                        dst: self.node,
-                    }
-                    .msg_class(),
-                );
-                let done = {
-                    let Some(r) = self.reassembly.get_mut(&txn_id) else {
-                        return;
-                    };
-                    r.slots_got += 1;
-                    r.slots_got >= r.slots_needed
-                };
-                if done {
-                    if let Some(r) = self.reassembly.remove(&txn_id) {
-                        self.try_admit(ctx, r.txn);
-                    }
+                self.port.release(ctx, MsgClass::Drs);
+                if let Some(txn) = self.reassembly.slot(txn_id) {
+                    self.try_admit(ctx, txn);
                 }
             }
             other => {
@@ -764,19 +668,7 @@ impl Component for Fea {
         let msg = match msg.downcast::<ResponseDue>() {
             Ok(due) => {
                 if let Some(txn) = due.txn {
-                    let (id, src, dst) = (txn.id, txn.src, txn.dst);
-                    self.port.enqueue(ctx, FlitPayload::Transaction(txn));
-                    for slot in 0..due.slots {
-                        self.port.enqueue(
-                            ctx,
-                            FlitPayload::Data {
-                                txn_id: id,
-                                slot: slot as u32,
-                                src,
-                                dst,
-                            },
-                        );
-                    }
+                    self.port.send_transfer(ctx, txn);
                 }
                 // Free the device slot and admit the next waiter.
                 self.in_service = self.in_service.saturating_sub(1);
@@ -810,11 +702,16 @@ impl Component for Fea {
             Err(m) => panic!("fea: unexpected message {}", m.type_name()),
         }
     }
+
+    fn outstanding(&self, out: &mut Vec<PendingWork>) {
+        self.reassembly.outstanding(self.port.peer_opt(), out);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use fcc_proto::addr::AddrRange;
+    use fcc_proto::flit::Flit;
     use fcc_sim::Engine;
 
     use super::*;
@@ -985,5 +882,126 @@ mod tests {
         assert_ne!(ia, ib);
         assert_eq!(ia >> 48, 1);
         assert_eq!(ib >> 48, 2);
+    }
+
+    /// A device stand-in that answers each read with its data slots
+    /// first and the response header last.
+    struct SlotsFirst {
+        port: LinkPort,
+    }
+
+    impl Component for SlotsFirst {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            let fm = msg.downcast::<FlitMsg>().expect("flit");
+            let PortEvent::Delivered(payload, _) = self.port.receive(ctx, fm) else {
+                return;
+            };
+            self.port.release(ctx, payload.msg_class());
+            let FlitPayload::Transaction(req) = payload else {
+                return;
+            };
+            let rsp = req.response(TransactionKind::Mem(MemOpcode::MemData), req.bytes);
+            for slot in 0..data_slots(self.port.phys.flit_mode, &rsp) {
+                let data = FlitPayload::Data {
+                    txn_id: rsp.id,
+                    slot: slot as u32,
+                    src: rsp.src,
+                    dst: rsp.dst,
+                };
+                self.port.enqueue(ctx, data);
+            }
+            self.port.enqueue(ctx, FlitPayload::Transaction(rsp));
+        }
+    }
+
+    #[test]
+    fn read_completes_once_when_its_slots_beat_the_header() {
+        let mut engine = Engine::new(3);
+        let phys = PhysConfig::omega_like();
+        let credit = CreditConfig::default();
+        let mut map = AddrMap::new();
+        map.add_direct(AddrRange::new(0, 1 << 30), NodeId(2));
+        let fha = engine.add_component("fha", Fha::new(NodeId(1), phys, credit, map, 8));
+        let dev = engine.add_component(
+            "dev",
+            SlotsFirst {
+                port: LinkPort::new(phys, credit),
+            },
+        );
+        engine.component_mut::<Fha>(fha).connect(dev);
+        engine.component_mut::<SlotsFirst>(dev).port.connect(fha);
+        let sink = engine.add_component("sink", Sink { done: vec![] });
+        engine.post(
+            fha,
+            SimTime::ZERO,
+            HostRequest {
+                op: HostOp::Read {
+                    addr: 0x4000,
+                    bytes: 256,
+                },
+                tag: 5,
+                reply_to: sink,
+            },
+        );
+        engine.run_until_idle();
+        let done = &engine.component::<Sink>(sink).done;
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].tag, 5);
+        assert!(done[0].was_read);
+        let fha = engine.component::<Fha>(fha);
+        assert_eq!(fha.completions.get(), 1);
+        assert_eq!(fha.in_flight(), 0);
+    }
+
+    #[test]
+    fn fea_reports_a_write_whose_last_slot_never_lands() {
+        let mut engine = Engine::new(3);
+        let (_fha, fea, _sink) = direct_pair(&mut engine, 100.0, 40.0, 8);
+        let write = Transaction {
+            id: 0x42,
+            kind: TransactionKind::Mem(MemOpcode::MemWr),
+            addr: 0x2000,
+            bytes: 128,
+            src: NodeId(1),
+            dst: NodeId(2),
+        };
+        // The header and slot 0 of a two-slot write arrive; slot 1 never
+        // does.
+        let arrived = [
+            FlitPayload::Transaction(write),
+            FlitPayload::Data {
+                txn_id: 0x42,
+                slot: 0,
+                src: NodeId(1),
+                dst: NodeId(2),
+            },
+        ];
+        let mode = PhysConfig::omega_like().flit_mode;
+        for (seq, payload) in arrived.into_iter().enumerate() {
+            let flit = Flit::new(seq as u64, mode, payload);
+            engine.post(fea, SimTime::ZERO, FlitMsg { flit, vc: None });
+        }
+        engine.run_until_idle();
+        let report = engine
+            .deadlock_report()
+            .expect("the stranded write is reported");
+        let stuck: Vec<_> = report
+            .stuck
+            .iter()
+            .map(|s| {
+                (
+                    s.component.as_str(),
+                    s.what.as_str(),
+                    s.waiting_on.as_deref(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            stuck,
+            [("fea", "txn 0x42 awaiting data slots", Some("fha"))]
+        );
+        let fea = engine.component::<Fea>(fea);
+        assert_eq!(fea.serviced.get(), 0);
+        assert!(!fea.is_quiescent(engine.now()));
     }
 }

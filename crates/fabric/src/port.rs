@@ -7,16 +7,22 @@
 //! the propagation delay. The port also runs the credit pump: payloads
 //! queue locally until the link layer has transmit credit, and incoming
 //! credit updates release them.
+//!
+//! The module also owns the transfer framing: a transaction travels as one
+//! header flit followed by [`data_slots`] data slots.
+//! [`LinkPort::send_transfer`] is the one sender of that framing and
+//! [`Reassembler`] the receiving side of the endpoints that wait for a
+//! whole transfer.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use rand::Rng;
 
-use fcc_proto::channel::MsgClass;
-use fcc_proto::flit::{Flit, FlitPayload};
+use fcc_proto::channel::{MsgClass, Transaction};
+use fcc_proto::flit::{data_slots, Flit, FlitMode, FlitPayload};
 use fcc_proto::link::{CreditConfig, LinkLayer, RxAction};
 use fcc_proto::phys::PhysConfig;
-use fcc_sim::{ComponentId, Counter, Ctx, SimTime};
+use fcc_sim::{ComponentId, Counter, Ctx, PendingWork, SimTime};
 use fcc_telemetry::Track;
 
 /// A flit crossing a wire between two components.
@@ -150,6 +156,26 @@ impl LinkPort {
         self.pending.push_back((payload, ctx.now()));
         self.pump(ctx);
         true
+    }
+
+    /// Queues `txn`'s whole transfer: its header, then its [`data_slots`]
+    /// data slots in index order, each carrying the header's endpoints
+    /// because slots route on their own.
+    pub fn send_transfer(&mut self, ctx: &mut Ctx<'_>, txn: Transaction) {
+        let slots = data_slots(self.phys.flit_mode, &txn);
+        let (txn_id, src, dst) = (txn.id, txn.src, txn.dst);
+        self.enqueue(ctx, FlitPayload::Transaction(txn));
+        for slot in 0..slots {
+            self.enqueue(
+                ctx,
+                FlitPayload::Data {
+                    txn_id,
+                    slot: slot as u32,
+                    src,
+                    dst,
+                },
+            );
+        }
     }
 
     /// Sends a payload immediately, bypassing the pending queue.
@@ -319,10 +345,60 @@ impl LinkPort {
     }
 }
 
+/// The transfers a receiver holds partially: each data-carrying header
+/// waits here until its last data slot lands. Owners feed it headers and
+/// slots and release the link credits themselves.
+#[derive(Debug, Default)]
+pub struct Reassembler {
+    /// Transaction id → (header, data slots still to come).
+    partial: BTreeMap<u64, (Transaction, u64)>,
+}
+
+impl Reassembler {
+    /// Takes an arriving header. A transfer without data slots is whole at
+    /// once and comes straight back; any other waits for its
+    /// [`data_slots`] slots.
+    pub fn header(&mut self, mode: FlitMode, txn: Transaction) -> Option<Transaction> {
+        let slots = data_slots(mode, &txn);
+        if slots == 0 {
+            return Some(txn);
+        }
+        self.partial.insert(txn.id, (txn, slots));
+        None
+    }
+
+    /// Takes an arriving data slot of transfer `txn_id` and returns the
+    /// transaction when it was the last one. A slot whose header has not
+    /// arrived is dropped, so a slot that overtakes its header (adaptive
+    /// per-flit routing) leaves that transfer incomplete.
+    pub fn slot(&mut self, txn_id: u64) -> Option<Transaction> {
+        let (_, left) = self.partial.get_mut(&txn_id)?;
+        *left -= 1;
+        if *left > 0 {
+            return None;
+        }
+        self.partial.remove(&txn_id).map(|(txn, _)| txn)
+    }
+
+    /// Whether no transfer is partially arrived.
+    pub fn is_empty(&self) -> bool {
+        self.partial.is_empty()
+    }
+
+    /// Reports each partial transfer, in transaction-id order, as work
+    /// waiting on `peer` (the deadlock report's view).
+    pub fn outstanding(&self, peer: Option<ComponentId>, out: &mut Vec<PendingWork>) {
+        out.extend(self.partial.keys().map(|id| PendingWork {
+            what: format!("txn {id:#x} awaiting data slots"),
+            waiting_on: peer,
+        }));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use fcc_proto::addr::NodeId;
-    use fcc_proto::channel::{MemOpcode, Transaction, TransactionKind};
+    use fcc_proto::channel::{CacheOpcode, IoOpcode, MemOpcode, TransactionKind};
     use fcc_sim::{Component, Engine, Msg};
 
     use super::*;
@@ -596,5 +672,166 @@ mod tests {
         // unacked — here nothing, as `a` never sent `b` a sequenced flit.
         let node_b = &engine.component::<DrivenNode>(b).0;
         assert_eq!(node_b.port.rx_flits.get(), 3 + 2, "three reads, two NAKs");
+    }
+
+    /// Every transaction kind the transaction layer defines.
+    fn all_kinds() -> Vec<TransactionKind> {
+        use CacheOpcode::*;
+        use IoOpcode::*;
+        use MemOpcode::*;
+        let mem = [
+            MemRd, MemInv, MemSpecRd, MemWr, MemWrPtl, Cmp, CmpS, CmpE, MemData,
+        ];
+        let cache = [
+            RdCurr, RdOwn, RdShared, DirtyEvict, CleanEvict, CLFlush, SnpData, SnpInv, SnpCur, Go,
+            Data, RspIHitI, RspSHitSe, RspIFwdM,
+        ];
+        let io = [MemRead, MemWrite, Completion, CfgRead, CfgWrite, VendorMsg];
+        (mem.into_iter().map(TransactionKind::Mem))
+            .chain(cache.into_iter().map(TransactionKind::Cache))
+            .chain(io.into_iter().map(TransactionKind::Io))
+            .collect()
+    }
+
+    /// A link endpoint that sends whole transfers on request and feeds
+    /// every payload it receives through a [`Reassembler`].
+    struct TransferNode {
+        port: LinkPort,
+        delivered: Vec<FlitPayload>,
+        reassembly: Reassembler,
+        /// Each transaction the reassembler returned, with the number of
+        /// flits delivered when it did.
+        whole: Vec<(Transaction, usize)>,
+    }
+
+    struct SendTransfers(Vec<Transaction>);
+
+    impl Component for TransferNode {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            let fm = match msg.downcast::<SendTransfers>() {
+                Ok(send) => {
+                    for txn in send.0 {
+                        self.port.send_transfer(ctx, txn);
+                    }
+                    return;
+                }
+                Err(msg) => msg.downcast::<FlitMsg>().expect("flit"),
+            };
+            let PortEvent::Delivered(payload, _) = self.port.receive(ctx, fm) else {
+                return;
+            };
+            self.port.release(ctx, payload.msg_class());
+            let whole = match &payload {
+                FlitPayload::Transaction(t) => {
+                    self.reassembly.header(self.port.phys.flit_mode, t.clone())
+                }
+                FlitPayload::Data { txn_id, .. } => self.reassembly.slot(*txn_id),
+                _ => None,
+            };
+            self.delivered.push(payload);
+            let at = self.delivered.len();
+            self.whole.extend(whole.map(|t| (t, at)));
+        }
+    }
+
+    #[test]
+    fn every_transfer_is_framed_in_order_and_reassembled_once() {
+        for mode in [FlitMode::Flit68, FlitMode::Flit256] {
+            let phys = PhysConfig {
+                flit_mode: mode,
+                ..PhysConfig::omega_like()
+            };
+            let mut engine = Engine::new(1);
+            let mut add = |name| {
+                engine.add_component(
+                    name,
+                    TransferNode {
+                        port: LinkPort::new(phys, CreditConfig::default()),
+                        delivered: Vec::new(),
+                        reassembly: Reassembler::default(),
+                        whole: Vec::new(),
+                    },
+                )
+            };
+            let (a, b) = (add("a"), add("b"));
+            engine.component_mut::<TransferNode>(a).port.connect(b);
+            engine.component_mut::<TransferNode>(b).port.connect(a);
+            let mut txns = Vec::new();
+            for kind in all_kinds() {
+                for bytes in [0, 1, 64, 65, 238, 239, 4096, 16384] {
+                    txns.push(Transaction {
+                        id: txns.len() as u64,
+                        kind,
+                        addr: 0x1000,
+                        bytes,
+                        src: NodeId(3),
+                        dst: NodeId(4),
+                    });
+                }
+            }
+            engine.post(a, SimTime::ZERO, SendTransfers(txns.clone()));
+            engine.run_until_idle();
+            let node_b = engine.component::<TransferNode>(b);
+            // The link delivers in order, so each transfer is one run of
+            // flits: its header, then slots 0..n. The reassembler returns
+            // it at its last flit.
+            let mut flits = node_b.delivered.iter();
+            let mut whole = Vec::new();
+            for txn in &txns {
+                let slots = if txn.kind.carries_data() && txn.bytes > 0 {
+                    u64::from(txn.bytes).div_ceil(mode.payload_bytes())
+                } else {
+                    0
+                };
+                assert_eq!(flits.next(), Some(&FlitPayload::Transaction(txn.clone())));
+                for slot in 0..slots as u32 {
+                    let expect = FlitPayload::Data {
+                        txn_id: txn.id,
+                        slot,
+                        src: txn.src,
+                        dst: txn.dst,
+                    };
+                    assert_eq!(flits.next(), Some(&expect), "{mode:?} {txn:?}");
+                }
+                let at = node_b.delivered.len() - flits.len();
+                whole.push((txn.clone(), at));
+            }
+            assert_eq!(flits.next(), None, "{mode:?}: stray flits");
+            assert_eq!(node_b.whole, whole, "{mode:?}: each transfer once");
+            assert!(node_b.reassembly.is_empty());
+        }
+    }
+
+    #[test]
+    fn reassembler_lists_partial_transfers_and_drops_an_early_slot() {
+        let mode = FlitMode::Flit68;
+        let mut r = Reassembler::default();
+        let write = |id| Transaction {
+            id,
+            kind: TransactionKind::Mem(MemOpcode::MemWr),
+            addr: 0,
+            bytes: 128,
+            src: NodeId(1),
+            dst: NodeId(2),
+        };
+        // A slot that beats its header is dropped, so the write still
+        // needs two slots after its header lands.
+        assert_eq!(r.slot(0x20), None);
+        assert_eq!(r.header(mode, write(0x20)), None);
+        assert_eq!(r.header(mode, write(0x10)), None);
+        assert_eq!(r.slot(0x20), None);
+        let mut out = Vec::new();
+        r.outstanding(None, &mut out);
+        let what: Vec<&str> = out.iter().map(|w| w.what.as_str()).collect();
+        assert_eq!(
+            what,
+            [
+                "txn 0x10 awaiting data slots",
+                "txn 0x20 awaiting data slots"
+            ]
+        );
+        assert_eq!(r.slot(0x20), Some(write(0x20)));
+        assert_eq!(r.slot(0x20), None, "returned once");
+        assert!(!r.is_empty());
     }
 }

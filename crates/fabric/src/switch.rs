@@ -666,14 +666,9 @@ impl FabricSwitch {
     }
 
     /// Flits this transaction's transfer occupies at a switch: the header
-    /// plus its data slots (mirrors the adapters' slot computation).
+    /// plus its data slots.
     fn expected_flits(&self, in_port: usize, t: &fcc_proto::channel::Transaction) -> u64 {
-        if t.kind.carries_data() && t.bytes > 0 {
-            let mode = self.ports[in_port].phys.flit_mode;
-            1 + fcc_proto::flit::flits_for_transfer(mode, t.bytes as u64)
-        } else {
-            1
-        }
+        1 + fcc_proto::flit::data_slots(self.ports[in_port].phys.flit_mode, t)
     }
 
     /// Returns the ingress lane credit for a departing (or dropped) flit.

@@ -10,12 +10,12 @@ use std::collections::{BTreeMap, VecDeque};
 
 use fcc_proto::addr::NodeId;
 use fcc_proto::channel::{CacheOpcode, Transaction, TransactionKind};
-use fcc_proto::flit::{flits_for_transfer, FlitPayload};
+use fcc_proto::flit::FlitPayload;
 use fcc_proto::link::CreditConfig;
 use fcc_proto::phys::PhysConfig;
 use fcc_sim::{Component, ComponentId, Counter, Ctx, Msg, PendingWork, SimTime};
 
-use fcc_fabric::port::{FlitMsg, LinkPort, PortEvent};
+use fcc_fabric::port::{FlitMsg, LinkPort, PortEvent, Reassembler};
 
 use crate::directory::{DirOutcome, Directory, SnoopKind};
 use crate::dram::{DramDevice, DramTiming};
@@ -27,14 +27,6 @@ const LINE: u64 = 64;
 #[derive(Debug)]
 struct ResponseDue {
     txn: Transaction,
-    slots: u64,
-}
-
-#[derive(Debug)]
-struct Reassembly {
-    txn: Transaction,
-    slots_needed: u64,
-    slots_got: u64,
 }
 
 /// A fabric-attached CC-NUMA node component.
@@ -51,7 +43,7 @@ pub struct DirectoryNode {
     /// Snoop txn id → (line, snooped node).
     snoop_ids: BTreeMap<u64, (u64, NodeId)>,
     next_snoop: u64,
-    reassembly: BTreeMap<u64, Reassembly>,
+    reassembly: Reassembler,
     /// Requests served.
     pub serviced: Counter,
     /// Snoops issued over the fabric.
@@ -76,7 +68,7 @@ impl DirectoryNode {
             inflight: BTreeMap::new(),
             snoop_ids: BTreeMap::new(),
             next_snoop: 0,
-            reassembly: BTreeMap::new(),
+            reassembly: Reassembler::default(),
             serviced: Counter::new(),
             snoops_issued: Counter::new(),
         }
@@ -97,42 +89,15 @@ impl DirectoryNode {
         &self.dram
     }
 
-    fn send_txn(&mut self, ctx: &mut Ctx<'_>, txn: Transaction) {
-        let slots = if txn.kind.carries_data() && txn.bytes > 0 {
-            flits_for_transfer(self.port.phys.flit_mode, txn.bytes as u64)
-        } else {
-            0
-        };
-        let (id, src, dst) = (txn.id, txn.src, txn.dst);
-        self.port.enqueue(ctx, FlitPayload::Transaction(txn));
-        for slot in 0..slots {
-            self.port.enqueue(
-                ctx,
-                FlitPayload::Data {
-                    txn_id: id,
-                    slot: slot as u32,
-                    src,
-                    dst,
-                },
-            );
-        }
-    }
-
     fn respond_data(&mut self, ctx: &mut Ctx<'_>, req: &Transaction) {
         let ready_at = self.dram.access(req.addr, 64, ctx.now());
         let rsp = req.response(TransactionKind::Cache(CacheOpcode::Data), 64);
-        ctx.send_self(
-            ready_at - ctx.now(),
-            ResponseDue {
-                txn: rsp,
-                slots: flits_for_transfer(self.port.phys.flit_mode, 64),
-            },
-        );
+        ctx.send_self(ready_at - ctx.now(), ResponseDue { txn: rsp });
     }
 
     fn respond_go(&mut self, ctx: &mut Ctx<'_>, req: &Transaction) {
         let rsp = req.response(TransactionKind::Cache(CacheOpcode::Go), 0);
-        ctx.send_self(SimTime::from_ns(5.0), ResponseDue { txn: rsp, slots: 0 });
+        ctx.send_self(SimTime::from_ns(5.0), ResponseDue { txn: rsp });
     }
 
     fn issue_snoops(
@@ -160,7 +125,7 @@ impl DirectoryNode {
                 src: self.node,
                 dst: target,
             };
-            self.send_txn(ctx, txn);
+            self.port.send_transfer(ctx, txn);
         }
     }
 
@@ -174,7 +139,7 @@ impl DirectoryNode {
                     let ready = self.dram.access(txn.addr, txn.bytes.max(64), ctx.now());
                     let rsp =
                         txn.response(TransactionKind::Mem(fcc_proto::channel::MemOpcode::Cmp), 0);
-                    ctx.send_self(ready - ctx.now(), ResponseDue { txn: rsp, slots: 0 });
+                    ctx.send_self(ready - ctx.now(), ResponseDue { txn: rsp });
                 }
                 _ => {
                     let ready = self.dram.access(txn.addr, txn.bytes.max(64), ctx.now());
@@ -183,8 +148,7 @@ impl DirectoryNode {
                         TransactionKind::Mem(fcc_proto::channel::MemOpcode::MemData),
                         bytes,
                     );
-                    let slots = flits_for_transfer(self.port.phys.flit_mode, bytes as u64);
-                    ctx.send_self(ready - ctx.now(), ResponseDue { txn: rsp, slots });
+                    ctx.send_self(ready - ctx.now(), ResponseDue { txn: rsp });
                 }
             }
             return;
@@ -256,32 +220,13 @@ impl DirectoryNode {
         self.port.release(ctx, class);
         match payload {
             FlitPayload::Transaction(txn) => {
-                if txn.kind.carries_data() && txn.bytes > 0 {
-                    let needed = flits_for_transfer(self.port.phys.flit_mode, txn.bytes as u64);
-                    self.reassembly.insert(
-                        txn.id,
-                        Reassembly {
-                            txn,
-                            slots_needed: needed,
-                            slots_got: 0,
-                        },
-                    );
-                } else {
+                if let Some(txn) = self.reassembly.header(self.port.phys.flit_mode, txn) {
                     self.handle_request(ctx, txn);
                 }
             }
             FlitPayload::Data { txn_id, .. } => {
-                let done = {
-                    let Some(r) = self.reassembly.get_mut(&txn_id) else {
-                        return;
-                    };
-                    r.slots_got += 1;
-                    r.slots_got >= r.slots_needed
-                };
-                if done {
-                    if let Some(r) = self.reassembly.remove(&txn_id) {
-                        self.handle_request(ctx, r.txn);
-                    }
+                if let Some(txn) = self.reassembly.slot(txn_id) {
+                    self.handle_request(ctx, txn);
                 }
             }
             _ => {}
@@ -304,10 +249,7 @@ impl Component for DirectoryNode {
             Err(m) => m,
         };
         match msg.downcast::<ResponseDue>() {
-            Ok(due) => {
-                self.send_txn(ctx, due.txn);
-                let _ = due.slots;
-            }
+            Ok(due) => self.port.send_transfer(ctx, due.txn),
             Err(m) => panic!("directory node: unexpected message {}", m.type_name()),
         }
     }
@@ -332,14 +274,7 @@ impl Component for DirectoryNode {
                 });
             }
         }
-        let mut ids: Vec<u64> = self.reassembly.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            out.push(PendingWork {
-                what: format!("txn {id:#x} awaiting data slots"),
-                waiting_on: self.port.peer_opt(),
-            });
-        }
+        self.reassembly.outstanding(self.port.peer_opt(), out);
     }
 }
 

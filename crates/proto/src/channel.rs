@@ -300,14 +300,6 @@ impl Transaction {
             dst: self.src,
         }
     }
-
-    /// Total wire footprint: header plus payload bytes.
-    ///
-    /// Headers are 16 bytes in this model (CXL headers are 87–96 bits plus
-    /// metadata; 16 B keeps the arithmetic honest without bit packing).
-    pub fn wire_bytes(&self) -> u64 {
-        16 + self.bytes as u64
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +354,7 @@ mod tests {
         assert_eq!(rsp.id, 9);
         assert_eq!(rsp.src, NodeId(7));
         assert_eq!(rsp.dst, NodeId(1));
-        assert_eq!(rsp.wire_bytes(), 80);
+        assert_eq!(rsp.bytes, 64);
     }
 
     #[test]

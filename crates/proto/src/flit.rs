@@ -240,13 +240,25 @@ impl Flit {
     }
 }
 
-/// Number of flits needed to move `payload_bytes` of data plus one header
-/// slot in the given mode.
+/// Number of data slots needed to move `payload_bytes` in the given mode:
+/// at least one, and not counting the header flit that precedes them.
 pub fn flits_for_transfer(mode: FlitMode, payload_bytes: u64) -> u64 {
     if payload_bytes == 0 {
         return 1;
     }
     payload_bytes.div_ceil(mode.payload_bytes()).max(1)
+}
+
+/// Data slots that follow `txn`'s header flit on the wire in `mode`: a
+/// data-carrying transaction with a nonzero payload takes
+/// [`flits_for_transfer`] slots, anything else travels as a lone header.
+/// Senders, receivers and switches all size a transfer with this rule.
+pub fn data_slots(mode: FlitMode, txn: &Transaction) -> u64 {
+    if txn.kind.carries_data() && txn.bytes > 0 {
+        flits_for_transfer(mode, txn.bytes as u64)
+    } else {
+        0
+    }
 }
 
 #[cfg(test)]
@@ -396,6 +408,24 @@ mod tests {
         assert_eq!(flits_for_transfer(FlitMode::Flit68, 0), 1);
         // 256 B mode packs more per flit.
         assert_eq!(flits_for_transfer(FlitMode::Flit256, 16384), 69);
+    }
+
+    #[test]
+    fn only_data_carrying_payloads_take_data_slots() {
+        let with = |kind, bytes| Transaction {
+            kind,
+            bytes,
+            ..sample_txn()
+        };
+        let wr = TransactionKind::Mem(MemOpcode::MemWr);
+        assert_eq!(data_slots(FlitMode::Flit68, &with(wr, 64)), 1);
+        assert_eq!(data_slots(FlitMode::Flit68, &with(wr, 65)), 2);
+        assert_eq!(data_slots(FlitMode::Flit256, &with(wr, 16384)), 69);
+        // An empty payload sends no data slot, even on a data opcode.
+        assert_eq!(data_slots(FlitMode::Flit68, &with(wr, 0)), 0);
+        // A read request names its size but carries no data.
+        let rd = TransactionKind::Mem(MemOpcode::MemRd);
+        assert_eq!(data_slots(FlitMode::Flit68, &with(rd, 4096)), 0);
     }
 
     proptest! {
