@@ -318,7 +318,7 @@ impl fmt::Display for AdaptiveAblation {
         write!(
             f,
             "{}",
-            crate::fmt_table(&["routing", "aggregate 4 KiB-read ops/us"], &rows)
+            crate::fmt_table(&["routing", "aggregate 4 KiB-write ops/us"], &rows)
         )?;
         writeln!(f, "gain: {:.2}x", self.gain())
     }

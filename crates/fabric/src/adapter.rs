@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use fcc_proto::addr::{AddrMap, NodeId};
 use fcc_proto::channel::{MemOpcode, MsgClass, Transaction, TransactionKind};
-use fcc_proto::flit::{data_slots, FlitPayload};
+use fcc_proto::flit::FlitPayload;
 use fcc_proto::link::CreditConfig;
 use fcc_proto::phys::PhysConfig;
 use fcc_sim::{Component, ComponentId, Counter, Ctx, Histogram, Msg, PendingWork, SimTime};
@@ -169,17 +169,6 @@ struct PendingReq {
     issued_at: SimTime,
     is_read: bool,
     bytes: u32,
-    /// Data slots the response header announced (`None` until it lands).
-    slots_due: Option<u64>,
-    /// Response data slots received so far, before or after the header.
-    slots_got: u64,
-}
-
-impl PendingReq {
-    /// Whether the response header and every slot it announced are in.
-    fn response_whole(&self) -> bool {
-        self.slots_due.is_some_and(|due| self.slots_got >= due)
-    }
 }
 
 /// A human-readable size suffix for RTT span labels (`64B`, `16KiB`).
@@ -200,6 +189,8 @@ pub struct Fha {
     max_outstanding: usize,
     next_txn: u64,
     outstanding: BTreeMap<u64, PendingReq>,
+    /// Responses whose header is in but not yet every data slot.
+    reassembly: Reassembler,
     waitq: VecDeque<(HostRequest, SimTime)>,
     snoop_handler: Option<ComponentId>,
     trace: Track,
@@ -232,6 +223,7 @@ impl Fha {
             max_outstanding: max_outstanding.max(1),
             next_txn: 0,
             outstanding: BTreeMap::new(),
+            reassembly: Reassembler::default(),
             waitq: VecDeque::new(),
             snoop_handler: None,
             trace: Track::default(),
@@ -293,6 +285,12 @@ impl Fha {
         self.waitq.len()
     }
 
+    /// Response data slots dropped for arriving without their header (see
+    /// [`Reassembler::orphans`]).
+    pub fn orphan_slots(&self) -> u64 {
+        self.reassembly.orphans()
+    }
+
     fn alloc_txn_id(&mut self) -> u64 {
         let id = ((self.node.0 as u64) << 48) | self.next_txn;
         self.next_txn += 1;
@@ -335,20 +333,12 @@ impl Fha {
                 issued_at,
                 is_read: req.op.is_read(),
                 bytes: req.op.bytes(),
-                slots_due: None,
-                slots_got: 0,
             },
         );
         self.port.send_transfer(ctx, txn);
     }
 
-    fn complete(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        // Callers only pass ids they just found in `outstanding`.
-        #[allow(clippy::expect_used)]
-        let pending = self
-            .outstanding
-            .remove(&id)
-            .expect("completing unknown txn");
+    fn complete(&mut self, ctx: &mut Ctx<'_>, id: u64, pending: PendingReq) {
         let completion = HostCompletion {
             tag: pending.tag,
             issued_at: pending.issued_at,
@@ -385,39 +375,27 @@ impl Fha {
         let class = payload.msg_class();
         // The host pipeline drains responses immediately.
         self.port.release(ctx, class);
-        match payload {
-            FlitPayload::Transaction(txn) => {
-                let id = txn.id;
-                if !txn.kind.is_response() {
-                    // Unsolicited request: a snoop from a coherence
-                    // directory. Forward to the host's coherent agent.
-                    self.snoops.inc();
-                    if let Some(handler) = self.snoop_handler {
-                        ctx.send(handler, SimTime::ZERO, SnoopMsg { txn });
-                    }
-                    return;
+        // Writes complete on Cmp; reads once the data slots the response
+        // header announces are in too.
+        let whole = match payload {
+            FlitPayload::Transaction(txn) if !txn.kind.is_response() => {
+                // Unsolicited request: a snoop from a coherence directory.
+                // Forward to the host's coherent agent.
+                self.snoops.inc();
+                if let Some(handler) = self.snoop_handler {
+                    ctx.send(handler, SimTime::ZERO, SnoopMsg { txn });
                 }
-                let mode = self.port.phys.flit_mode;
-                let Some(pending) = self.outstanding.get_mut(&id) else {
-                    return;
-                };
-                // Writes complete on Cmp; reads once the data slots the
-                // header announces are in too, whichever arrived first.
-                pending.slots_due = Some(data_slots(mode, &txn));
-                if pending.response_whole() {
-                    self.complete(ctx, id);
-                }
+                return;
             }
-            FlitPayload::Data { txn_id, .. } => {
-                let Some(pending) = self.outstanding.get_mut(&txn_id) else {
-                    return;
-                };
-                pending.slots_got += 1;
-                if pending.response_whole() {
-                    self.complete(ctx, txn_id);
-                }
-            }
-            _ => {}
+            FlitPayload::Transaction(txn) => self.reassembly.header(self.port.phys.flit_mode, txn),
+            FlitPayload::Data { txn_id, .. } => self.reassembly.slot(txn_id),
+            _ => None,
+        };
+        let Some(id) = whole.map(|t| t.id) else {
+            return;
+        };
+        if let Some(pending) = self.outstanding.remove(&id) {
+            self.complete(ctx, id, pending);
         }
     }
 }
@@ -590,6 +568,12 @@ impl Fea {
         self.device.as_mut()
     }
 
+    /// Request data slots dropped for arriving without their header (see
+    /// [`Reassembler::orphans`]).
+    pub fn orphan_slots(&self) -> u64 {
+        self.reassembly.orphans()
+    }
+
     /// Replaces the device admission-queue depth (experiments shrink it
     /// so slow devices backpressure the fabric).
     ///
@@ -711,11 +695,13 @@ impl Component for Fea {
 #[cfg(test)]
 mod tests {
     use fcc_proto::addr::AddrRange;
-    use fcc_proto::flit::Flit;
+    use fcc_proto::flit::{data_slots, Flit};
     use fcc_sim::Engine;
 
     use super::*;
     use crate::endpoint::FixedLatencyMemory;
+    use crate::ledger::audit_topology;
+    use crate::topology::TopologySpec;
 
     /// Collects completions for assertions.
     struct Sink {
@@ -915,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn read_completes_once_when_its_slots_beat_the_header() {
+    fn fha_counts_response_slots_that_beat_their_header() {
         let mut engine = Engine::new(3);
         let phys = PhysConfig::omega_like();
         let credit = CreditConfig::default();
@@ -944,13 +930,13 @@ mod tests {
             },
         );
         engine.run_until_idle();
-        let done = &engine.component::<Sink>(sink).done;
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].tag, 5);
-        assert!(done[0].was_read);
+        // Each slot found no header to join, so the header that follows
+        // still waits for its slots and the read never completes.
+        assert!(engine.component::<Sink>(sink).done.is_empty());
         let fha = engine.component::<Fha>(fha);
-        assert_eq!(fha.completions.get(), 1);
-        assert_eq!(fha.in_flight(), 0);
+        assert_eq!(fha.orphan_slots(), 256 / phys.flit_mode.payload_bytes());
+        assert_eq!(fha.completions.get(), 0);
+        assert_eq!(fha.in_flight(), 1);
     }
 
     #[test]
@@ -1003,5 +989,33 @@ mod tests {
         let fea = engine.component::<Fea>(fea);
         assert_eq!(fea.serviced.get(), 0);
         assert!(!fea.is_quiescent(engine.now()));
+    }
+
+    #[test]
+    fn audit_reports_a_lone_data_slot_at_an_fea() {
+        let mut engine = Engine::new(3);
+        let dev = FixedLatencyMemory::new(SimTime::from_ns(100.0), SimTime::from_ns(40.0), 1 << 20);
+        let topo = crate::topology::direct(&mut engine, TopologySpec::default(), Box::new(dev));
+        assert!(audit_topology(&engine, &topo).is_clean());
+        let device = topo.device();
+        let slot = FlitPayload::Data {
+            txn_id: 0x42,
+            slot: 0,
+            src: topo.host().node,
+            dst: device.node,
+        };
+        let flit = Flit::new(0, PhysConfig::omega_like().flit_mode, slot);
+        engine.post(device.fea, SimTime::ZERO, FlitMsg { flit, vc: None });
+        engine.run_until_idle();
+        let report = audit_topology(&engine, &topo);
+        let findings: Vec<String> = report.findings.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            findings,
+            [format!(
+                "{}: 1 data slot(s) arrived without their header",
+                engine.name(device.fea)
+            )]
+        );
+        assert_eq!(engine.component::<Fea>(device.fea).orphan_slots(), 1);
     }
 }

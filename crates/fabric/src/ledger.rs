@@ -14,13 +14,16 @@
 //!   minimum guarantee per input).
 //!
 //! [`FabricSwitch::audit`](crate::switch::FabricSwitch::audit) checks one
-//! switch; [`audit_topology`] sweeps every switch in a built topology.
+//! switch; [`audit_topology`] sweeps every switch in a built topology and
+//! reports any adapter that dropped a data slot for arriving without its
+//! header.
 //! Run these at quiescence (after `run_until_idle`): mid-flight, credits
 //! legitimately live on the wire and the pair-wise equations would
 //! misreport them as leaked.
 
 use fcc_sim::Engine;
 
+use crate::adapter::{Fea, Fha};
 use crate::switch::FabricSwitch;
 use crate::topology::Topology;
 
@@ -88,7 +91,8 @@ impl std::fmt::Display for AuditReport {
     }
 }
 
-/// Audits every switch in a built topology.
+/// Audits every switch in a built topology, and every FHA and FEA for
+/// orphan data slots.
 ///
 /// Call at quiescence; see the module docs for why mid-flight sweeps
 /// produce false positives.
@@ -97,6 +101,21 @@ pub fn audit_topology(engine: &Engine, topo: &Topology) -> AuditReport {
     for (i, &id) in topo.switches.iter().enumerate() {
         let sw = engine.component::<FabricSwitch>(id);
         report.absorb(&format!("switch {i} ({})", engine.name(id)), sw.audit());
+    }
+    // FHA and FEA names carry their kind (`fha3`, `fea5`).
+    let hosts = topo
+        .hosts
+        .iter()
+        .map(|h| (h.fha, engine.component::<Fha>(h.fha).orphan_slots()));
+    let devices = topo
+        .devices
+        .iter()
+        .map(|d| (d.fea, engine.component::<Fea>(d.fea).orphan_slots()));
+    for (id, orphans) in hosts.chain(devices).filter(|&(_, n)| n > 0) {
+        report.push(
+            engine.name(id),
+            format!("{orphans} data slot(s) arrived without their header"),
+        );
     }
     report
 }

@@ -352,6 +352,8 @@ impl LinkPort {
 pub struct Reassembler {
     /// Transaction id → (header, data slots still to come).
     partial: BTreeMap<u64, (Transaction, u64)>,
+    /// Data slots that arrived with no partial transfer to join.
+    orphans: u64,
 }
 
 impl Reassembler {
@@ -368,11 +370,15 @@ impl Reassembler {
     }
 
     /// Takes an arriving data slot of transfer `txn_id` and returns the
-    /// transaction when it was the last one. A slot whose header has not
-    /// arrived is dropped, so a slot that overtakes its header (adaptive
-    /// per-flit routing) leaves that transfer incomplete.
+    /// transaction when it was the last one. Every switch sends a slot by
+    /// its header's path, so the header is always in first; a slot with
+    /// no partial transfer to join is counted in [`Reassembler::orphans`]
+    /// and dropped.
     pub fn slot(&mut self, txn_id: u64) -> Option<Transaction> {
-        let (_, left) = self.partial.get_mut(&txn_id)?;
+        let Some((_, left)) = self.partial.get_mut(&txn_id) else {
+            self.orphans += 1;
+            return None;
+        };
         *left -= 1;
         if *left > 0 {
             return None;
@@ -383,6 +389,12 @@ impl Reassembler {
     /// Whether no transfer is partially arrived.
     pub fn is_empty(&self) -> bool {
         self.partial.is_empty()
+    }
+
+    /// Data slots dropped for arriving without their header: a protocol
+    /// error that [`crate::ledger::audit_topology`] reports.
+    pub fn orphans(&self) -> u64 {
+        self.orphans
     }
 
     /// Reports each partial transfer, in transaction-id order, as work
@@ -799,6 +811,7 @@ mod tests {
             assert_eq!(flits.next(), None, "{mode:?}: stray flits");
             assert_eq!(node_b.whole, whole, "{mode:?}: each transfer once");
             assert!(node_b.reassembly.is_empty());
+            assert_eq!(node_b.reassembly.orphans(), 0);
         }
     }
 
@@ -814,9 +827,10 @@ mod tests {
             src: NodeId(1),
             dst: NodeId(2),
         };
-        // A slot that beats its header is dropped, so the write still
-        // needs two slots after its header lands.
+        // A slot that beats its header is counted and dropped, so the
+        // write still needs two slots after its header lands.
         assert_eq!(r.slot(0x20), None);
+        assert_eq!(r.orphans(), 1);
         assert_eq!(r.header(mode, write(0x20)), None);
         assert_eq!(r.header(mode, write(0x10)), None);
         assert_eq!(r.slot(0x20), None);
@@ -831,7 +845,9 @@ mod tests {
             ]
         );
         assert_eq!(r.slot(0x20), Some(write(0x20)));
+        assert_eq!(r.orphans(), 1);
         assert_eq!(r.slot(0x20), None, "returned once");
+        assert_eq!(r.orphans(), 2, "a slot past the last one is an orphan too");
         assert!(!r.is_empty());
     }
 }

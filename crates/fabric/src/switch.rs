@@ -24,9 +24,12 @@
 //! * Egress credit allocation follows [`AllocPolicy`]: static-fair, the
 //!   exponential ramp-up scheme the paper critiques, or arbitrated
 //!   reservations installed by the central arbiter.
-//! * Adaptive routing picks the least-backlogged candidate port.
+//! * A transfer's egress is fixed once, when its header is admitted, and
+//!   its data slots follow it, under every discipline. Adaptive routing
+//!   picks the least-backlogged candidate port for each transfer.
 
 use std::cmp::Reverse;
+use std::collections::btree_map::Entry as MapEntry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
@@ -195,9 +198,8 @@ struct Entry {
     /// Ingress lane the flit arrived on (VC-flow-controlled links only);
     /// its credit is returned upstream when the flit departs.
     in_vc: Option<u8>,
-    /// The transfer this flit belongs to (wormhole discipline), resolved
-    /// once at admission.
-    worm: Option<WormSlot>,
+    /// The transfer this flit belongs to, resolved once at admission.
+    worm: WormSlot,
 }
 
 /// Index of a [`Worm`] in [`FabricSwitch`]'s worm slab.
@@ -206,8 +208,9 @@ type WormSlot = u32;
 /// An ingress lane: `(input port, lane index)`.
 type LaneRef = (usize, usize);
 
-/// An in-transit multi-flit transfer (header + data slots) holding — or
-/// about to hold — one egress virtual channel from head to tail.
+/// An in-transit transfer (header + data slots): one egress for all its
+/// flits under every discipline and, on a wormhole VC link, one egress
+/// virtual channel from head to tail.
 #[derive(Debug, Clone, Copy)]
 struct Worm {
     /// Transaction id; a queued flit's slot reference is valid only while
@@ -215,7 +218,8 @@ struct Worm {
     id: u64,
     /// Egress port fixed at head admission; body flits follow the head.
     out: usize,
-    /// Lane allocated at head dispatch (`None` until the head moves).
+    /// VC lane allocated at head dispatch (`None` until the head moves,
+    /// and always without VC flow control).
     lane: Option<u8>,
     /// Flits of this transfer not yet dispatched (including the header).
     remaining: u64,
@@ -322,10 +326,12 @@ pub struct FabricSwitch {
     /// [`FabricSwitch::set_vc_link`]).
     vc_links: Vec<Option<VcLink>>,
     /// In-transit transfers (slab; `None` = free slot). Queued flits
-    /// reach their worm through [`Entry::worm`].
+    /// reach their worm, and so their egress, through [`Entry::worm`].
     worms: Vec<Option<Worm>>,
     free_worms: Vec<WormSlot>,
-    /// Transaction id → worm slot, consulted once per admitted flit.
+    /// Transaction id → slot of each worm with data slots, the index a
+    /// data slot finds its worm by. A lone header's worm is reached only
+    /// through its flit's [`Entry::worm`], so it is not indexed.
     worm_of: BTreeMap<u64, WormSlot>,
     /// Head state per `[input][lane]`, in step with `vcq`.
     heads: Vec<Vec<Head>>,
@@ -339,9 +345,8 @@ pub struct FabricSwitch {
     waiters: Vec<PortWaiters>,
     /// Routing-table version the parked escape decisions were made under.
     routes_seen: u64,
-    /// Flits committed toward each egress at admission: VOQ-queued flits
-    /// plus the undelivered remainder of every worm routed to it (the
-    /// adaptive routing load).
+    /// Flits committed toward each egress at admission: the undelivered
+    /// remainder of every worm routed to it (the adaptive routing load).
     committed: Vec<u64>,
     rr_input: usize,
     ramp: Vec<Option<RampUpState>>,
@@ -678,25 +683,42 @@ impl FabricSwitch {
         }
     }
 
+    /// The ingress lane a flit leaving by `out` joins: FIFO's one lane,
+    /// the VOQ lane toward `out`, or the wormhole lane it arrived on.
+    fn lane_for(&self, in_port: usize, in_vc: Option<u8>, out: usize) -> usize {
+        match self.cfg.queueing {
+            QueueDiscipline::Fifo => 0,
+            QueueDiscipline::Voq => out,
+            QueueDiscipline::Wormhole => {
+                usize::from(in_vc.unwrap_or(0)).min(self.vcq[in_port].len() - 1)
+            }
+        }
+    }
+
     /// Resolves the worm an arriving flit belongs to, creating it at the
-    /// header. A worm's body flits must follow the head's egress, so only
-    /// a header routes; an orphan data slot (its header raced a route
-    /// change) becomes its own single-flit worm. `None` = unroutable.
+    /// header, and the ingress lane the flit joins. A worm's body flits
+    /// follow the head's egress, so only a header routes (adaptively or
+    /// not); an orphan data slot (its header raced a route change)
+    /// becomes its own single-flit worm. `None` = the destination has no
+    /// route.
     fn admit_worm(
         &mut self,
-        lane: LaneRef,
+        in_port: usize,
+        in_vc: Option<u8>,
         payload: &FlitPayload,
         dst: NodeId,
         now: SimTime,
-    ) -> Option<WormSlot> {
+    ) -> Option<(WormSlot, usize)> {
+        self.routing.route(dst)?;
         let (id, remaining) = match payload {
-            FlitPayload::Transaction(t) => (t.id, self.expected_flits(lane.0, t)),
+            FlitPayload::Transaction(t) => (t.id, self.expected_flits(in_port, t)),
             FlitPayload::Data { txn_id, .. } => {
-                if let Some(&slot) = self.worm_of.get(txn_id) {
+                if let Some((slot, w)) = self.live_worm(None, *txn_id) {
+                    let lane = self.lane_for(in_port, in_vc, w.out);
                     if let Some(w) = self.worms[slot as usize].as_mut() {
-                        w.split |= w.home != lane;
+                        w.split |= w.home != (in_port, lane);
                     }
-                    return Some(slot);
+                    return Some((slot, lane));
                 }
                 (*txn_id, 1)
             }
@@ -704,28 +726,37 @@ impl FabricSwitch {
             _ => return None,
         };
         let out = self.pick_output(dst, now)?;
+        let lane = self.lane_for(in_port, in_vc, out);
         let worm = Worm {
             id,
             out,
             lane: None,
             remaining,
-            home: lane,
+            home: (in_port, lane),
             split: false,
         };
         self.committed[out] += remaining;
-        if let Some(&slot) = self.worm_of.get(&id) {
-            // A header reusing a live transfer's id replaces it in place:
-            // the old transfer's queued flits now resolve to the new worm,
-            // as they would by id, and parked heads must look again.
-            if let Some(old) = self.worms[slot as usize].replace(Worm {
-                split: true,
-                ..worm
-            }) {
-                self.committed[old.out] -= old.remaining;
+        // Only a worm with data slots is indexed (see `worm_of`).
+        let index = match (remaining > 1).then(|| self.worm_of.entry(id)) {
+            None => None,
+            Some(MapEntry::Occupied(e)) => {
+                // A header reusing an indexed transfer's id replaces it in
+                // place: the old transfer's queued flits now resolve to
+                // the new worm, as they would by id, and parked heads must
+                // look again.
+                let slot = *e.get();
+                let new = Worm {
+                    split: true,
+                    ..worm
+                };
+                if let Some(old) = self.worms[slot as usize].replace(new) {
+                    self.committed[old.out] -= old.remaining;
+                }
+                self.wake_all();
+                return Some((slot, lane));
             }
-            self.wake_all();
-            return Some(slot);
-        }
+            Some(MapEntry::Vacant(e)) => Some(e),
+        };
         let slot = match self.free_worms.pop() {
             Some(slot) => {
                 self.worms[slot as usize] = Some(worm);
@@ -736,14 +767,16 @@ impl FabricSwitch {
                 (self.worms.len() - 1) as WormSlot
             }
         };
-        self.worm_of.insert(id, slot);
-        Some(slot)
+        if let Some(e) = index {
+            e.insert(slot);
+        }
+        Some((slot, lane))
     }
 
-    /// The live worm a queued flit of transaction `id` belongs to. The
-    /// slot recorded at admission answers in O(1); a stale slot (its worm
-    /// finished or was replaced) falls back to the id lookup, exactly as
-    /// if the flit had been resolved by id.
+    /// The live worm a flit of transaction `id` belongs to. The slot
+    /// recorded at admission answers in O(1); a stale or absent slot (its
+    /// worm finished or was replaced) falls back to the id lookup, exactly
+    /// as if the flit had been resolved by id.
     fn live_worm(&self, slot: Option<WormSlot>, id: u64) -> Option<(WormSlot, Worm)> {
         let by_slot = slot.and_then(|s| {
             self.worms[s as usize]
@@ -857,23 +890,14 @@ impl FabricSwitch {
         };
         let class = payload.msg_class();
         let now = ctx.now();
-        let mut worm = None;
-        // The lane the flit joins. FIFO defers output resolution to
-        // dispatch (adaptive routing), but every discipline drops an
-        // unroutable flit here.
-        let lane = match self.cfg.queueing {
-            _ if self.routing.route(dst).is_none() => None,
-            QueueDiscipline::Fifo => Some(0),
-            QueueDiscipline::Voq => self.pick_output(dst, now).inspect(|&out| {
-                self.committed[out] += 1;
-            }),
-            QueueDiscipline::Wormhole => {
-                let lane = usize::from(in_vc.unwrap_or(0)).min(self.vcq[in_port].len() - 1);
-                worm = self.admit_worm((in_port, lane), &payload, dst, now);
-                worm.map(|_| lane)
+        // Every discipline fixes the flit's egress here, through its worm.
+        let Some((worm, lane)) = self.admit_worm(in_port, in_vc, &payload, dst, now) else {
+            // A dropped body flit will never leave by its worm's egress.
+            if let FlitPayload::Data { txn_id, .. } = payload {
+                if let Some((s, w)) = self.live_worm(None, txn_id) {
+                    self.advance_worm(s, w, None);
+                }
             }
-        };
-        let Some(lane) = lane else {
             self.unroutable.inc();
             self.ports[in_port].release(ctx, class);
             self.return_in_vc(ctx, in_port, in_vc);
@@ -1058,8 +1082,7 @@ impl FabricSwitch {
 
     /// Activates heads whose forwarding latency has passed and, if the
     /// routing table changed since the last sweep, every parked head: a
-    /// header's escape-lane eligibility or a FIFO head's output may have
-    /// changed.
+    /// wormhole header's escape-lane eligibility may have changed.
     fn prepare_sweep(&mut self, now: SimTime) {
         while let Some(&Reverse((at, i, l))) = self.timed.peek() {
             if at > now {
@@ -1118,22 +1141,10 @@ impl FabricSwitch {
             }) else {
                 continue;
             };
-            // The egress the head leaves by and, under wormhole, its worm.
-            let egress = match self.cfg.queueing {
-                QueueDiscipline::Fifo => match dst.map(|d| self.pick_output(d, now)) {
-                    Some(Some(out)) => Some((out, None)),
-                    // The destination lost every route: wait for an edit.
-                    Some(None) => continue,
-                    None => None,
-                },
-                QueueDiscipline::Voq => Some((l, None)),
-                QueueDiscipline::Wormhole => {
-                    self.live_worm(slot, id).map(|(s, w)| (w.out, Some((s, w))))
-                }
-            };
-            let Some((out, worm)) = egress else {
-                // admit() queues only routable flits, a wormhole flit with
-                // its worm; one without either raced a teardown — drop.
+            // The head leaves by its worm's egress, fixed at admission.
+            let Some((s, worm)) = self.live_worm(Some(slot), id) else {
+                // admit() queues a flit only with its worm; one whose worm
+                // is gone raced a teardown — drop.
                 if let Some(entry) = self.vcq[i][l].pop_front() {
                     self.refresh_head(i, l, now);
                     self.unroutable.inc();
@@ -1142,6 +1153,7 @@ impl FabricSwitch {
                 }
                 return true;
             };
+            let out = worm.out;
             match self.policy_gate(i, out, flow, now, reserved_phase) {
                 Ok(()) => {}
                 Err(Some(at)) => {
@@ -1155,19 +1167,17 @@ impl FabricSwitch {
             if !self.sched_admits(flow) {
                 continue;
             }
-            // The egress link, then a worm's per-VC gate. A refused head
-            // parks on the resource while its egress stays fixed.
-            let gate = match &worm {
-                _ if !self.ports[out].link.can_send(class) => Err(Wait::Link(out)),
-                Some((_, w)) => self.vc_gate(w, dst),
-                None => Ok(None),
+            // The egress link, then the worm's per-VC gate. A refused head
+            // parks on the resource; its egress stays fixed.
+            let gate = if self.ports[out].link.can_send(class) {
+                self.vc_gate(&worm, dst)
+            } else {
+                Err(Wait::Link(out))
             };
             let out_vc = match gate {
                 Ok(v) => v,
                 Err(wait) => {
-                    if self.egress_fixed(dst) {
-                        self.park(i, l, wait);
-                    }
+                    self.park(i, l, wait);
                     continue;
                 }
             };
@@ -1175,39 +1185,22 @@ impl FabricSwitch {
                 continue;
             };
             self.refresh_head(i, l, now);
-            if self.cfg.queueing != QueueDiscipline::Fifo {
-                self.committed[out] -= 1;
-            }
-            if let Some((s, w)) = worm {
-                self.advance_worm(s, w, out_vc);
-            }
+            self.advance_worm(s, worm, out_vc);
             self.finish_dispatch(ctx, i, out, entry, now, out_vc);
             return true;
         }
         false
     }
 
-    /// Whether a head's egress stays the same until the routing table
-    /// changes. VOQ and wormhole fix it at admission. A FIFO head picks
-    /// at dispatch, so it is fixed when routing is deterministic or its
-    /// destination has a single candidate: an adaptive pick among several
-    /// follows queue and wire backlogs, which move without any event on
-    /// the parked head's link.
-    fn egress_fixed(&self, dst: Option<NodeId>) -> bool {
-        self.cfg.queueing != QueueDiscipline::Fifo
-            || !self.cfg.adaptive
-            || dst
-                .and_then(|d| self.routing.route(d))
-                .is_some_and(|c| c.len() == 1)
-    }
-
     /// The per-VC egress gate of a worm's next flit: the lane it holds,
     /// or for a header a newly allocated one. Escape lane 0 is eligible
     /// only when the egress is the destination's primary (deterministic)
-    /// route. `Ok(None)` when the egress has no VC flow control.
+    /// route. `Ok(None)` when the egress has no VC flow control or the
+    /// switch does not switch wormhole.
     fn vc_gate(&mut self, worm: &Worm, dst: Option<NodeId>) -> Result<Option<u8>, Wait> {
         let out = worm.out;
-        let Some(vl) = self.vc_links[out].as_mut() else {
+        let wormhole = self.cfg.queueing == QueueDiscipline::Wormhole;
+        let Some(vl) = self.vc_links[out].as_mut().filter(|_| wormhole) else {
             return Ok(None);
         };
         match worm.lane {
@@ -1224,10 +1217,12 @@ impl FabricSwitch {
         }
     }
 
-    /// Books a dispatched flit of the worm in `slot` on its egress lane
-    /// `out_vc`; the tail frees the slot and releases the lane.
+    /// Books one flit of the worm in `slot` as gone: dispatched on its
+    /// egress lane `out_vc`, or dropped (`None`, no lane credit spent).
+    /// The tail frees the slot and releases the worm's lane.
     fn advance_worm(&mut self, slot: WormSlot, worm: Worm, out_vc: Option<u8>) {
         let out = worm.out;
+        self.committed[out] -= 1;
         if let Some(v) = out_vc {
             if let Some(vl) = self.vc_links[out].as_mut() {
                 vl.consume(v, worm.id);
@@ -1237,8 +1232,13 @@ impl FabricSwitch {
         if remaining == 0 {
             self.worms[slot as usize] = None;
             self.free_worms.push(slot);
-            self.worm_of.remove(&worm.id);
-            if let Some(v) = out_vc {
+            // The index may name a newer worm with this id, or none.
+            if let MapEntry::Occupied(e) = self.worm_of.entry(worm.id) {
+                if *e.get() == slot {
+                    e.remove();
+                }
+            }
+            if let Some(v) = out_vc.or(worm.lane) {
                 if let Some(vl) = self.vc_links[out].as_mut() {
                     vl.release(v);
                 }
@@ -1246,7 +1246,7 @@ impl FabricSwitch {
             }
         } else {
             self.worms[slot as usize] = Some(Worm {
-                lane: out_vc,
+                lane: out_vc.or(worm.lane),
                 remaining,
                 ..worm
             });
@@ -1468,25 +1468,15 @@ impl Component for FabricSwitch {
                     continue;
                 };
                 let n = q.len();
-                // The egress the lane waits on: the whole FIFO waits behind
-                // its head's, a VOQ lane is its output, and a wormhole
-                // lane's head names it through its worm.
-                let (what, egress) = match self.cfg.queueing {
-                    QueueDiscipline::Fifo => (
-                        format!("{n} flit(s) queued at input {i}"),
-                        Self::dst_of(&head.payload)
-                            .and_then(|d| self.pick_output(d, SimTime::ZERO)),
-                    ),
-                    QueueDiscipline::Voq => (
-                        format!("{n} flit(s) queued input {i} -> output {l}"),
-                        Some(l),
-                    ),
-                    QueueDiscipline::Wormhole => (
-                        format!("{n} flit(s) queued input {i} lane {l}"),
-                        self.live_worm(head.worm, head.payload.trace_id())
-                            .map(|(_, w)| w.out),
-                    ),
+                let what = match self.cfg.queueing {
+                    QueueDiscipline::Fifo => format!("{n} flit(s) queued at input {i}"),
+                    QueueDiscipline::Voq => format!("{n} flit(s) queued input {i} -> output {l}"),
+                    QueueDiscipline::Wormhole => format!("{n} flit(s) queued input {i} lane {l}"),
                 };
+                // The lane waits on its head's egress, named by its worm.
+                let egress = self
+                    .live_worm(Some(head.worm), head.payload.trace_id())
+                    .map(|(_, w)| w.out);
                 out.push(PendingWork {
                     what,
                     waiting_on: egress.and_then(|o| self.ports[o].peer_opt()),
@@ -1536,7 +1526,7 @@ mod tests {
             flow: FabricSwitch::flow_of(&FlitPayload::Idle),
             enqueued_at: SimTime::ZERO,
             in_vc: None,
-            worm: None,
+            worm: 0,
         });
         for _ in 0..2 {
             sw.add_port();
@@ -2120,7 +2110,7 @@ mod tests {
         #[test]
         fn route_edits_wake_parked_fifo_heads() {
             let mut rig = Rig::fifo(1, 2, one_credit(), false);
-            let alt = rig.out() + 1;
+            let (out, alt) = (rig.out(), rig.out() + 1);
             rig.send(0.0, 0, reads(1, DST, 2), None);
             rig.run_until_us(1.0);
             assert_eq!(rig.head(0, 0), Head::Parked);
@@ -2128,71 +2118,98 @@ mod tests {
             rig.post_to_switch(1.0, Kick);
             rig.run_until_us(1.5);
             assert_eq!(rig.head(0, 0), Head::Parked);
-            // Withdrawing the route wakes it; with nowhere to go it stays
-            // active rather than parking on a link.
+            // Moving the route to the idle `alt` wakes it, but its egress
+            // was fixed at admission: it parks again on `out`'s link.
             rig.post_to_switch(1.5, RemovePbrRoute { dst: DST });
-            rig.post_to_switch(1.5, Kick);
-            rig.run_until_us(2.0);
-            assert_eq!(rig.head(0, 0), Head::Active);
-            assert_eq!(rig.delivered(0), 1);
-            // Re-installing the route toward the exhausted egress parks
-            // it again; moving it to `alt` wakes it and it leaves there.
             rig.post_to_switch(
-                2.0,
-                InstallPbrRoute {
-                    dst: DST,
-                    port: rig.out(),
-                },
-            );
-            rig.post_to_switch(2.0, Kick);
-            rig.run_until_us(2.5);
-            assert_eq!(rig.head(0, 0), Head::Parked);
-            rig.post_to_switch(2.5, RemovePbrRoute { dst: DST });
-            rig.post_to_switch(
-                2.5,
+                1.5,
                 InstallPbrRoute {
                     dst: DST,
                     port: alt,
                 },
             );
-            rig.post_to_switch(2.5, Kick);
+            rig.post_to_switch(1.5, Kick);
+            rig.run_until_us(2.0);
+            assert_eq!(rig.head(0, 0), Head::Parked);
+            assert_eq!(rig.switch().waiters[out].link, [(0, 0)]);
+            assert_eq!((rig.delivered(0), rig.delivered(1)), (1, 0));
+            // A credit on `out` moves it there; a read admitted after the
+            // edit takes the new route.
+            rig.cmd(2.0, 0, Cmd::Free(None));
+            rig.send(2.0, 0, reads(3, DST, 1), None);
             rig.run_until_us(3.0);
-            assert_eq!(rig.delivered(1), 1);
+            assert_eq!((rig.delivered(0), rig.delivered(1)), (2, 1));
             assert_eq!(rig.head(0, 0), Head::Empty);
         }
 
         #[test]
-        fn adaptive_fifo_head_with_two_candidates_never_parks() {
-            let mut rig = Rig::fifo(1, 2, one_credit(), true);
-            let alt = rig.out() + 1;
-            // One candidate: an adaptive head parks like a deterministic
-            // one.
-            rig.send(0.0, 0, reads(1, DST, 2), None);
-            rig.run_until_us(1.0);
-            assert_eq!(rig.delivered(0), 1);
-            assert_eq!(rig.head(0, 0), Head::Parked);
-            // A second candidate wakes it. The least-backlogged pick is
-            // still the exhausted egress (queues and wires tie, lowest port
-            // wins), but that pick can change without any event on its
-            // link, so the head stays active sweep after sweep.
-            rig.post_to_switch(
-                1.0,
-                InstallPbrRoute {
-                    dst: DST,
-                    port: alt,
-                },
-            );
-            rig.post_to_switch(1.0, Kick);
-            rig.run_until_us(2.0);
-            assert_eq!(rig.head(0, 0), Head::Active);
-            rig.post_to_switch(2.0, Kick);
-            rig.run_until_us(3.0);
-            assert_eq!(rig.head(0, 0), Head::Active);
-            assert_eq!(rig.delivered(0) + rig.delivered(1), 1);
-            rig.cmd(3.0, 0, Cmd::Free(None));
-            rig.run_until_us(4.0);
-            assert_eq!(rig.delivered(0), 2);
-            assert_eq!(rig.head(0, 0), Head::Empty);
+        fn adaptive_transfers_leave_by_their_headers_egress() {
+            for queueing in [QueueDiscipline::Fifo, QueueDiscipline::Voq] {
+                let cfg = SwitchConfig {
+                    queueing,
+                    adaptive: true,
+                    ..SwitchConfig::fabrex_like()
+                };
+                let mut rig = Rig::build(cfg, 1, None, 2, None, one_credit());
+                let alt = rig.out() + 1;
+                rig.switch_mut().routing.add_pbr(DST, alt);
+                // The header goes alone: the candidates tie, the lower port
+                // wins, and the header takes that egress's one credit.
+                let write = worm(1, DST, 2);
+                rig.send(0.0, 0, write[..1].to_vec(), None);
+                rig.run_until_us(1.0);
+                assert_eq!((rig.delivered(0), rig.delivered(1)), (1, 0));
+                // The slots arrive once `out` is the busier candidate, with
+                // the rest of the transfer committed to it. The first takes
+                // the data class's one credit; the second waits for it
+                // rather than take the idle `alt`.
+                rig.send(1.0, 0, write[1..].to_vec(), None);
+                rig.run_until_us(2.0);
+                assert_eq!((rig.delivered(0), rig.delivered(1)), (2, 0), "{queueing:?}");
+                let now = rig.engine.now();
+                assert_eq!(rig.switch().pick_output(DST, now), Some(alt));
+                for k in 0..2 {
+                    rig.cmd(2.0 + f64::from(k), 0, Cmd::Free(None));
+                }
+                rig.engine.run_until_idle();
+                let got = &rig.engine.component::<Probe>(rig.sinks[0]).got;
+                let sent: Vec<FlitPayload> = got.iter().map(|(p, _)| p.clone()).collect();
+                assert_eq!(sent, write, "{queueing:?}");
+                assert_eq!(rig.delivered(1), 0, "{queueing:?}");
+                assert!(rig.switch().worm_of.is_empty());
+                assert_eq!(rig.switch().committed, [0, 0, 0]);
+            }
+        }
+
+        #[test]
+        fn body_flits_dropped_at_admission_end_their_worm() {
+            for wormhole in [false, true] {
+                let mut rig = if wormhole {
+                    Rig::new(1, None, 1, vcs(2, 4), CreditConfig::default())
+                } else {
+                    Rig::voq(1, 1, CreditConfig::default())
+                };
+                let out = rig.out();
+                let write = worm(1, DST, 2);
+                rig.send(0.0, 0, write[..1].to_vec(), None);
+                rig.run_until_us(1.0);
+                assert_eq!(rig.delivered(0), 1);
+                // The route goes before the body arrives: both slots are
+                // dropped, and the transfer's worm, lane and commitment
+                // end with them.
+                rig.post_to_switch(1.0, RemovePbrRoute { dst: DST });
+                rig.send(1.5, 0, write[1..].to_vec(), None);
+                rig.run_until_us(2.0);
+                let sw = rig.switch();
+                assert_eq!(sw.unroutable.get(), 2, "wormhole {wormhole}");
+                assert!(sw.worm_of.is_empty(), "wormhole {wormhole}");
+                assert!(sw.committed.iter().all(|&c| c == 0), "wormhole {wormhole}");
+                let holders = sw
+                    .vc_link(out)
+                    .map(|vl| vl.lanes.iter().map(|l| l.holder).collect());
+                let free: Option<Vec<Option<u64>>> = wormhole.then(|| vec![None, None]);
+                assert_eq!(holders, free, "wormhole {wormhole}");
+            }
         }
 
         #[test]

@@ -9,10 +9,13 @@
 # The parent is exported with `git archive`; the working tree builds in
 # place. Each side builds `experiments` into its own target directory (the
 # parent's under the work directory, keyed by its commit). Both sides run
-# `all` full and --quick, at --shards 1 and 4. The script names the first
-# file that differs and exits 1; exit 0 means every run matched; exit 2 on
-# misuse. A full traced `all` writes a ~580 MB trace per side, so each
-# configuration's outputs are deleted once compared.
+# `all` full and --quick, at --shards 1 and 4. When a configuration's
+# outputs differ, both sides re-run it one id at a time (every id that
+# `experiments list` prints) and the script names each scenario that
+# differs, so a deliberate re-baseline can show that it is confined. Exit
+# 0 means every run matched, 1 that some output differs, 2 misuse. A full
+# traced `all` writes a ~580 MB trace per side, so each run's outputs are
+# deleted once compared.
 #
 # The work directory (default: temporary, removed on exit) keeps the
 # parent's build between calls when given.
@@ -46,33 +49,58 @@ cargo build --release -q -p fcc-bench --bin experiments
 base_bin="$work/target-$sha/release/experiments"
 new_bin="${CARGO_TARGET_DIR:-target}/release/experiments"
 
+# Runs `experiments <args>` on both sides and compares the outputs; names
+# each differing file and returns 1 when any differs.
+same_outputs() {
+    local label=$1 side bin out f
+    shift
+    for side in base new; do
+        bin=$base_bin
+        [ "$side" = new ] && bin=$new_bin
+        out="$work/out/$side"
+        mkdir -p "$out"
+        if ! "$bin" "$@" --json "$out/results.json" \
+            --trace "$out/trace.json" --metrics "$out/metrics.json" \
+            > "$out/stdout.txt" 2> "$out/stderr.txt"; then
+            echo "exports_ab: $label: the $side run failed" >&2
+            cat "$out/stderr.txt" >&2
+            exit 1
+        fi
+    done
+    local same=0
+    for f in stdout.txt results.json trace.json metrics.json; do
+        if ! cmp -s "$work/out/base/$f" "$work/out/new/$f"; then
+            echo "exports_ab: $label: $f differs from the parent" >&2
+            same=1
+        fi
+    done
+    rm -rf "$work/out/base" "$work/out/new"
+    return $same
+}
+
+ids=$("$new_bin" list | awk -F'|' '{ gsub(/ /, "", $2) } $2 != "" && $2 != "id" { print $2 }')
+status=0
 for scale in full quick; do
     for shards in 1 4; do
         flags=(--shards "$shards")
         [ "$scale" = quick ] && flags+=(--quick)
         label="all $scale --shards $shards"
-        for side in base new; do
-            bin=$base_bin
-            [ "$side" = new ] && bin=$new_bin
-            out="$work/out/$side"
-            mkdir -p "$out"
-            if ! "$bin" "${flags[@]}" all --json "$out/results.json" \
-                --trace "$out/trace.json" --metrics "$out/metrics.json" \
-                > "$out/stdout.txt" 2> "$out/stderr.txt"; then
-                echo "exports_ab: $label: the $side run failed" >&2
-                cat "$out/stderr.txt" >&2
-                exit 1
+        if same_outputs "$label" "${flags[@]}" all; then
+            echo "exports_ab: $label: stdout, json, trace and metrics identical"
+            continue
+        fi
+        status=1
+        differing=()
+        for id in $ids; do
+            if ! same_outputs "$id $scale --shards $shards" "${flags[@]}" "$id"; then
+                differing+=("$id")
             fi
         done
-        for f in stdout.txt results.json trace.json metrics.json; do
-            if ! cmp -s "$work/out/base/$f" "$work/out/new/$f"; then
-                echo "exports_ab: $label: $f differs from the parent" >&2
-                cmp "$work/out/base/$f" "$work/out/new/$f" >&2 || true
-                exit 1
-            fi
-        done
-        echo "exports_ab: $label: stdout, json, trace and metrics identical"
-        rm -rf "$work/out/base" "$work/out/new"
+        echo "exports_ab: $label: differing scenarios: ${differing[*]:-none when run alone}"
     done
 done
+if [ "$status" -ne 0 ]; then
+    echo "exports_ab: outputs differ from $sha" >&2
+    exit 1
+fi
 echo "exports_ab: all runs identical to $sha"
