@@ -414,7 +414,6 @@ impl Component for CpuCore {
                     hc.completed_at,
                     fcc_telemetry::TraceCtx::NONE,
                 );
-                self.hierarchy.fill(0);
                 self.complete(ctx, hc.tag);
             }
             Err(m) => panic!("cpu core: unexpected message {}", m.type_name()),

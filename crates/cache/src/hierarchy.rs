@@ -152,8 +152,8 @@ impl MemoryHierarchy {
     /// Runs one access through the hierarchy at time `now`.
     ///
     /// Remote misses return `ServiceLevel::Remote` with the lookup cost
-    /// spent so far; the caller sends the miss to the fabric and the
-    /// response fill is modeled by [`MemoryHierarchy::fill`].
+    /// spent so far; the caller sends the miss to the fabric. The lines
+    /// are allocated here, so the response needs no separate fill.
     pub fn access(&mut self, addr: u64, is_write: bool, now: SimTime) -> AccessPlan {
         let mut writebacks = Vec::new();
         // L1 lookup.
@@ -226,10 +226,6 @@ impl MemoryHierarchy {
             writebacks,
         }
     }
-
-    /// Installs a remote fill (the response arrived from the fabric);
-    /// no-op beyond the allocation already done in [`MemoryHierarchy::access`].
-    pub fn fill(&mut self, _addr: u64) {}
 }
 
 #[cfg(test)]

@@ -70,7 +70,6 @@ pub struct LinkPort {
     peer: Option<ComponentId>,
     wire_free_at: SimTime,
     pending: VecDeque<(FlitPayload, SimTime)>,
-    pending_limit: usize,
     trace: Track,
     /// Per-flit corruption probability (fault injection).
     pub error_rate: f64,
@@ -89,19 +88,11 @@ impl LinkPort {
             peer: None,
             wire_free_at: SimTime::ZERO,
             pending: VecDeque::new(),
-            pending_limit: usize::MAX,
             trace: Track::default(),
             error_rate: 0.0,
             tx_flits: Counter::new(),
             rx_flits: Counter::new(),
         }
-    }
-
-    /// Bounds the local pending queue (for components that must exert
-    /// backpressure instead of buffering arbitrarily).
-    pub fn with_pending_limit(mut self, limit: usize) -> Self {
-        self.pending_limit = limit;
-        self
     }
 
     /// Binds the port to its peer component.
@@ -130,11 +121,6 @@ impl LinkPort {
         self.peer
     }
 
-    /// Whether the local pending queue can take another payload.
-    pub fn can_enqueue(&self) -> bool {
-        self.pending.len() < self.pending_limit
-    }
-
     /// Number of payloads waiting for transmit credit.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -146,16 +132,11 @@ impl LinkPort {
         self.pending.is_empty() && self.link.can_send(class)
     }
 
-    /// Queues a payload and pumps the transmit path.
-    ///
-    /// Returns `false` (payload refused) when the pending queue is full.
-    pub fn enqueue(&mut self, ctx: &mut Ctx<'_>, payload: FlitPayload) -> bool {
-        if !self.can_enqueue() {
-            return false;
-        }
+    /// Queues a payload and pumps the transmit path. The pending queue is
+    /// unbounded: backpressure reaches the sender through its own queue.
+    pub fn enqueue(&mut self, ctx: &mut Ctx<'_>, payload: FlitPayload) {
         self.pending.push_back((payload, ctx.now()));
         self.pump(ctx);
-        true
     }
 
     /// Queues `txn`'s whole transfer: its header, then its [`data_slots`]
@@ -329,16 +310,6 @@ impl LinkPort {
         }
     }
 
-    /// Flushes coalesced acks and credit returns (idle-timer path).
-    pub fn flush_control(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(ack) = self.link.flush_ack() {
-            self.transmit_control(ctx, ack);
-        }
-        for update in self.link.flush_credit_updates() {
-            self.transmit_control(ctx, update);
-        }
-    }
-
     /// The time the wire will next be idle (for utilization probes).
     pub fn wire_free_at(&self) -> SimTime {
         self.wire_free_at
@@ -425,9 +396,9 @@ mod tests {
     }
 
     impl Node {
-        fn new(release: bool) -> Self {
+        fn new(release: bool, credit: CreditConfig) -> Self {
             Node {
-                port: LinkPort::new(PhysConfig::omega_like(), CreditConfig::default()),
+                port: LinkPort::new(PhysConfig::omega_like(), credit),
                 delivered: Vec::new(),
                 vc_credits: Vec::new(),
                 release_on_delivery: release,
@@ -452,7 +423,7 @@ mod tests {
 
         fn handle_inject(&mut self, ctx: &mut Ctx<'_>, inj: Inject) {
             for p in inj.0 {
-                assert!(self.port.enqueue(ctx, p), "pending queue full");
+                self.port.enqueue(ctx, p);
             }
         }
     }
@@ -491,8 +462,17 @@ mod tests {
     }
 
     fn driven_pair(engine: &mut Engine, release: bool) -> (ComponentId, ComponentId) {
-        let a = engine.add_component("a", DrivenNode(Node::new(release)));
-        let b = engine.add_component("b", DrivenNode(Node::new(release)));
+        driven_pair_with(engine, release, CreditConfig::default())
+    }
+
+    /// A pair whose ends both run `credit`.
+    fn driven_pair_with(
+        engine: &mut Engine,
+        release: bool,
+        credit: CreditConfig,
+    ) -> (ComponentId, ComponentId) {
+        let a = engine.add_component("a", DrivenNode(Node::new(release, credit)));
+        let b = engine.add_component("b", DrivenNode(Node::new(release, credit)));
         engine.component_mut::<DrivenNode>(a).0.port.connect(b);
         engine.component_mut::<DrivenNode>(b).0.port.connect(a);
         (a, b)
@@ -593,32 +573,33 @@ mod tests {
     }
 
     #[test]
-    fn pending_limit_exerts_backpressure() {
-        let mut engine = Engine::new(1);
-        let a = engine.add_component(
-            "a",
-            DrivenNode(Node {
-                port: LinkPort::new(PhysConfig::omega_like(), CreditConfig::default())
-                    .with_pending_limit(2),
-                delivered: Vec::new(),
-                vc_credits: Vec::new(),
-                release_on_delivery: false,
-            }),
-        );
-        let b = engine.add_component("b", DrivenNode(Node::new(false)));
-        engine.component_mut::<DrivenNode>(a).0.port.connect(b);
-        engine.component_mut::<DrivenNode>(b).0.port.connect(a);
-        // Exhaust the 16 Req credits, then fill the 2-entry pending queue;
-        // can_enqueue must then report backpressure.
-        inject(&mut engine, a, (0..18).map(read_txn).collect());
-        engine.call_at(SimTime::from_ps(1), move |e| {
-            let sender = &e.component::<DrivenNode>(a).0;
-            assert_eq!(sender.port.pending_len(), 2);
-            assert!(!sender.port.can_enqueue());
-        });
-        engine.run_until_idle();
-        let sender = &engine.component::<DrivenNode>(a).0;
-        assert_eq!(sender.port.pending_len(), 2, "receiver never releases");
+    fn coalescing_past_what_the_sender_may_hold_cannot_wedge_the_link() {
+        // 8 buffer flits advertise 2 credits per class, and a 2-deep retry
+        // buffer holds 2 unacked flits: both below the threshold of 4 at
+        // which the receiver would otherwise return credits and ack.
+        let coarse = CreditConfig {
+            return_threshold: 4,
+            ..CreditConfig::default()
+        };
+        for credit in [
+            CreditConfig {
+                buffer_flits: 8,
+                ..coarse
+            },
+            CreditConfig {
+                retry_depth: 2,
+                ..coarse
+            },
+        ] {
+            let mut engine = Engine::new(1);
+            let (a, b) = driven_pair_with(&mut engine, true, credit);
+            inject(&mut engine, a, (0..10).map(read_txn).collect());
+            engine.run_until_idle();
+            let node_b = &engine.component::<DrivenNode>(b).0;
+            assert_eq!(node_b.delivered.len(), 10, "{credit:?}");
+            let sender = &engine.component::<DrivenNode>(a).0;
+            assert_eq!(sender.port.pending_len(), 0, "{credit:?}");
+        }
     }
 
     /// Posts a control flit to `node` as if its peer had sent it.

@@ -124,24 +124,6 @@ pub struct RemovePbrRoute {
     pub dst: NodeId,
 }
 
-/// Installs an HBR route (from the fabric manager).
-#[derive(Debug, Clone, Copy)]
-pub struct InstallHbrRoute {
-    /// Foreign domain.
-    pub domain: crate::routing::DomainId,
-    /// Output port.
-    pub port: usize,
-}
-
-/// Declares a node's domain (from the fabric manager).
-#[derive(Debug, Clone, Copy)]
-pub struct SetNodeDomain {
-    /// The node.
-    pub node: NodeId,
-    /// Its domain.
-    pub domain: crate::routing::DomainId,
-}
-
 /// Installs a flow rate reservation (from the central arbiter).
 #[derive(Debug, Clone, Copy)]
 pub struct InstallRate {
@@ -210,27 +192,31 @@ type LaneRef = (usize, usize);
 
 /// An in-transit transfer (header + data slots): one egress for all its
 /// flits under every discipline and, on a wormhole VC link, one egress
-/// virtual channel from head to tail.
+/// virtual channel from head to tail. A worm takes exactly the flits its
+/// header announced and is freed only after the last of them has left,
+/// so every queued flit's [`Entry::worm`] names a live worm.
 #[derive(Debug, Clone, Copy)]
 struct Worm {
-    /// Transaction id; a queued flit's slot reference is valid only while
-    /// the slot still holds this id.
+    /// Transaction id (the VC ledgers' lane holder).
     id: u64,
     /// Egress port fixed at head admission; body flits follow the head.
     out: usize,
     /// VC lane allocated at head dispatch (`None` until the head moves,
     /// and always without VC flow control).
     lane: Option<u8>,
-    /// Flits of this transfer not yet dispatched (including the header).
+    /// Flits of this transfer not yet dispatched or dropped (including
+    /// the header).
     remaining: u64,
-    /// Ingress lane the transfer's first flit queued in.
-    home: LaneRef,
-    /// Whether flits of this transfer also queued outside `home`: only an
-    /// orphaned transfer (header dropped upstream after a route removal)
-    /// whose data slots were re-laned one by one. Such a worm can change
-    /// under a parked head of its own, so every change to it wakes all
-    /// parked heads.
-    split: bool,
+}
+
+/// Why an arriving flit was dropped at admission instead of queued.
+enum Refusal {
+    /// Its destination has no route.
+    Unroutable,
+    /// A data slot with no worm expecting it.
+    Orphan,
+    /// A header with data slots whose id names a worm still indexed.
+    DuplicateId,
 }
 
 /// Sweep state of an ingress lane's head flit.
@@ -325,14 +311,17 @@ pub struct FabricSwitch {
     /// Per-egress-port VC credit ledgers (only on links configured via
     /// [`FabricSwitch::set_vc_link`]).
     vc_links: Vec<Option<VcLink>>,
-    /// In-transit transfers (slab; `None` = free slot). Queued flits
-    /// reach their worm, and so their egress, through [`Entry::worm`].
-    worms: Vec<Option<Worm>>,
+    /// In-transit transfers (slab; the slots in `free_worms` hold stale
+    /// worms). Queued flits reach their worm, and so their egress,
+    /// through [`Entry::worm`].
+    worms: Vec<Worm>,
     free_worms: Vec<WormSlot>,
-    /// Transaction id → slot of each worm with data slots, the index a
-    /// data slot finds its worm by. A lone header's worm is reached only
-    /// through its flit's [`Entry::worm`], so it is not indexed.
-    worm_of: BTreeMap<u64, WormSlot>,
+    /// Transaction id → (slot, data slots still to arrive) of each worm
+    /// with data slots, from its header's admission to its tail's
+    /// departure: the index a data slot finds its worm by. A lone
+    /// header's worm is reached only through its flit's [`Entry::worm`],
+    /// so it is not indexed.
+    worm_of: BTreeMap<u64, (WormSlot, u64)>,
     /// Head state per `[input][lane]`, in step with `vcq`.
     heads: Vec<Vec<Head>>,
     /// `Active` heads per input. `ready` has a bit set for each input
@@ -365,6 +354,10 @@ pub struct FabricSwitch {
     pub forwarded: Counter,
     /// Flits dropped for lack of a route.
     pub unroutable: Counter,
+    /// Data slots dropped at admission with no worm expecting them.
+    orphan_slots: u64,
+    /// Headers dropped at admission for reusing an indexed worm's id.
+    duplicate_headers: u64,
     /// Sum of per-flit queueing delays (ps) for mean-delay probes.
     pub queue_delay_ps: Counter,
 }
@@ -399,6 +392,8 @@ impl FabricSwitch {
             trace: Track::default(),
             forwarded: Counter::new(),
             unroutable: Counter::new(),
+            orphan_slots: 0,
+            duplicate_headers: 0,
             queue_delay_ps: Counter::new(),
         }
     }
@@ -585,7 +580,9 @@ impl FabricSwitch {
 
     /// Audits every credit ledger this switch maintains: each port's link
     /// layer (see [`fcc_proto::link::LinkLayer::audit`]) and each output's
-    /// ramp-up allocator (see [`RampUpState::audit`]).
+    /// ramp-up allocator (see [`RampUpState::audit`]). Flits dropped at
+    /// admission as protocol errors (a data slot no worm expects, a header
+    /// reusing the id of a transfer in transit) are findings too.
     ///
     /// Call at quiescence; with flits in flight the in-transit credits are
     /// reported as imbalances. See [`crate::ledger`] for topology-wide
@@ -621,6 +618,24 @@ impl FabricSwitch {
             if let Err(e) = sched.audit() {
                 report.push("sched", e);
             }
+        }
+        if self.orphan_slots > 0 {
+            report.push(
+                "admission",
+                format!(
+                    "{} data slot(s) arrived with no worm expecting them",
+                    self.orphan_slots
+                ),
+            );
+        }
+        if self.duplicate_headers > 0 {
+            report.push(
+                "admission",
+                format!(
+                    "{} header(s) reused the id of a transfer in transit",
+                    self.duplicate_headers
+                ),
+            );
         }
         report
     }
@@ -670,12 +685,6 @@ impl FabricSwitch {
         })
     }
 
-    /// Flits this transaction's transfer occupies at a switch: the header
-    /// plus its data slots.
-    fn expected_flits(&self, in_port: usize, t: &fcc_proto::channel::Transaction) -> u64 {
-        1 + fcc_proto::flit::data_slots(self.ports[in_port].phys.flit_mode, t)
-    }
-
     /// Returns the ingress lane credit for a departing (or dropped) flit.
     fn return_in_vc(&mut self, ctx: &mut Ctx<'_>, in_port: usize, in_vc: Option<u8>) {
         if let Some(v) = in_vc {
@@ -695,12 +704,9 @@ impl FabricSwitch {
         }
     }
 
-    /// Resolves the worm an arriving flit belongs to, creating it at the
-    /// header, and the ingress lane the flit joins. A worm's body flits
-    /// follow the head's egress, so only a header routes (adaptively or
-    /// not); an orphan data slot (its header raced a route change)
-    /// becomes its own single-flit worm. `None` = the destination has no
-    /// route.
+    /// Resolves the worm an arriving flit belongs to, creating it at a
+    /// header, and the ingress lane the flit joins. Only a header routes
+    /// (adaptively or not); its data slots follow its egress.
     fn admit_worm(
         &mut self,
         in_port: usize,
@@ -708,85 +714,72 @@ impl FabricSwitch {
         payload: &FlitPayload,
         dst: NodeId,
         now: SimTime,
-    ) -> Option<(WormSlot, usize)> {
-        self.routing.route(dst)?;
-        let (id, remaining) = match payload {
-            FlitPayload::Transaction(t) => (t.id, self.expected_flits(in_port, t)),
+    ) -> Result<(WormSlot, usize), Refusal> {
+        let t = match payload {
+            FlitPayload::Transaction(t) => t,
             FlitPayload::Data { txn_id, .. } => {
-                if let Some((slot, w)) = self.live_worm(None, *txn_id) {
-                    let lane = self.lane_for(in_port, in_vc, w.out);
-                    if let Some(w) = self.worms[slot as usize].as_mut() {
-                        w.split |= w.home != (in_port, lane);
-                    }
-                    return Some((slot, lane));
-                }
-                (*txn_id, 1)
+                return self.join_worm(in_port, in_vc, *txn_id, dst)
             }
             // dst_of() resolved, so the payload is a header or data slot.
-            _ => return None,
+            _ => return Err(Refusal::Unroutable),
         };
-        let out = self.pick_output(dst, now)?;
-        let lane = self.lane_for(in_port, in_vc, out);
+        let out = self.pick_output(dst, now).ok_or(Refusal::Unroutable)?;
+        // Only a worm with data slots is indexed (see `worm_of`).
+        let slots = fcc_proto::flit::data_slots(self.ports[in_port].phys.flit_mode, t);
+        let index = match (slots > 0).then(|| self.worm_of.entry(t.id)) {
+            Some(MapEntry::Occupied(_)) => return Err(Refusal::DuplicateId),
+            Some(MapEntry::Vacant(e)) => Some(e),
+            None => None,
+        };
         let worm = Worm {
-            id,
+            id: t.id,
             out,
             lane: None,
-            remaining,
-            home: (in_port, lane),
-            split: false,
-        };
-        self.committed[out] += remaining;
-        // Only a worm with data slots is indexed (see `worm_of`).
-        let index = match (remaining > 1).then(|| self.worm_of.entry(id)) {
-            None => None,
-            Some(MapEntry::Occupied(e)) => {
-                // A header reusing an indexed transfer's id replaces it in
-                // place: the old transfer's queued flits now resolve to
-                // the new worm, as they would by id, and parked heads must
-                // look again.
-                let slot = *e.get();
-                let new = Worm {
-                    split: true,
-                    ..worm
-                };
-                if let Some(old) = self.worms[slot as usize].replace(new) {
-                    self.committed[old.out] -= old.remaining;
-                }
-                self.wake_all();
-                return Some((slot, lane));
-            }
-            Some(MapEntry::Vacant(e)) => Some(e),
+            remaining: 1 + slots,
         };
         let slot = match self.free_worms.pop() {
             Some(slot) => {
-                self.worms[slot as usize] = Some(worm);
+                self.worms[slot as usize] = worm;
                 slot
             }
             None => {
-                self.worms.push(Some(worm));
+                self.worms.push(worm);
                 (self.worms.len() - 1) as WormSlot
             }
         };
         if let Some(e) = index {
-            e.insert(slot);
+            e.insert((slot, slots));
         }
-        Some((slot, lane))
+        self.committed[out] += worm.remaining;
+        Ok((slot, self.lane_for(in_port, in_vc, out)))
     }
 
-    /// The live worm a flit of transaction `id` belongs to. The slot
-    /// recorded at admission answers in O(1); a stale or absent slot (its
-    /// worm finished or was replaced) falls back to the id lookup, exactly
-    /// as if the flit had been resolved by id.
-    fn live_worm(&self, slot: Option<WormSlot>, id: u64) -> Option<(WormSlot, Worm)> {
-        let by_slot = slot.and_then(|s| {
-            self.worms[s as usize]
-                .filter(|w| w.id == id)
-                .map(|w| (s, w))
-        });
-        by_slot.or_else(|| {
-            let s = *self.worm_of.get(&id)?;
-            self.worms[s as usize].map(|w| (s, w))
-        })
+    /// Joins a data slot of transfer `txn_id` to its worm, while that worm
+    /// still expects slots. A slot whose destination lost its route is
+    /// dropped and booked off its worm.
+    fn join_worm(
+        &mut self,
+        in_port: usize,
+        in_vc: Option<u8>,
+        txn_id: u64,
+        dst: NodeId,
+    ) -> Result<(WormSlot, usize), Refusal> {
+        let routed = self.routing.route(dst).is_some();
+        let Some((slot, due)) = self.worm_of.get_mut(&txn_id).filter(|(_, due)| *due > 0) else {
+            return Err(if routed {
+                Refusal::Orphan
+            } else {
+                Refusal::Unroutable
+            });
+        };
+        *due -= 1;
+        let slot = *slot;
+        if !routed {
+            self.advance_worm(slot, None);
+            return Err(Refusal::Unroutable);
+        }
+        let out = self.worms[slot as usize].out;
+        Ok((slot, self.lane_for(in_port, in_vc, out)))
     }
 
     /// Whether failed heads may be parked: only when every gate ahead of
@@ -891,17 +884,18 @@ impl FabricSwitch {
         let class = payload.msg_class();
         let now = ctx.now();
         // Every discipline fixes the flit's egress here, through its worm.
-        let Some((worm, lane)) = self.admit_worm(in_port, in_vc, &payload, dst, now) else {
-            // A dropped body flit will never leave by its worm's egress.
-            if let FlitPayload::Data { txn_id, .. } = payload {
-                if let Some((s, w)) = self.live_worm(None, txn_id) {
-                    self.advance_worm(s, w, None);
+        let (worm, lane) = match self.admit_worm(in_port, in_vc, &payload, dst, now) {
+            Ok(joined) => joined,
+            Err(refusal) => {
+                match refusal {
+                    Refusal::Unroutable => self.unroutable.inc(),
+                    Refusal::Orphan => self.orphan_slots += 1,
+                    Refusal::DuplicateId => self.duplicate_headers += 1,
                 }
+                self.ports[in_port].release(ctx, class);
+                self.return_in_vc(ctx, in_port, in_vc);
+                return;
             }
-            self.unroutable.inc();
-            self.ports[in_port].release(ctx, class);
-            self.return_in_vc(ctx, in_port, in_vc);
-            return;
         };
         let ready_at = now + self.cfg.fwd_latency;
         self.vcq[in_port][lane].push_back(Entry {
@@ -1129,30 +1123,14 @@ impl FabricSwitch {
             if self.heads[i][l] != Head::Active {
                 continue;
             }
-            let Some((flow, class, id, slot, dst)) = self.vcq[i][l].front().map(|h| {
+            let Some((flow, class, slot, dst)) = self.vcq[i][l].front().map(|h| {
                 debug_assert!(h.ready_at <= now, "active heads are ready");
-                (
-                    h.flow,
-                    h.class,
-                    h.payload.trace_id(),
-                    h.worm,
-                    Self::dst_of(&h.payload),
-                )
+                (h.flow, h.class, h.worm, Self::dst_of(&h.payload))
             }) else {
                 continue;
             };
             // The head leaves by its worm's egress, fixed at admission.
-            let Some((s, worm)) = self.live_worm(Some(slot), id) else {
-                // admit() queues a flit only with its worm; one whose worm
-                // is gone raced a teardown — drop.
-                if let Some(entry) = self.vcq[i][l].pop_front() {
-                    self.refresh_head(i, l, now);
-                    self.unroutable.inc();
-                    self.ports[i].release(ctx, entry.class);
-                    self.return_in_vc(ctx, i, entry.in_vc);
-                }
-                return true;
-            };
+            let worm = self.worms[slot as usize];
             let out = worm.out;
             match self.policy_gate(i, out, flow, now, reserved_phase) {
                 Ok(()) => {}
@@ -1185,7 +1163,7 @@ impl FabricSwitch {
                 continue;
             };
             self.refresh_head(i, l, now);
-            self.advance_worm(s, worm, out_vc);
+            self.advance_worm(slot, out_vc);
             self.finish_dispatch(ctx, i, out, entry, now, out_vc);
             return true;
         }
@@ -1220,39 +1198,38 @@ impl FabricSwitch {
     /// Books one flit of the worm in `slot` as gone: dispatched on its
     /// egress lane `out_vc`, or dropped (`None`, no lane credit spent).
     /// The tail frees the slot and releases the worm's lane.
-    fn advance_worm(&mut self, slot: WormSlot, worm: Worm, out_vc: Option<u8>) {
-        let out = worm.out;
+    fn advance_worm(&mut self, slot: WormSlot, out_vc: Option<u8>) {
+        let worm = &mut self.worms[slot as usize];
+        worm.remaining -= 1;
+        worm.lane = out_vc.or(worm.lane);
+        let Worm {
+            id,
+            out,
+            lane,
+            remaining,
+        } = *worm;
         self.committed[out] -= 1;
         if let Some(v) = out_vc {
             if let Some(vl) = self.vc_links[out].as_mut() {
-                vl.consume(v, worm.id);
+                vl.consume(v, id);
             }
         }
-        let remaining = worm.remaining - 1;
-        if remaining == 0 {
-            self.worms[slot as usize] = None;
-            self.free_worms.push(slot);
-            // The index may name a newer worm with this id, or none.
-            if let MapEntry::Occupied(e) = self.worm_of.entry(worm.id) {
-                if *e.get() == slot {
-                    e.remove();
-                }
-            }
-            if let Some(v) = out_vc.or(worm.lane) {
-                if let Some(vl) = self.vc_links[out].as_mut() {
-                    vl.release(v);
-                }
-                self.wake(Wait::Pool(out));
-            }
-        } else {
-            self.worms[slot as usize] = Some(Worm {
-                lane: out_vc.or(worm.lane),
-                remaining,
-                ..worm
-            });
+        if remaining > 0 {
+            return;
         }
-        if worm.split {
-            self.wake_all();
+        self.free_worms.push(slot);
+        // A lone header's worm is not indexed; the index may then name
+        // another worm with this id.
+        if let MapEntry::Occupied(e) = self.worm_of.entry(id) {
+            if e.get().0 == slot {
+                e.remove();
+            }
+        }
+        if let Some(v) = lane {
+            if let Some(vl) = self.vc_links[out].as_mut() {
+                vl.release(v);
+            }
+            self.wake(Wait::Pool(out));
         }
     }
 
@@ -1415,20 +1392,6 @@ impl Component for FabricSwitch {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<InstallHbrRoute>() {
-            Ok(r) => {
-                self.routing.add_hbr(r.domain, r.port);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<SetNodeDomain>() {
-            Ok(r) => {
-                self.routing.set_domain(r.node, r.domain);
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.downcast::<InstallRate>() {
             Ok(r) => {
                 self.flows
@@ -1474,12 +1437,10 @@ impl Component for FabricSwitch {
                     QueueDiscipline::Wormhole => format!("{n} flit(s) queued input {i} lane {l}"),
                 };
                 // The lane waits on its head's egress, named by its worm.
-                let egress = self
-                    .live_worm(Some(head.worm), head.payload.trace_id())
-                    .map(|(_, w)| w.out);
+                let egress = self.worms[head.worm as usize].out;
                 out.push(PendingWork {
                     what,
-                    waiting_on: egress.and_then(|o| self.ports[o].peer_opt()),
+                    waiting_on: self.ports[egress].peer_opt(),
                 });
             }
         }
@@ -1663,8 +1624,6 @@ mod tests {
             /// Returns a VC credit the probe never consumed (white-box
             /// refund of a lane the test drained by hand).
             Refund(u8),
-            /// Sends every coalesced ack and credit return now.
-            Flush,
         }
 
         struct Probe {
@@ -1688,7 +1647,6 @@ mod tests {
                         }
                     }
                     Ok(Cmd::Refund(v)) => self.port.return_vc_credit(ctx, v, 1),
-                    Ok(Cmd::Flush) => self.port.flush_control(ctx),
                     Err(msg) => {
                         let fm = msg.downcast::<FlitMsg>().expect("flit");
                         if let PortEvent::Delivered(p, vc) = self.port.receive(ctx, fm) {
@@ -2090,19 +2048,18 @@ mod tests {
         #[test]
         fn fifo_head_parked_on_retry_window_moves_on_ack() {
             // Plenty of credits, but one unacked flit fills the retry
-            // window, and the sink coalesces acks in pairs.
+            // window: the second read parks until the sink's ack for the
+            // first comes back, a round trip (~52 ns) after it left.
             let credit = CreditConfig {
-                return_threshold: 2,
                 retry_depth: 1,
                 ..CreditConfig::default()
             };
             let mut rig = Rig::fifo(1, 1, credit, false);
             rig.send(0.0, 0, reads(1, DST, 2), None);
-            rig.run_until_us(1.0);
+            rig.run_until_us(0.15);
             assert_eq!(rig.delivered(0), 1);
             assert_eq!(rig.head(0, 0), Head::Parked);
-            rig.cmd(1.0, 0, Cmd::Flush);
-            rig.run_until_us(2.0);
+            rig.run_until_us(1.0);
             assert_eq!(rig.delivered(0), 2);
             assert_eq!(rig.head(0, 0), Head::Empty);
         }
@@ -2209,6 +2166,75 @@ mod tests {
                     .map(|vl| vl.lanes.iter().map(|l| l.holder).collect());
                 let free: Option<Vec<Option<u64>>> = wormhole.then(|| vec![None, None]);
                 assert_eq!(holders, free, "wormhole {wormhole}");
+            }
+        }
+
+        /// The FIFO and wormhole rigs the admission-drop tests run on.
+        fn fifo_and_wormhole() -> [(bool, Rig); 2] {
+            [
+                (false, Rig::fifo(1, 1, CreditConfig::default(), false)),
+                (
+                    true,
+                    Rig::new(1, None, 1, vcs(2, 4), CreditConfig::default()),
+                ),
+            ]
+        }
+
+        #[test]
+        fn orphan_data_slots_are_dropped_at_admission_and_audited() {
+            for (wormhole, mut rig) in fifo_and_wormhole() {
+                // A slot with no header, and one past the last slot its
+                // header announced.
+                let mut flits = worm(1, DST, 1);
+                let FlitPayload::Data { src, dst, .. } = flits[1] else {
+                    unreachable!("a write's second flit is a data slot");
+                };
+                let stray = |txn_id, slot| FlitPayload::Data {
+                    txn_id,
+                    slot,
+                    src,
+                    dst,
+                };
+                flits.push(stray(1, 1));
+                flits.insert(0, stray(2, 0));
+                rig.send(0.0, 0, flits, None);
+                rig.engine.run_until_idle();
+                assert_eq!(rig.delivered(0), 2, "wormhole {wormhole}");
+                let sw = rig.switch();
+                assert_eq!(sw.orphan_slots, 2, "wormhole {wormhole}");
+                assert_eq!(sw.port(0).link.rx_occupancy(), 0, "credits returned");
+                assert!(sw.worm_of.is_empty(), "wormhole {wormhole}");
+                assert!(sw.committed.iter().all(|&c| c == 0), "wormhole {wormhole}");
+                let report = format!("{:?}", sw.audit());
+                assert!(
+                    report.contains("2 data slot(s) arrived with no worm expecting them"),
+                    "{report}"
+                );
+            }
+        }
+
+        #[test]
+        fn headers_reusing_an_indexed_id_are_dropped_at_admission_and_audited() {
+            for (wormhole, mut rig) in fifo_and_wormhole() {
+                // Transfer 1's header is in; while its two slots are still
+                // due, a second write claims id 1.
+                let first = worm(1, DST, 2);
+                rig.send(0.0, 0, first[..1].to_vec(), None);
+                rig.send(1.0, 0, worm(1, ELSEWHERE, 1)[..1].to_vec(), None);
+                rig.send(2.0, 0, first[1..].to_vec(), None);
+                rig.engine.run_until_idle();
+                let got = &rig.engine.component::<Probe>(rig.sinks[0]).got;
+                let sent: Vec<FlitPayload> = got.iter().map(|(p, _)| p.clone()).collect();
+                assert_eq!(sent, first, "wormhole {wormhole}");
+                let sw = rig.switch();
+                assert_eq!(sw.duplicate_headers, 1, "wormhole {wormhole}");
+                assert_eq!(sw.port(0).link.rx_occupancy(), 0, "credits returned");
+                assert!(sw.worm_of.is_empty(), "wormhole {wormhole}");
+                let report = format!("{:?}", sw.audit());
+                assert!(
+                    report.contains("1 header(s) reused the id of a transfer in transit"),
+                    "{report}"
+                );
             }
         }
 

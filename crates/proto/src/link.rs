@@ -33,7 +33,9 @@ pub struct CreditConfig {
     /// `buffer_flits * overcommit / 4` credits, so the advertised total is
     /// `buffer_flits * overcommit`. 1.0 disables overcommitment.
     pub overcommit: f64,
-    /// Return freed credits to the peer once this many accumulate.
+    /// Return freed credits to the peer once this many accumulate, and
+    /// ack every this many delivered flits. [`LinkLayer::new`] clamps it
+    /// to what the peer can have outstanding (see there).
     pub return_threshold: u32,
     /// Maximum unacked flits the transmitter keeps (retry buffer depth).
     pub retry_depth: usize,
@@ -208,7 +210,13 @@ pub struct LinkLayer {
     rx_pool_used: u32,
     rx_class_used: [u32; 4],
     pending_return: [u32; 4],
+    /// Credits of one class returned together: `return_threshold`, at
+    /// most what this side advertises per class.
+    credit_batch: u32,
     delivered_since_ack: u32,
+    /// Deliveries acked together: `return_threshold`, at most the peer's
+    /// retry depth.
+    ack_batch: u32,
     nak_outstanding: bool,
     // Conservation ledger: lifetime flits accepted into the receive
     // buffer, drained out of it, and credits returned to the peer.
@@ -224,11 +232,17 @@ pub struct LinkLayer {
 impl LinkLayer {
     /// Creates a link endpoint. `peer_config` is the *receiver* config of
     /// the other side, which determines our initial transmit credits.
+    ///
+    /// Coalescing is clamped so the link cannot wedge: the peer stops
+    /// after spending the credits this side advertises per class, or
+    /// after filling its retry buffer, so a larger `return_threshold`
+    /// would hold back the credit return or the ack it waits for.
     pub fn new(mode: FlitMode, config: CreditConfig, peer_config: CreditConfig) -> Self {
         let mut tx_credits: [CreditCounter; 4] = Default::default();
         for c in &mut tx_credits {
             c.grant(peer_config.advertised_per_class());
         }
+        let peer_retry = u32::try_from(peer_config.retry_depth).unwrap_or(u32::MAX);
         LinkLayer {
             mode,
             config,
@@ -239,7 +253,9 @@ impl LinkLayer {
             rx_pool_used: 0,
             rx_class_used: [0; 4],
             pending_return: [0; 4],
+            credit_batch: config.return_threshold.min(config.advertised_per_class()),
             delivered_since_ack: 0,
+            ack_batch: config.return_threshold.min(peer_retry.max(1)),
             nak_outstanding: false,
             accepted_total: [0; 4],
             released_total: [0; 4],
@@ -392,21 +408,9 @@ impl LinkLayer {
     }
 
     /// Acknowledgment the receiver owes the peer, if any (ack coalescing:
-    /// one ack per `return_threshold` delivered flits).
+    /// one ack per `return_threshold` delivered flits, clamped).
     pub fn take_ack(&mut self) -> Option<FlitPayload> {
-        if self.delivered_since_ack >= self.config.return_threshold && self.expected_seq > 0 {
-            self.delivered_since_ack = 0;
-            Some(FlitPayload::Ack {
-                seq: self.expected_seq - 1,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Forces out any pending acknowledgment (e.g. on an idle timer).
-    pub fn flush_ack(&mut self) -> Option<FlitPayload> {
-        if self.delivered_since_ack > 0 && self.expected_seq > 0 {
+        if self.delivered_since_ack >= self.ack_batch && self.expected_seq > 0 {
             self.delivered_since_ack = 0;
             Some(FlitPayload::Ack {
                 seq: self.expected_seq - 1,
@@ -437,7 +441,7 @@ impl LinkLayer {
     pub fn take_credit_update(&mut self) -> Option<FlitPayload> {
         for class in MsgClass::MANAGED {
             let idx = class.index();
-            if self.pending_return[idx] >= self.config.return_threshold {
+            if self.pending_return[idx] >= self.credit_batch {
                 let credits = self.pending_return[idx];
                 self.pending_return[idx] = 0;
                 self.returned_total[idx] += u64::from(credits);
@@ -445,23 +449,6 @@ impl LinkLayer {
             }
         }
         None
-    }
-
-    /// Forces out all pending credit returns (idle timer path).
-    pub fn flush_credit_updates(&mut self) -> Vec<FlitPayload> {
-        let mut out = Vec::new();
-        for class in MsgClass::MANAGED {
-            let idx = class.index();
-            if self.pending_return[idx] > 0 {
-                out.push(FlitPayload::CreditUpdate {
-                    class,
-                    credits: self.pending_return[idx],
-                });
-                self.returned_total[idx] += u64::from(self.pending_return[idx]);
-                self.pending_return[idx] = 0;
-            }
-        }
-        out
     }
 
     /// Unacked flits currently held for retransmission.
@@ -561,11 +548,10 @@ impl LinkLayer {
     }
 }
 
-/// Leak check across a fully drained link pair: once `rx` has been drained
-/// (every delivered flit [`LinkLayer::release`]d) and all credit updates
-/// flushed back into `tx`, every advertised credit must be back in `tx`'s
-/// counter — none held by buffered flits, none stranded in
-/// `pending_return`, none lost in flight.
+/// Leak check across a link pair at rest: once every credit update `rx`
+/// sent has reached `tx`, every credit `rx` advertised is located — in
+/// `tx`'s counter, held by a flit still buffered at `rx`, or coalescing in
+/// `rx`'s `pending_return` — and none is lost in flight.
 ///
 /// Call only at quiescence (no flits or credit updates still on the wire);
 /// mid-flight the in-transit credits legitimately make the sum fall short.

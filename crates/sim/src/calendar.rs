@@ -348,22 +348,17 @@ impl CalendarQueue {
 
     /// Removes and returns the smallest `(time, seq)` entry.
     pub fn pop(&mut self) -> Option<CalEntry> {
-        self.pop_if(u64::MAX, |_| true)
+        self.pop_until(u64::MAX)
     }
 
     /// Removes and returns the smallest entry if its time is at most
-    /// `deadline` and `accept` approves it; otherwise leaves the queue
-    /// (cursor included) untouched and returns `None`.
+    /// `deadline`; otherwise leaves the queue (cursor included) untouched
+    /// and returns `None`.
     ///
-    /// One probe serves a deadline-bounded run loop and a batch that
-    /// extends while the next event matches: `accept` sees only the
-    /// minimum. The cursor moves only when an entry is actually removed,
-    /// so a caller may still push at any time from the last popped one on.
-    pub fn pop_if(
-        &mut self,
-        deadline: u64,
-        accept: impl FnOnce(CalEntry) -> bool,
-    ) -> Option<CalEntry> {
+    /// One probe serves the engine's deadline-bounded run loop. The
+    /// cursor moves only when an entry is actually removed, so a caller
+    /// may still push at any time from the last popped one on.
+    pub fn pop_until(&mut self, deadline: u64) -> Option<CalEntry> {
         let mut bucket = self.bucket_of(self.cur_day);
         let head = self.chains[bucket].head;
         let entry = if head != NIL {
@@ -374,7 +369,7 @@ impl CalendarQueue {
         } else {
             self.peek_later()?
         };
-        if entry.time > deadline || !accept(entry) {
+        if entry.time > deadline {
             return None;
         }
         if head == NIL {
@@ -417,13 +412,9 @@ mod tests {
             self.heap.peek().map(|Reverse(e)| *e)
         }
 
-        fn pop_if(
-            &mut self,
-            deadline: u64,
-            accept: impl FnOnce(CalEntry) -> bool,
-        ) -> Option<CalEntry> {
+        fn pop_until(&mut self, deadline: u64) -> Option<CalEntry> {
             let min = self.peek()?;
-            if min.time <= deadline && accept(min) {
+            if min.time <= deadline {
                 self.pop()
             } else {
                 None
@@ -516,9 +507,8 @@ mod tests {
     enum Op {
         /// Pop the minimum.
         Pop,
-        /// One-probe pop through `now + slack`; `even_only` rejects odd
-        /// ids the way a batch rejects a message for another target.
-        PopIf { slack: u64, even_only: bool },
+        /// One-probe pop through `now + slack`.
+        PopUntil { slack: u64 },
         /// Push `count` entries at `now + delay`; `count > 1` is a burst
         /// of equal timestamps that only `seq` orders.
         Push { delay: u64, count: usize },
@@ -543,8 +533,7 @@ mod tests {
                         1 => rng.below(4 * width),
                         _ => rng.below(2 * window),
                     };
-                    let even_only = rng.below(2) == 0;
-                    Op::PopIf { slack, even_only }
+                    Op::PopUntil { slack }
                 }
                 _ => {
                     let delay = match rng.below(4) {
@@ -585,10 +574,9 @@ mod tests {
                         prop_assert_eq!(a, oracle.pop());
                         a
                     }
-                    Op::PopIf { slack, even_only } => {
-                        let accept = |e: CalEntry| !even_only || e.id.is_multiple_of(2);
-                        let a = cal.pop_if(now + slack, accept);
-                        prop_assert_eq!(a, oracle.pop_if(now + slack, accept));
+                    Op::PopUntil { slack } => {
+                        let a = cal.pop_until(now + slack);
+                        prop_assert_eq!(a, oracle.pop_until(now + slack));
                         a
                     }
                     Op::Push { delay, count } => {

@@ -10,12 +10,8 @@
 //!   one node array indexed by the event's slab id; event bodies sit in a
 //!   slab recycled through a free list, so the steady-state loop schedules
 //!   and retires events without allocating. Each dispatch probes the queue
-//!   once ([`CalendarQueue::pop_if`]).
-//! * Consecutive same-timestamp messages to one component are delivered as
-//!   a single batch: the component is checked out of its slot once and
-//!   receives the run through [`Component::on_batch`] (default: a loop over
-//!   [`Component::on_msg`]), which spares the per-event slot bookkeeping on
-//!   burst traffic.
+//!   once ([`CalendarQueue::pop_until`]) and delivers one message through
+//!   [`Component::on_msg`].
 //! * Components are owned by the engine in a slab. During dispatch the
 //!   target component is temporarily moved out, so a component may freely
 //!   schedule messages (including to itself) through [`Ctx`] without
@@ -107,9 +103,11 @@ pub struct PendingWork {
     pub waiting_on: Option<ComponentId>,
 }
 
-/// A run of same-timestamp messages delivered to one component in one
-/// [`Component::on_batch`] call. Draining it yields the messages in their
-/// original `(time, seq)` order.
+/// A run of messages for [`Component::on_batch`]. The engine never builds
+/// one: it delivers every message through [`Component::on_msg`]. Both stay
+/// declared only because the benchmark crate (`perfbench/`, a workspace
+/// of its own) still overrides `on_batch` in its timing decorator; they go
+/// when it stops.
 pub struct MsgBatch<'a> {
     /// The run, stored in *reverse* delivery order so `next_msg` is a
     /// plain `pop`.
@@ -138,13 +136,9 @@ pub trait Component: Any + Send {
     /// Handles one message delivered at the current simulation time.
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg);
 
-    /// Handles a run of same-timestamp messages in one call. The engine
-    /// uses this when several queued messages share a timestamp and a
-    /// target; the default forwards each message to
-    /// [`Component::on_msg`] in order, so implementors only override it
-    /// when they can exploit the batch (e.g. coalescing bookkeeping).
-    /// Messages left in the batch are delivered through `on_msg` by the
-    /// engine afterwards — none are dropped.
+    /// Handles a run of messages in one call; the default forwards each
+    /// to [`Component::on_msg`] in order. The engine never calls it (see
+    /// [`MsgBatch`]).
     fn on_batch(&mut self, ctx: &mut Ctx<'_>, batch: &mut MsgBatch<'_>) {
         while let Some(msg) = batch.next_msg() {
             self.on_msg(ctx, msg);
@@ -243,18 +237,6 @@ impl EngineCore {
             Slot::Vacant { .. } => unreachable!("queue entry pointed at a vacant slot"),
         }
     }
-
-    /// Pops the next queued event if it is a message for `target` due at
-    /// `time` (used to extend a delivery batch in one queue probe).
-    fn pop_message_for(&mut self, time: SimTime, target: ComponentId) -> Option<CalEntry> {
-        let slab = &self.slab;
-        self.queue.pop_if(time.as_ps(), |e| {
-            matches!(
-                &slab[e.id as usize],
-                Slot::Occupied(EventKind::Message { target: t, .. }) if *t == target
-            )
-        })
-    }
 }
 
 /// One recorded dispatch, kept by the engine's trace ring.
@@ -277,8 +259,6 @@ pub struct Engine {
     components: Vec<Option<Box<dyn Component>>>,
     names: Vec<String>,
     trace: Option<(usize, std::collections::VecDeque<TraceEntry>)>,
-    /// Reusable buffer for batched same-timestamp delivery.
-    batch_buf: Vec<Msg>,
 }
 
 impl Engine {
@@ -297,7 +277,6 @@ impl Engine {
             components: Vec::new(),
             names: Vec::new(),
             trace: None,
-            batch_buf: Vec::new(),
         }
     }
 
@@ -501,13 +480,31 @@ impl Engine {
         &mut self.core.rng
     }
 
+    /// Delivers one event: a message through its target's
+    /// [`Component::on_msg`], or a harness closure.
     fn dispatch(&mut self, entry: CalEntry) {
         let time = SimTime::from_ps(entry.time);
         self.core.now = time;
+        self.core.events_dispatched += 1;
         match self.core.take(entry.id) {
-            EventKind::Message { target, msg } => self.dispatch_messages(time, target, msg),
+            EventKind::Message { target, msg } => {
+                if self.trace.is_some() {
+                    self.record_trace(time, Some(target), msg.type_name);
+                }
+                // The engine is single-threaded and dispatch cannot
+                // reenter, so the slot is always occupied here.
+                #[allow(clippy::expect_used)]
+                let mut component = self.components[target.index()]
+                    .take()
+                    .expect("component received a message while mid-dispatch");
+                let mut ctx = Ctx {
+                    core: &mut self.core,
+                    self_id: target,
+                };
+                component.on_msg(&mut ctx, msg);
+                self.components[target.index()] = Some(component);
+            }
             EventKind::Call(f) => {
-                self.core.events_dispatched += 1;
                 if self.trace.is_some() {
                     self.record_trace(time, None, "<closure>");
                 }
@@ -516,78 +513,9 @@ impl Engine {
         }
     }
 
-    /// Delivers `first` plus any directly following queued messages that
-    /// share its timestamp and target, checking the component out of its
-    /// slot once for the whole run.
-    fn dispatch_messages(&mut self, time: SimTime, target: ComponentId, first: Msg) {
-        // Collect the run. Only *already queued* events join the batch;
-        // messages the handler schedules for the same timestamp keep
-        // their larger sequence numbers and fire in global order later.
-        debug_assert!(self.batch_buf.is_empty());
-        self.batch_buf.push(first);
-        while let Some(e) = self.core.pop_message_for(time, target) {
-            match self.core.take(e.id) {
-                EventKind::Message { msg, .. } => self.batch_buf.push(msg),
-                // fcc-lint: allow(panic-in-lib) -- pop_message_for only matches Message entries
-                EventKind::Call(_) => unreachable!("pop_message_for matched a closure"),
-            }
-        }
-        let n = self.batch_buf.len();
-        self.core.events_dispatched += n as u64;
-        if self.trace.is_some() {
-            for i in 0..n {
-                self.record_trace(time, Some(target), self.batch_buf[i].type_name);
-            }
-        }
-        // The engine is single-threaded and dispatch cannot reenter, so
-        // the slot is always occupied here.
-        #[allow(clippy::expect_used)]
-        let mut component = self.components[target.index()]
-            .take()
-            .expect("component received a message while mid-dispatch");
-        let mut msgs = std::mem::take(&mut self.batch_buf);
-        {
-            let mut ctx = Ctx {
-                core: &mut self.core,
-                self_id: target,
-            };
-            if n == 1 {
-                if let Some(msg) = msgs.pop() {
-                    component.on_msg(&mut ctx, msg);
-                }
-            } else {
-                // MsgBatch pops from the back, so flip into reverse
-                // delivery order first.
-                msgs.reverse();
-                let mut batch = MsgBatch { msgs: &mut msgs };
-                component.on_batch(&mut ctx, &mut batch);
-                // Safety net: a partial override must not lose messages.
-                while let Some(msg) = batch.next_msg() {
-                    component.on_msg(&mut ctx, msg);
-                }
-            }
-        }
-        msgs.clear();
-        self.batch_buf = msgs;
-        self.components[target.index()] = Some(component);
-    }
-
-    /// Runs one event; returns `false` when the queue is empty. A batched
-    /// delivery counts as one step even when it retires several events.
-    pub fn step(&mut self) -> bool {
-        match self.core.queue.pop() {
-            Some(entry) => {
-                self.dispatch(entry);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Runs until the queue drains and returns the final time.
     pub fn run_until_idle(&mut self) -> SimTime {
-        while self.step() {}
-        self.core.now
+        self.run_until(SimTime::MAX)
     }
 
     /// Runs until the queue drains or the clock passes `deadline`.
@@ -596,7 +524,7 @@ impl Engine {
     /// the later of its current value and `deadline` only if an event
     /// actually reached it (the clock never runs ahead of dispatched work).
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(entry) = self.core.queue.pop_if(deadline.as_ps(), |_| true) {
+        while let Some(entry) = self.core.queue.pop_until(deadline.as_ps()) {
             self.dispatch(entry);
         }
         self.core.now
@@ -1090,67 +1018,6 @@ mod tests {
         assert!(trace[0].payload.contains("u32"));
     }
 
-    /// A component that counts how many messages arrive per batch call.
-    struct BatchCounter {
-        batches: Vec<usize>,
-        singles: u32,
-    }
-
-    impl Component for BatchCounter {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {
-            self.singles += 1;
-        }
-
-        fn on_batch(&mut self, ctx: &mut Ctx<'_>, batch: &mut MsgBatch<'_>) {
-            self.batches.push(batch.remaining());
-            while let Some(msg) = batch.next_msg() {
-                self.on_msg(ctx, msg);
-            }
-        }
-    }
-
-    #[test]
-    fn same_timestamp_runs_deliver_as_one_batch() {
-        let mut engine = Engine::new(0);
-        let c = engine.add_component(
-            "c",
-            BatchCounter {
-                batches: vec![],
-                singles: 0,
-            },
-        );
-        let other = engine.add_component("rec", Recorder { log: vec![] });
-        // Three same-time messages to `c`, then one to another component,
-        // then one more to `c` (the run is broken by the interloper's seq).
-        engine.post(c, SimTime::from_ns(5.0), 1u32);
-        engine.post(c, SimTime::from_ns(5.0), 2u32);
-        engine.post(c, SimTime::from_ns(5.0), 3u32);
-        engine.post(other, SimTime::from_ns(5.0), 4u32);
-        engine.post(c, SimTime::from_ns(5.0), 5u32);
-        engine.run_until_idle();
-        let counter = engine.component::<BatchCounter>(c);
-        assert_eq!(counter.batches, vec![3], "first run batched");
-        assert_eq!(counter.singles, 4, "all four messages delivered");
-        assert_eq!(engine.events_dispatched(), 5);
-    }
-
-    #[test]
-    fn batch_preserves_message_order() {
-        let mut engine = Engine::new(0);
-        let rec = engine.add_component("rec", Recorder { log: vec![] });
-        for i in 0..6u32 {
-            engine.post(rec, SimTime::from_ns(1.0), i);
-        }
-        engine.run_until_idle();
-        let values: Vec<u32> = engine
-            .component::<Recorder>(rec)
-            .log
-            .iter()
-            .map(|&(_, v)| v)
-            .collect();
-        assert_eq!(values, vec![0, 1, 2, 3, 4, 5]);
-    }
-
     /// A message of the dispatch-order test. Its children are a pure
     /// function of `tag`, so a replay can regenerate them.
     struct Spark {
@@ -1158,22 +1025,15 @@ mod tests {
         gen: u32,
     }
 
-    /// One logged delivery: `(batch, time ps, target index, tag)`.
-    type Delivery = (u64, u64, usize, u64);
+    /// One logged delivery: `(time ps, target index, tag)`.
+    type Delivery = (u64, usize, u64);
 
-    /// Deliveries from every component, in dispatch order, numbered by
-    /// the `on_msg`/`on_batch` call that received them.
-    #[derive(Default)]
-    struct SparkLog {
-        batches: u64,
-        deliveries: Vec<Delivery>,
-    }
-
-    /// Relays each spark to its children and logs every delivery.
+    /// Relays each spark to its children and logs every delivery, in
+    /// dispatch order across all components.
     struct Sparker {
         index: usize,
         peers: Vec<ComponentId>,
-        log: Arc<Mutex<SparkLog>>,
+        log: Arc<Mutex<Vec<Delivery>>>,
     }
 
     const SPARK_TARGETS: usize = 4;
@@ -1209,34 +1069,18 @@ mod tests {
             .collect()
     }
 
-    impl Sparker {
-        fn deliver(&mut self, ctx: &mut Ctx<'_>, msgs: Vec<Msg>) {
-            let mut log = self.log.lock().expect("log lock");
-            log.batches += 1;
-            let batch = log.batches;
-            for msg in msgs {
-                let spark = msg.downcast::<Spark>().expect("spark payload");
-                log.deliveries
-                    .push((batch, ctx.now().as_ps(), self.index, spark.tag));
-                for (target, delay, tag) in spark_children(spark.tag, spark.gen) {
-                    let child = Spark {
-                        tag,
-                        gen: spark.gen + 1,
-                    };
-                    ctx.send(self.peers[target], SimTime::from_ps(delay), child);
-                }
-            }
-        }
-    }
-
     impl Component for Sparker {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            self.deliver(ctx, vec![msg]);
-        }
-
-        fn on_batch(&mut self, ctx: &mut Ctx<'_>, batch: &mut MsgBatch<'_>) {
-            let msgs = std::iter::from_fn(|| batch.next_msg()).collect();
-            self.deliver(ctx, msgs);
+            let spark = msg.downcast::<Spark>().expect("spark payload");
+            let mut log = self.log.lock().expect("log lock");
+            log.push((ctx.now().as_ps(), self.index, spark.tag));
+            for (target, delay, tag) in spark_children(spark.tag, spark.gen) {
+                let child = Spark {
+                    tag,
+                    gen: spark.gen + 1,
+                };
+                ctx.send(self.peers[target], SimTime::from_ps(delay), child);
+            }
         }
     }
 
@@ -1244,16 +1088,13 @@ mod tests {
     type QueuedSpark = (u64, u64, usize, u64, u32);
 
     /// The engine's dispatch order, replayed on a plain `BinaryHeap` of
-    /// `(time, seq)` keys. A batch is a maximal run of same-`(time,
-    /// target)` pops that were all queued before the run's first pop.
+    /// `(time, seq)` keys.
     #[derive(Default)]
     struct SparkReplay {
         heap: BinaryHeap<Reverse<QueuedSpark>>,
         seq: u64,
         now: u64,
-        /// `(time, target, seq counter at its first pop)` of the open batch.
-        batch_key: Option<(u64, usize, u64)>,
-        log: SparkLog,
+        log: Vec<Delivery>,
     }
 
     impl SparkReplay {
@@ -1264,20 +1105,13 @@ mod tests {
         }
 
         fn run_until(&mut self, deadline: u64) {
-            while let Some(&Reverse((time, seq, target, tag, gen))) = self.heap.peek() {
+            while let Some(&Reverse((time, _, target, tag, gen))) = self.heap.peek() {
                 if time > deadline {
                     break;
                 }
                 self.heap.pop();
                 self.now = time;
-                let joins = matches!(self.batch_key,
-                    Some((t, g, start)) if (t, g) == (time, target) && seq < start);
-                if !joins {
-                    self.log.batches += 1;
-                    self.batch_key = Some((time, target, self.seq));
-                }
-                let batch = self.log.batches;
-                self.log.deliveries.push((batch, time, target, tag));
+                self.log.push((time, target, tag));
                 for (child_target, delay, child_tag) in spark_children(tag, gen) {
                     self.post(child_target, time + delay, child_tag, gen + 1);
                 }
@@ -1285,10 +1119,13 @@ mod tests {
         }
     }
 
+    /// The engine delivers one message per dispatch, in `(time, seq)`
+    /// order, across bounded runs; same-time runs to one component (common
+    /// on the coarse delay grid) deliver in posting order like any other.
     #[test]
     fn dispatch_order_and_batches_match_a_heap_replay() {
         for seed in 0..24u64 {
-            let log = Arc::new(Mutex::new(SparkLog::default()));
+            let log = Arc::new(Mutex::new(Vec::new()));
             let mut engine = Engine::new(seed);
             // Components are numbered in insertion order.
             let ids: Vec<ComponentId> = (0..SPARK_TARGETS as u32).map(ComponentId).collect();
@@ -1315,8 +1152,8 @@ mod tests {
                     engine.post(ids[target], SimTime::from_ps(at), Spark { tag: h, gen: 0 });
                     replay.post(target, at, h, 0);
                 }
-                let step = [0, 700, 9000, 6_000_000][(mix(seed ^ round) % 4) as usize];
-                let deadline = engine.now().as_ps() + step;
+                let span = [0, 700, 9000, 6_000_000][(mix(seed ^ round) % 4) as usize];
+                let deadline = engine.now().as_ps() + span;
                 engine.run_until(SimTime::from_ps(deadline));
                 replay.run_until(deadline);
                 assert_eq!(
@@ -1328,12 +1165,8 @@ mod tests {
             engine.run_until_idle();
             replay.run_until(u64::MAX);
             let got = log.lock().expect("log lock");
-            assert_eq!(got.deliveries, replay.log.deliveries, "seed {seed}");
-            assert!(
-                got.batches < got.deliveries.len() as u64,
-                "seed {seed}: no batches formed"
-            );
-            assert_eq!(engine.events_dispatched(), got.deliveries.len() as u64);
+            assert_eq!(*got, replay.log, "seed {seed}");
+            assert_eq!(engine.events_dispatched(), got.len() as u64);
         }
     }
 

@@ -2,7 +2,8 @@
 # Exactness check for a change that must not alter any output: runs
 # `experiments all` built from a parent revision and from the working tree
 # and compares stdout and the --json/--trace/--metrics exports byte for
-# byte.
+# byte, and every scenario's engine event count from --perf (its
+# wall-clock fields are ignored), so the work done must match too.
 #
 #   scripts/exports_ab.sh <parent-rev> [work-dir]
 #
@@ -12,7 +13,8 @@
 # `all` full and --quick, at --shards 1 and 4. When a configuration's
 # outputs differ, both sides re-run it one id at a time (every id that
 # `experiments list` prints) and the script names each scenario that
-# differs, so a deliberate re-baseline can show that it is confined. Exit
+# differs, so a deliberate re-baseline can show that it is confined; event
+# counts that differ are named per scenario straight from --perf. Exit
 # 0 means every run matched, 1 that some output differs, 2 misuse. A full
 # traced `all` writes a ~580 MB trace per side, so each run's outputs are
 # deleted once compared.
@@ -49,8 +51,14 @@ cargo build --release -q -p fcc-bench --bin experiments
 base_bin="$work/target-$sha/release/experiments"
 new_bin="${CARGO_TARGET_DIR:-target}/release/experiments"
 
+# Prints "<id> <events>" for each scenario of an `experiments --perf` file.
+events_of() {
+    sed -n 's/^  "\([^"]*\)": {"wall_ms": [^,]*, "events": \([0-9]*\),.*/\1 \2/p' "$1"
+}
+
 # Runs `experiments <args>` on both sides and compares the outputs; names
-# each differing file and returns 1 when any differs.
+# each differing file and each scenario whose event count differs, and
+# returns 1 when any does.
 same_outputs() {
     local label=$1 side bin out f
     shift
@@ -61,7 +69,7 @@ same_outputs() {
         mkdir -p "$out"
         if ! "$bin" "$@" --json "$out/results.json" \
             --trace "$out/trace.json" --metrics "$out/metrics.json" \
-            > "$out/stdout.txt" 2> "$out/stderr.txt"; then
+            --perf "$out/perf.json" > "$out/stdout.txt" 2> "$out/stderr.txt"; then
             echo "exports_ab: $label: the $side run failed" >&2
             cat "$out/stderr.txt" >&2
             exit 1
@@ -74,6 +82,15 @@ same_outputs() {
             same=1
         fi
     done
+    local moved
+    moved=$(awk 'NR == FNR { base[$1] = $2; next }
+        !($1 in base) || base[$1] != $2 {
+            printf " %s (%s -> %s)", $1, ($1 in base) ? base[$1] : "none", $2 }' \
+        <(events_of "$work/out/base/perf.json") <(events_of "$work/out/new/perf.json"))
+    if [ -n "$moved" ]; then
+        echo "exports_ab: $label: events differ from the parent:$moved" >&2
+        same=1
+    fi
     rm -rf "$work/out/base" "$work/out/new"
     return $same
 }
@@ -86,7 +103,7 @@ for scale in full quick; do
         [ "$scale" = quick ] && flags+=(--quick)
         label="all $scale --shards $shards"
         if same_outputs "$label" "${flags[@]}" all; then
-            echo "exports_ab: $label: stdout, json, trace and metrics identical"
+            echo "exports_ab: $label: stdout, json, trace, metrics and events identical"
             continue
         fi
         status=1
