@@ -126,12 +126,6 @@ impl LinkPort {
         self.pending.len()
     }
 
-    /// Whether a payload of `class` could be sent immediately (credit
-    /// available and nothing already queued ahead of it).
-    pub fn can_send_now(&self, class: MsgClass) -> bool {
-        self.pending.is_empty() && self.link.can_send(class)
-    }
-
     /// Queues a payload and pumps the transmit path. The pending queue is
     /// unbounded: backpressure reaches the sender through its own queue.
     pub fn enqueue(&mut self, ctx: &mut Ctx<'_>, payload: FlitPayload) {
@@ -159,33 +153,20 @@ impl LinkPort {
         }
     }
 
-    /// Sends a payload immediately, bypassing the pending queue.
-    ///
-    /// The caller must have checked [`LinkPort::can_send_now`]; used by the
-    /// switch scheduler which runs its own queueing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link layer refuses the payload.
-    pub fn send_now(&mut self, ctx: &mut Ctx<'_>, payload: FlitPayload) {
-        self.send_now_vc(ctx, payload, None);
-    }
-
-    /// Sends a payload immediately on virtual channel `vc` (wormhole
-    /// switch dispatch). Same contract as [`LinkPort::send_now`]; the VC
+    /// Sends a payload immediately, bypassing the pending queue, on
+    /// virtual channel `vc` if given (wormhole switch dispatch). The VC
     /// tag rides the wire message so the peer knows which lane's buffer
-    /// the flit occupies.
+    /// the flit occupies. The switch scheduler, which runs its own
+    /// queueing, calls this after checking the link layer's `can_send`
+    /// for the payload's class.
     ///
     /// # Panics
     ///
     /// Panics if the link layer refuses the payload.
     pub fn send_now_vc(&mut self, ctx: &mut Ctx<'_>, payload: FlitPayload, vc: Option<u8>) {
-        // Documented-panic API: the caller contract is can_send_now first.
+        // Documented-panic API: the caller contract is can_send first.
         #[allow(clippy::expect_used)]
-        let flit = self
-            .link
-            .send(payload)
-            .expect("caller must check can_send_now");
+        let flit = self.link.send(payload).expect("caller must check can_send");
         self.transmit(ctx, flit, vc);
     }
 

@@ -17,7 +17,10 @@
 //!   schedule messages (including to itself) through [`Ctx`] without
 //!   aliasing the component storage.
 //! * Message payloads are `Box<dyn Any>`: each subsystem defines its own
-//!   payload types and downcasts on receipt (see [`Msg::downcast`]).
+//!   payload types and downcasts on receipt (see [`Msg::downcast`]). A
+//!   [`Msg`] is built once per send; the sharded executor carries that
+//!   same value across a shard boundary and re-schedules it whole
+//!   (`Engine::post_msg`, `Ctx::forward`).
 
 use std::any::Any;
 use std::cell::Cell;
@@ -53,6 +56,15 @@ pub struct Msg {
 }
 
 impl Msg {
+    /// Wraps `payload`; the sender is filled in when it is scheduled.
+    fn new<T: Send + 'static>(payload: T) -> Msg {
+        Msg {
+            src: None,
+            payload: Box::new(payload),
+            type_name: std::any::type_name::<T>(),
+        }
+    }
+
     /// Attempts to downcast the payload to `T`, returning the original
     /// message on failure so dispatch chains can keep matching.
     pub fn downcast<T: 'static>(self) -> Result<T, Msg> {
@@ -66,21 +78,9 @@ impl Msg {
         }
     }
 
-    /// Returns a reference to the payload if it is a `T`.
-    pub fn peek<T: 'static>(&self) -> Option<&T> {
-        self.payload.downcast_ref::<T>()
-    }
-
     /// Returns the payload's concrete type name, for diagnostics.
     pub fn type_name(&self) -> &'static str {
         self.type_name
-    }
-
-    /// Splits the message into its boxed payload and type name without
-    /// downcasting. The shard gateway uses this to relay payloads it
-    /// does not understand (see [`crate::shard`]).
-    pub(crate) fn into_parts(self) -> (Box<dyn Any + Send>, &'static str) {
-        (self.payload, self.type_name)
     }
 }
 
@@ -419,51 +419,20 @@ impl Engine {
 
     /// Schedules a message from the harness (no source component).
     pub fn post<T: Send + 'static>(&mut self, target: ComponentId, at: SimTime, payload: T) {
-        assert!(
-            target.index() < self.components.len(),
-            "unknown component id"
-        );
-        let at = at.max(self.core.now);
-        self.core.push(
-            at,
-            EventKind::Message {
-                target,
-                msg: Msg {
-                    src: None,
-                    payload: Box::new(payload),
-                    type_name: std::any::type_name::<T>(),
-                },
-            },
-        );
+        self.post_msg(target, at, Msg::new(payload));
     }
 
-    /// Schedules an already-boxed payload from the harness, preserving its
-    /// recorded type name so receivers can still downcast. Used by the
-    /// sharded executor to inject cross-shard messages (see
+    /// Schedules `msg` as if posted by the harness: its `src` is cleared.
+    /// The sharded executor injects cross-shard messages this way (see
     /// [`crate::shard`]).
-    pub(crate) fn post_boxed(
-        &mut self,
-        target: ComponentId,
-        at: SimTime,
-        payload: Box<dyn Any + Send>,
-        type_name: &'static str,
-    ) {
+    pub(crate) fn post_msg(&mut self, target: ComponentId, at: SimTime, mut msg: Msg) {
         assert!(
             target.index() < self.components.len(),
             "unknown component id"
         );
+        msg.src = None;
         let at = at.max(self.core.now);
-        self.core.push(
-            at,
-            EventKind::Message {
-                target,
-                msg: Msg {
-                    src: None,
-                    payload,
-                    type_name,
-                },
-            },
-        );
+        self.core.push(at, EventKind::Message { target, msg });
     }
 
     /// Schedules a closure to run against the full engine at time `at`.
@@ -695,47 +664,22 @@ impl Ctx<'_> {
 
     /// Schedules `payload` for `target` after `delay`.
     pub fn send<T: Send + 'static>(&mut self, target: ComponentId, delay: SimTime, payload: T) {
+        self.forward(target, delay, Msg::new(payload));
+    }
+
+    /// Schedules `msg` for `target` after `delay`, with the current
+    /// component as its `src`. The shard gateway hands injected messages
+    /// to its local switch this way (see [`crate::shard`]).
+    #[inline]
+    pub(crate) fn forward(&mut self, target: ComponentId, delay: SimTime, mut msg: Msg) {
+        msg.src = Some(self.self_id);
         let at = self.core.now + delay;
-        self.core.push(
-            at,
-            EventKind::Message {
-                target,
-                msg: Msg {
-                    src: Some(self.self_id),
-                    payload: Box::new(payload),
-                    type_name: std::any::type_name::<T>(),
-                },
-            },
-        );
+        self.core.push(at, EventKind::Message { target, msg });
     }
 
     /// Schedules `payload` back to the current component after `delay`.
     pub fn send_self<T: Send + 'static>(&mut self, delay: SimTime, payload: T) {
         self.send(self.self_id, delay, payload);
-    }
-
-    /// Schedules an already-boxed payload for `target`, preserving its
-    /// recorded type name. The shard gateway relays opaque payloads to
-    /// its local switch with this (see [`crate::shard`]).
-    pub(crate) fn send_boxed(
-        &mut self,
-        target: ComponentId,
-        delay: SimTime,
-        payload: Box<dyn Any + Send>,
-        type_name: &'static str,
-    ) {
-        let at = self.core.now + delay;
-        self.core.push(
-            at,
-            EventKind::Message {
-                target,
-                msg: Msg {
-                    src: Some(self.self_id),
-                    payload,
-                    type_name,
-                },
-            },
-        );
     }
 
     /// The deterministic RNG shared by the whole simulation.
@@ -979,13 +923,10 @@ mod tests {
 
     #[test]
     fn msg_downcast_fallthrough_preserves_payload() {
-        let msg = Msg {
-            src: None,
-            payload: Box::new(5u32),
-            type_name: std::any::type_name::<u32>(),
-        };
-        let msg = msg.downcast::<String>().expect_err("not a string");
-        assert_eq!(msg.peek::<u32>(), Some(&5));
+        let msg = Msg::new(5u32)
+            .downcast::<String>()
+            .expect_err("not a string");
+        assert_eq!(msg.type_name(), std::any::type_name::<u32>());
         assert_eq!(msg.downcast::<u32>().expect("u32"), 5);
     }
 

@@ -13,8 +13,9 @@
 //! 2. lets every shard run freely up to the *horizon* `m + L − 1`
 //!    (exclusive of `m + L`), staging outbound cross-shard messages into
 //!    per-`(src, dst)` mailbox cells, and
-//! 3. merges the staged messages into their target shards in the
-//!    deterministic order `(time, source shard, emission index)`.
+//! 3. merges the staged messages into their target shards: each target
+//!    appends its cells in source-shard order and stable-sorts them by
+//!    time alone.
 //!
 //! Every staged message is timestamped `t + L > m + L − 1`, i.e. strictly
 //! beyond the horizon, so no shard can receive a message in its past:
@@ -32,10 +33,23 @@
 //! single-threaded [`Engine`], the epoch schedule is a pure function of
 //! global simulation state, and the merge order is a pure function of
 //! the staged messages — so runs with 1, 2, or 16 worker threads produce
-//! byte-identical results.
+//! byte-identical results. The merge needs no counter: every gateway of
+//! shard `s` toward shard `d` pushes into the one cell `[s][d]`, in its
+//! engine's dispatch order, and the cell is emptied every epoch. So
+//! appending the cells in source-shard order and stable-sorting by time
+//! yields `(time, source shard, emission order)`.
+//!
+//! A message crosses a shard as the same [`Msg`] value it was sent as:
+//! the egress gateway stages it, the merge posts it with its `src`
+//! cleared, and the ingress gateway forwards it to its switch.
+//!
+//! A panic inside one worker's shards aborts the whole run: the worker
+//! raises a shared flag and keeps meeting the barriers, every worker
+//! leaves after the same one, and [`ShardedEngine::run`] panics.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use crate::engine::{Component, ComponentId, Ctx, Engine, Msg};
@@ -45,28 +59,14 @@ use crate::time::SimTime;
 struct StagedMsg {
     /// Delivery time (sender dispatch time + link latency), in ps.
     time_ps: u64,
-    /// Position in the source shard's emission order this epoch; the
-    /// third merge tie-break key after `(time, src shard)`.
-    emit_idx: u64,
     /// Target component in the destination shard.
     dst: ComponentId,
-    payload: Box<dyn Any + Send>,
-    type_name: &'static str,
+    msg: Msg,
 }
 
-/// One directed mailbox cell: messages staged from one shard to another.
+/// One directed mailbox cell: messages staged from one shard to another,
+/// in the source engine's dispatch order.
 type Cell = Arc<Mutex<Vec<StagedMsg>>>;
-
-/// A staged message keyed for the deterministic merge:
-/// `(time, src shard, emission index, dst, payload, type name)`.
-type Inbound = (
-    u64,
-    usize,
-    u64,
-    ComponentId,
-    Box<dyn Any + Send>,
-    &'static str,
-);
 
 /// Locks a mailbox cell, recovering from poisoning (a panicked worker
 /// aborts the run anyway; the lock only guards a plain `Vec`).
@@ -88,9 +88,6 @@ fn lock(cell: &Mutex<Vec<StagedMsg>>) -> MutexGuard<'_, Vec<StagedMsg>> {
 pub struct ShardGateway {
     /// Mailbox cell for this gateway's direction (`my shard → peer shard`).
     outbox: Cell,
-    /// Shared per-source-shard emission counter; stamps staged messages
-    /// with a total order over the whole shard's emissions.
-    emit: Arc<AtomicU64>,
     /// The peer gateway in the destination shard.
     peer: Option<ComponentId>,
     /// Local component injected traffic is forwarded to (the switch this
@@ -123,13 +120,10 @@ impl Component for ShardGateway {
                     // fcc-lint: allow(panic-in-lib) -- wiring error: gateway used before link() paired it
                     panic!("shard gateway has no peer");
                 };
-                let (payload, type_name) = msg.into_parts();
                 lock(&self.outbox).push(StagedMsg {
                     time_ps: (ctx.now() + self.latency).as_ps(),
-                    emit_idx: self.emit.fetch_add(1, Ordering::Relaxed),
                     dst: peer,
-                    payload,
-                    type_name,
+                    msg,
                 });
                 self.relayed_out += 1;
             }
@@ -140,8 +134,7 @@ impl Component for ShardGateway {
                     // fcc-lint: allow(panic-in-lib) -- wiring error: set_local_peer was never called
                     panic!("shard gateway has no local attachment");
                 };
-                let (payload, type_name) = msg.into_parts();
-                ctx.send_boxed(local, SimTime::ZERO, payload, type_name);
+                ctx.forward(local, SimTime::ZERO, msg);
                 self.relayed_in += 1;
             }
         }
@@ -157,6 +150,9 @@ struct RunShared {
     /// `channels[src][dst]` holds messages staged from shard `src` to
     /// shard `dst`.
     channels: Vec<Vec<Cell>>,
+    /// Raised by a worker whose shards panicked; every worker leaves at
+    /// the end of that epoch.
+    aborted: AtomicBool,
 }
 
 /// A set of per-shard [`Engine`]s executed under conservative-lookahead
@@ -164,7 +160,6 @@ struct RunShared {
 pub struct ShardedEngine {
     engines: Vec<Engine>,
     channels: Vec<Vec<Cell>>,
-    emit: Vec<Arc<AtomicU64>>,
     lookahead: Option<SimTime>,
 }
 
@@ -184,11 +179,9 @@ impl ShardedEngine {
         let channels = (0..shards)
             .map(|_| (0..shards).map(|_| Cell::default()).collect())
             .collect();
-        let emit = (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
         ShardedEngine {
             engines,
             channels,
-            emit,
             lookahead: None,
         }
     }
@@ -246,7 +239,6 @@ impl ShardedEngine {
             format!("{name}.gw{a}to{b}"),
             ShardGateway {
                 outbox: Arc::clone(&self.channels[a][b]),
-                emit: Arc::clone(&self.emit[a]),
                 peer: None,
                 local: None,
                 latency,
@@ -258,7 +250,6 @@ impl ShardedEngine {
             format!("{name}.gw{b}to{a}"),
             ShardGateway {
                 outbox: Arc::clone(&self.channels[b][a]),
-                emit: Arc::clone(&self.emit[b]),
                 peer: Some(ga),
                 local: None,
                 latency,
@@ -281,7 +272,8 @@ impl ShardedEngine {
     /// # Panics
     ///
     /// Panics if the shards exchange traffic but no [`ShardedEngine::link`]
-    /// was created (no lookahead), or a worker thread panics.
+    /// was created (no lookahead), or a component panics in any shard; in
+    /// that case every worker stops at the end of the epoch it panicked in.
     pub fn run(&mut self, threads: usize) {
         let k = self.engines.len();
         let m = threads.clamp(1, k);
@@ -297,6 +289,7 @@ impl ShardedEngine {
             global_min: AtomicU64::new(u64::MAX),
             lookahead_ps,
             channels: self.channels.clone(),
+            aborted: AtomicBool::new(false),
         };
         // Chunk shards over workers; the assignment affects scheduling
         // only, never results.
@@ -304,7 +297,7 @@ impl ShardedEngine {
         for (s, engine) in self.engines.drain(..).enumerate() {
             bundles[s % m].push((s, engine));
         }
-        let mut returned: Vec<Option<Engine>> = (0..k).map(|_| None).collect();
+        let mut returned = Vec::with_capacity(k);
         std::thread::scope(|scope| {
             let shared = &shared;
             let handles: Vec<_> = bundles
@@ -312,30 +305,24 @@ impl ShardedEngine {
                 .map(|bundle| scope.spawn(move || worker_loop(bundle, shared)))
                 .collect();
             for h in handles {
-                let bundle = match h.join() {
-                    Ok(b) => b,
+                match h.join() {
+                    Ok(bundle) => returned.extend(bundle),
                     // fcc-lint: allow(panic-in-lib) -- worker panics propagate to the caller
                     Err(_) => panic!("shard worker panicked"),
-                };
-                for (s, engine) in bundle {
-                    returned[s] = Some(engine);
                 }
             }
         });
-        self.engines = returned
-            .into_iter()
-            .map(|slot| match slot {
-                Some(e) => e,
-                // fcc-lint: allow(panic-in-lib) -- every worker returns every shard it was handed
-                None => unreachable!("shard engine lost by worker"),
-            })
-            .collect();
+        returned.sort_by_key(|&(s, _)| s);
+        self.engines = returned.into_iter().map(|(_, engine)| engine).collect();
     }
 }
 
 /// The per-worker epoch loop. `bundle` is the set of shards this worker
-/// owns; engines come back out when the run reaches global idle.
+/// owns; engines come back out when the run reaches global idle. A panic
+/// in these shards is held until every worker has left the loop at the
+/// same barrier, then resumed.
 fn worker_loop(mut bundle: Vec<(usize, Engine)>, shared: &RunShared) -> Vec<(usize, Engine)> {
+    let mut failure = None;
     loop {
         // Phase A: contribute to the global minimum next-event time.
         for (_, engine) in &bundle {
@@ -354,9 +341,11 @@ fn worker_loop(mut bundle: Vec<(usize, Engine)>, shared: &RunShared) -> Vec<(usi
         let horizon = SimTime::from_ps(min.saturating_add(shared.lookahead_ps - 1));
         // Phase B: run freely up to the horizon; gateways stage
         // cross-shard messages with timestamps strictly beyond it.
-        for (_, engine) in &mut bundle {
-            engine.run_until(horizon);
-        }
+        guarded(shared, &mut failure, || {
+            for (_, engine) in &mut bundle {
+                engine.run_until(horizon);
+            }
+        });
         let sync = shared.barrier.wait();
         if sync.is_leader() {
             // Safe to reset here: every worker read `min` before the
@@ -364,30 +353,45 @@ fn worker_loop(mut bundle: Vec<(usize, Engine)>, shared: &RunShared) -> Vec<(usi
             // epoch's barrier.
             shared.global_min.store(u64::MAX, Ordering::SeqCst);
         }
-        // Phase C: merge staged messages into this worker's shards in
-        // `(time, src shard, emission index)` order.
-        for (dst, engine) in &mut bundle {
-            let mut inbound: Vec<Inbound> = Vec::new();
-            for (src, row) in shared.channels.iter().enumerate() {
-                for staged in lock(&row[*dst]).drain(..) {
-                    inbound.push((
-                        staged.time_ps,
-                        src,
-                        staged.emit_idx,
-                        staged.dst,
-                        staged.payload,
-                        staged.type_name,
-                    ));
+        // Phase C: merge staged messages into this worker's shards. Each
+        // cell holds its source shard's emissions in dispatch order, so a
+        // stable sort by time over the cells taken in source-shard order
+        // delivers in `(time, src shard, emission order)`.
+        guarded(shared, &mut failure, || {
+            for (dst, engine) in &mut bundle {
+                let mut inbound = Vec::new();
+                for row in &shared.channels {
+                    inbound.append(&mut lock(&row[*dst]));
+                }
+                inbound.sort_by_key(|staged| staged.time_ps);
+                for staged in inbound {
+                    engine.post_msg(staged.dst, SimTime::from_ps(staged.time_ps), staged.msg);
                 }
             }
-            inbound.sort_by_key(|&(time, src, emit, ..)| (time, src, emit));
-            for (time, _, _, target, payload, type_name) in inbound {
-                engine.post_boxed(target, SimTime::from_ps(time), payload, type_name);
-            }
-        }
+        });
         shared.barrier.wait();
+        // No worker raises the flag between this barrier and the next,
+        // so every worker reads the same value and leaves together.
+        if shared.aborted.load(Ordering::SeqCst) {
+            break;
+        }
+    }
+    if let Some(payload) = failure {
+        resume_unwind(payload);
     }
     bundle
+}
+
+/// Runs one phase of this worker's engine work unless an earlier phase
+/// panicked; a panic is kept in `failure` and raises the run's abort flag
+/// instead of unwinding past the barriers the other workers wait at.
+fn guarded(shared: &RunShared, failure: &mut Option<Box<dyn Any + Send>>, work: impl FnOnce()) {
+    if failure.is_none() {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(work)) {
+            shared.aborted.store(true, Ordering::SeqCst);
+            *failure = Some(payload);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -476,7 +480,8 @@ mod tests {
     }
 
     /// Three shards; 1 and 2 each land one message in shard 0 at the same
-    /// instant. The `(time, src shard, emit)` merge key fixes the order.
+    /// instant. The merge takes the cells in source-shard order, so shard
+    /// 1's message is delivered first.
     fn star_run(threads: usize) -> Vec<(u64, u64)> {
         let lat = SimTime::from_ns(10.0);
         let mut sharded = ShardedEngine::new(0, 3);
@@ -522,6 +527,116 @@ mod tests {
         for threads in [2, 3] {
             assert_eq!(star_run(threads), heard, "threads={threads}");
         }
+    }
+
+    /// Sends `(target, value)` pairs in list order on every message.
+    struct Spray {
+        sends: Vec<(ComponentId, u64)>,
+    }
+
+    impl Component for Spray {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
+            for &(target, value) in &self.sends {
+                ctx.send(target, SimTime::ZERO, value);
+            }
+        }
+    }
+
+    /// Two cables from shard 1 into shard 0 (shard 2 idles, so three
+    /// workers have a shard each). One dispatch in shard 1 sends value 1
+    /// through the second cable, then value 2 through the first; both
+    /// land in shard 0 at the same instant.
+    fn shared_cell_run(threads: usize) -> Vec<(u64, u64)> {
+        let lat = SimTime::from_ns(10.0);
+        let mut sharded = ShardedEngine::new(0, 3);
+        let (g0a, g1a) = sharded.link(0, 1, lat, "a");
+        let (g0b, g1b) = sharded.link(0, 1, lat, "b");
+        let sink = sharded
+            .engine_mut(0)
+            .add_component("sink", bouncer(None, SimTime::ZERO));
+        for gw in [g0a, g0b] {
+            sharded
+                .engine_mut(0)
+                .component_mut::<ShardGateway>(gw)
+                .set_local_peer(sink);
+        }
+        let spray = Spray {
+            sends: vec![(g1b, 1), (g1a, 2)],
+        };
+        let src = sharded.engine_mut(1).add_component("spray", spray);
+        for gw in [g1a, g1b] {
+            sharded
+                .engine_mut(1)
+                .component_mut::<ShardGateway>(gw)
+                .set_local_peer(src);
+        }
+        sharded.engine_mut(1).post(src, SimTime::from_ns(5.0), ());
+        sharded.run(threads);
+        sharded.engine(0).component::<Bouncer>(sink).heard.clone()
+    }
+
+    /// Two messages sharing one `[src][dst]` cell and one arrival instant
+    /// are delivered in the order the source shard emitted them, whatever
+    /// the cables and the worker count.
+    #[test]
+    fn same_instant_arrivals_from_one_shard_keep_emission_order() {
+        let at = SimTime::from_ns(15.0).as_ps();
+        for threads in [1, 2, 3] {
+            assert_eq!(
+                shared_cell_run(threads),
+                vec![(at, 1), (at, 2)],
+                "threads={threads}"
+            );
+        }
+    }
+
+    /// Panics on its first message.
+    struct Bomb;
+
+    impl Component for Bomb {
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {
+            panic!("bomb went off");
+        }
+    }
+
+    /// Three linked shards: bouncers keep shards 1 and 2 busy across the
+    /// 1-2 cable while a component in shard 0 panics at 5 ns.
+    fn panicking_run(threads: usize) {
+        let lat = SimTime::from_ns(10.0);
+        let mut sharded = ShardedEngine::new(0, 3);
+        sharded.link(0, 1, lat, "a");
+        let (g12, g21) = sharded.link(1, 2, lat, "b");
+        let delay = SimTime::from_ns(1.0);
+        let b1 = sharded
+            .engine_mut(1)
+            .add_component("b1", bouncer(Some(g12), delay));
+        let b2 = sharded
+            .engine_mut(2)
+            .add_component("b2", bouncer(Some(g21), delay));
+        sharded
+            .engine_mut(1)
+            .component_mut::<ShardGateway>(g12)
+            .set_local_peer(b1);
+        sharded
+            .engine_mut(2)
+            .component_mut::<ShardGateway>(g21)
+            .set_local_peer(b2);
+        sharded.engine_mut(1).post(b1, SimTime::ZERO, 1_000u64);
+        let bomb = sharded.engine_mut(0).add_component("bomb", Bomb);
+        sharded.engine_mut(0).post(bomb, SimTime::from_ns(5.0), ());
+        sharded.run(threads);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard worker panicked")]
+    fn component_panic_fails_a_two_worker_run() {
+        panicking_run(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard worker panicked")]
+    fn component_panic_fails_a_three_worker_run() {
+        panicking_run(3);
     }
 
     #[test]
