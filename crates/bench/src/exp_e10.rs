@@ -16,7 +16,7 @@ use fcc_core::faa::{FaaEngine, FnDone, FnInvoke, FunctionTemplate};
 use fcc_fabric::adapter::{HostCompletion, HostOp, HostRequest};
 use fcc_fabric::commfabric::{RdmaCompletion, RdmaConfig, RdmaNic, RdmaOp};
 use fcc_fabric::topology::{self, FAM_BASE};
-use fcc_sim::{Component, ComponentId, Ctx, Engine, Msg, SimTime};
+use fcc_sim::{Component, ComponentId, Ctx, Engine, Inbox, Msg, SimTime};
 
 use crate::calib;
 
@@ -45,22 +45,6 @@ impl E10Result {
 /// Context descriptor size shipped at launch (registers + queue configs).
 const CONTEXT_BYTES: u32 = 4096;
 
-struct LaunchProbe {
-    done_at: Option<SimTime>,
-    pending: usize,
-}
-
-impl Component for LaunchProbe {
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        if msg.downcast::<HostCompletion>().is_ok() {
-            self.pending -= 1;
-            if self.pending == 0 {
-                self.done_at = Some(ctx.now());
-            }
-        }
-    }
-}
-
 /// Launch over the memory fabric: write the context (4 KiB) then a 64 B
 /// doorbell store, both as plain fabric writes.
 ///
@@ -80,13 +64,7 @@ fn fabric_launch(seed: u64) -> f64 {
             1 << 24,
         ));
     let topo = topology::single_switch(&mut engine, spec, 1, vec![faa_ctx_buffer]);
-    let probe = engine.add_component(
-        "probe",
-        LaunchProbe {
-            done_at: None,
-            pending: 2,
-        },
-    );
+    let probe = engine.add_component("probe", Inbox::<HostCompletion>::default());
     let fha = topo.hosts[0].fha;
     engine.post(
         fha,
@@ -113,11 +91,9 @@ fn fabric_launch(seed: u64) -> f64 {
         },
     );
     engine.run_until_idle();
-    engine
-        .component::<LaunchProbe>(probe)
-        .done_at
-        .expect("launch completed")
-        .as_ns()
+    // The launch is done when its second write (the doorbell) completes.
+    let arrivals = engine.component::<Inbox<HostCompletion>>(probe).arrivals();
+    arrivals.get(1).expect("launch completed").as_ns()
 }
 
 /// Drives the serialized communication-fabric launch sequence the paper
@@ -126,6 +102,7 @@ fn fabric_launch(seed: u64) -> f64 {
 /// completion.
 struct RdmaProbe {
     nic: ComponentId,
+    /// Steps issued so far.
     step: usize,
     done_at: Option<SimTime>,
 }
@@ -150,22 +127,25 @@ impl RdmaProbe {
                 reply_to: ctx.self_id(),
             },
         );
+        self.step += 1;
     }
 }
 
 impl Component for RdmaProbe {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        if msg.downcast::<RdmaCompletion>().is_ok() {
-            self.step += 1;
-            if self.step >= Self::STEPS.len() {
-                self.done_at = Some(ctx.now());
-            } else {
-                self.issue(ctx);
+        let msg = match msg.downcast::<GoRdma>() {
+            Ok(GoRdma) if self.step == 0 => return self.issue(ctx),
+            Ok(GoRdma) => return ctx.reject("launch kicked off twice"),
+            Err(m) => m,
+        };
+        match msg.downcast::<RdmaCompletion>() {
+            Ok(_) if self.step == 0 || self.done_at.is_some() => {
+                ctx.reject("completion outside the launch");
             }
-            return;
+            Ok(_) if self.step == Self::STEPS.len() => self.done_at = Some(ctx.now()),
+            Ok(_) => self.issue(ctx),
+            Err(m) => ctx.reject(m.type_name()),
         }
-        // Kick-off.
-        self.issue(ctx);
     }
 }
 
@@ -195,30 +175,12 @@ fn rdma_launch(seed: u64) -> f64 {
         .as_ns()
 }
 
-struct FaaSink {
-    done: usize,
-    finished_at: SimTime,
-}
-
-impl Component for FaaSink {
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        if msg.downcast::<FnDone>().is_ok() {
-            self.done += 1;
-            self.finished_at = ctx.now();
-        }
-    }
-}
+type FaaSink = Inbox<FnDone>;
 
 /// Runs the multiplexed-FAA workload with a given context-switch cost.
 fn multiplexed_faa(ctx_switch: SimTime, invocations: u64, seed: u64) -> (f64, u64) {
     let mut engine = Engine::new((0xE10 + 2) ^ seed);
-    let sink = engine.add_component(
-        "sink",
-        FaaSink {
-            done: 0,
-            finished_at: SimTime::ZERO,
-        },
-    );
+    let sink = engine.add_component("sink", FaaSink::default());
     let functions = (0..4)
         .map(|i| FunctionTemplate::uniform(i, SimTime::from_ns(800.0), 0.0, 1024))
         .collect();
@@ -239,9 +201,14 @@ fn multiplexed_faa(ctx_switch: SimTime, invocations: u64, seed: u64) -> (f64, u6
     }
     engine.run_until_idle();
     let s = engine.component::<FaaSink>(sink);
-    assert_eq!(s.done as u64, invocations, "all invocations completed");
+    assert_eq!(
+        s.messages().len() as u64,
+        invocations,
+        "all invocations completed"
+    );
+    let finished_at = s.arrivals().last().copied().unwrap_or(SimTime::ZERO);
     let switches = engine.component::<FaaEngine>(faa).ctx_switches.get();
-    (s.finished_at.as_us(), switches)
+    (finished_at.as_us(), switches)
 }
 
 /// Runs E10 with RNG seed salt `seed`.

@@ -128,11 +128,10 @@ impl Component for SyncWorker {
                     self.start_chunk(ctx);
                 }
             }
-            Err(m) => {
-                // Kick-off message.
-                let _ = m;
-                self.start_chunk(ctx);
-            }
+            Err(m) => match m.downcast::<Start>() {
+                Ok(Start) => self.start_chunk(ctx),
+                Err(m) => ctx.reject(m.type_name()),
+            },
         }
     }
 }
@@ -212,12 +211,14 @@ impl Component for ManagedWorker {
                     self.try_compute(ctx);
                 }
             }
-            Err(m) => {
-                // Kick-off: prefetch chunk 0 and wait.
-                let _ = m;
-                self.prefetch(ctx, 0);
-                self.try_compute(ctx);
-            }
+            // Kick-off: prefetch chunk 0 and wait.
+            Err(m) => match m.downcast::<Start>() {
+                Ok(Start) => {
+                    self.prefetch(ctx, 0);
+                    self.try_compute(ctx);
+                }
+                Err(m) => ctx.reject(m.type_name()),
+            },
         }
     }
 }

@@ -87,7 +87,10 @@ pub fn run(quick: bool, seed: u64) -> E6Result {
             cost: SimTime::from_us(2.0),
         },
     );
-    let baseline_us = idem_rt.run(&tasks, &no_failures).makespan.as_us();
+    let run = |rt: &DagRuntime, tasks: &[TaskSpec], failures: &FailureSchedule| -> RunStats {
+        rt.run(tasks, failures).expect("E6 builds well-formed DAGs")
+    };
+    let baseline_us = run(&idem_rt, &tasks, &no_failures).makespan.as_us();
     let horizon = SimTime::from_us(baseline_us * 40.0);
     let mut rng = StdRng::seed_from_u64(0xE6 ^ seed);
     let mut points = Vec::new();
@@ -101,8 +104,8 @@ pub fn run(quick: bool, seed: u64) -> E6Result {
         );
         points.push(MtbfPoint {
             mtbf_us,
-            idempotent: idem_rt.run(&tasks, &schedule),
-            checkpoint: ckpt_rt.run(&tasks, &schedule),
+            idempotent: run(&idem_rt, &tasks, &schedule),
+            checkpoint: run(&ckpt_rt, &tasks, &schedule),
         });
     }
     // Correctness demonstration with a clobbering task.
@@ -115,9 +118,9 @@ pub fn run(quick: bool, seed: u64) -> E6Result {
         recovered_at: SimTime::from_us(30.0),
     }]);
     let single_exec = DagRuntime::new(executors(1), RecoveryMode::Idempotent);
-    let naive = single_exec.run(std::slice::from_ref(&clobber), &one_failure);
+    let naive = run(&single_exec, std::slice::from_ref(&clobber), &one_failure);
     let versioned = make_idempotent(&clobber, 0x10_0000, 999);
-    let fixed = single_exec.run(&versioned, &one_failure);
+    let fixed = run(&single_exec, &versioned, &one_failure);
     E6Result {
         baseline_us,
         points,

@@ -13,7 +13,7 @@ use fcc_fabric::credit::AllocPolicy;
 use fcc_fabric::switch::{FlowId, QueueDiscipline, SwitchConfig};
 use fcc_fabric::topology::{self, TopologySpec, FAM_BASE};
 use fcc_proto::phys::PhysConfig;
-use fcc_sim::{jain_fairness, Component, Ctx, Engine, Msg, SimTime};
+use fcc_sim::{jain_fairness, Component, Ctx, Engine, Inbox, Msg, SimTime};
 
 use crate::capture::Capture;
 use crate::exp_e3;
@@ -33,21 +33,12 @@ pub struct E7Result {
     pub jain_after: f64,
 }
 
-struct Waiter {
-    resolved: Vec<FutureResolved>,
-}
-
-impl Component for Waiter {
-    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-        self.resolved
-            .push(msg.downcast::<FutureResolved>().expect("future"));
-    }
-}
+type Waiter = Inbox<FutureResolved>;
 
 /// Measures the unloaded control-lane RTT through the client.
 fn measure_control_rtt(seed: u64) -> f64 {
     let mut engine = Engine::new(0xE7 ^ seed);
-    let sink = engine.add_component("waiter", Waiter { resolved: vec![] });
+    let sink = engine.add_component("waiter", Waiter::default());
     struct Nop;
     impl Component for Nop {
         fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {}
@@ -133,7 +124,7 @@ fn contended_with_reservations(quick: bool, seed: u64) -> (f64, f64, f64) {
     }
     let arb = engine.add_component("arbiter", arb);
     let client = engine.add_component("client", ArbiterClient::new(arb, SimTime::from_ns(100.0)));
-    let waiter = engine.add_component("waiter", Waiter { resolved: vec![] });
+    let waiter = engine.add_component("waiter", Waiter::default());
     // Equal 15 Gbit/s reservations for all three flows, installed up front.
     for (i, &flow) in flows.iter().enumerate() {
         engine.post(

@@ -20,7 +20,7 @@
 use std::fmt;
 
 use fcc_baseband::pipeline::UplinkPipeline;
-use fcc_core::task::{DagRuntime, Executor, Half, RecoveryMode, TaskSpec};
+use fcc_core::task::{DagRuntime, Executor, Half, RecoveryMode, RunStats, TaskSpec};
 use fcc_sim::SimTime;
 use fcc_workloads::failure::{FailureEvent, FailureSchedule};
 use rand::rngs::StdRng;
@@ -135,20 +135,23 @@ pub fn run(quick: bool, seed: u64) -> E8Result {
     let rt_host = DagRuntime::new(host_executors(), RecoveryMode::Idempotent);
     let rt_faa = DagRuntime::new(faa_executors(), RecoveryMode::Idempotent);
     let no_failures = FailureSchedule::explicit(vec![]);
-    let host_only = rt_host.run(&tasks, &no_failures).makespan.as_us();
-    let naive = rt_faa
-        .run(&inflate(&tasks, SYNC_NS_PER_BYTE, false), &no_failures)
+    let run = |rt: &DagRuntime, tasks: &[TaskSpec], failures: &FailureSchedule| -> RunStats {
+        rt.run(tasks, failures).expect("E8 builds well-formed DAGs")
+    };
+    let host_only = run(&rt_host, &tasks, &no_failures).makespan.as_us();
+    let naive_tasks = inflate(&tasks, SYNC_NS_PER_BYTE, false);
+    let naive = run(&rt_faa, &naive_tasks, &no_failures).makespan.as_us();
+    let unifabric_tasks = inflate(&tasks, STREAM_NS_PER_BYTE, true);
+    let unifabric = run(&rt_faa, &unifabric_tasks, &no_failures)
         .makespan
         .as_us();
-    let unifabric_tasks = inflate(&tasks, STREAM_NS_PER_BYTE, true);
-    let unifabric = rt_faa.run(&unifabric_tasks, &no_failures).makespan.as_us();
     // Failure resilience: crash FAA domain 1 mid-frame.
     let crash = FailureSchedule::explicit(vec![FailureEvent {
         at: SimTime::from_us(unifabric * 0.4),
         domain: 1,
         recovered_at: SimTime::from_us(unifabric * 0.4 + 5.0),
     }]);
-    let with_failure = rt_faa.run(&unifabric_tasks, &crash);
+    let with_failure = run(&rt_faa, &unifabric_tasks, &crash);
     assert!(with_failure.correct, "idempotent kernels recover correctly");
     E8Result {
         ber_15db: errs15 as f64 / total15 as f64,

@@ -16,7 +16,7 @@ use std::fmt;
 use fcc_cache::core::{AccessPattern, CoreReport, CpuCore, RunDone, StartRun};
 use fcc_cache::hierarchy::{HierarchyConfig, MemoryHierarchy};
 use fcc_fabric::topology::{self, FAM_BASE};
-use fcc_sim::{Component, Ctx, Engine, Msg, SimTime};
+use fcc_sim::{Engine, Inbox, SimTime};
 
 use crate::calib;
 
@@ -28,19 +28,11 @@ pub struct E9Result {
     pub ws_sweep: Vec<(u64, f64)>,
 }
 
-struct Sink {
-    report: Option<CoreReport>,
-}
-
-impl Component for Sink {
-    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-        self.report = Some(msg.downcast::<RunDone>().expect("done").report);
-    }
-}
+type Sink = Inbox<RunDone>;
 
 fn run_remote(pattern: AccessPattern, window: usize, seed: u64) -> CoreReport {
     let mut engine = Engine::new(0xE9 ^ seed);
-    let sink = engine.add_component("sink", Sink { report: None });
+    let sink = engine.add_component("sink", Sink::default());
     let topo = topology::single_switch(
         &mut engine,
         calib::topo_spec(),
@@ -61,9 +53,11 @@ fn run_remote(pattern: AccessPattern, window: usize, seed: u64) -> CoreReport {
     engine.run_until_idle();
     engine
         .component::<Sink>(sink)
+        .messages()
+        .last()
+        .expect("completed")
         .report
         .clone()
-        .expect("completed")
 }
 
 /// Runs E9 with RNG seed salt `seed`.

@@ -11,7 +11,7 @@ use fcc_fabric::adapter::{HostCompletion, HostOp, HostRequest};
 use fcc_fabric::manager::StartDiscovery;
 use fcc_fabric::switch::FabricSwitch;
 use fcc_fabric::topology::{self, TopologySpec};
-use fcc_sim::{Component, Ctx, Engine, Msg, SimTime};
+use fcc_sim::{Engine, Inbox, SimTime};
 
 /// F1 outcome.
 pub struct F1Result {
@@ -31,16 +31,7 @@ pub struct F1Result {
     pub mean_read_ns: f64,
 }
 
-struct Sink {
-    done: Vec<HostCompletion>,
-}
-
-impl Component for Sink {
-    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-        self.done
-            .push(msg.downcast::<HostCompletion>().expect("hc"));
-    }
-}
+type Sink = Inbox<HostCompletion>;
 
 /// Runs F1 with RNG seed salt `seed`.
 pub fn run(seed: u64) -> F1Result {
@@ -55,7 +46,7 @@ pub fn run(seed: u64) -> F1Result {
         .map(|&s| engine.component::<FabricSwitch>(s).routing.pbr_entries())
         .sum();
     // Verification: every host reads 64 B from every memory device.
-    let sink = engine.add_component("verify-sink", Sink { done: vec![] });
+    let sink = engine.add_component("verify-sink", Sink::default());
     let mut attempted = 0;
     let t0 = engine.now();
     for h in &topo.hosts {
@@ -79,7 +70,7 @@ pub fn run(seed: u64) -> F1Result {
         }
     }
     engine.run_until_idle();
-    let done = &engine.component::<Sink>(sink).done;
+    let done = engine.component::<Sink>(sink).messages();
     let mean_read_ns = if done.is_empty() {
         0.0
     } else {

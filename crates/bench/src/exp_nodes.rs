@@ -42,7 +42,7 @@ struct Collect {
 }
 
 impl Component for Collect {
-    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let msg = match msg.downcast::<CoherentDone>() {
             Ok(d) => {
                 self.latencies.push(d.latency);
@@ -52,7 +52,7 @@ impl Component for Collect {
         };
         match msg.downcast::<HostCompletion>() {
             Ok(hc) => self.latencies.push(hc.latency()),
-            Err(m) => panic!("collect: unexpected {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 }

@@ -12,7 +12,7 @@ use std::fmt;
 use fcc_cache::core::{AccessPattern, CoreReport, CpuCore, RunDone, StartRun};
 use fcc_cache::hierarchy::{HierarchyConfig, MemoryHierarchy};
 use fcc_fabric::topology::{self, FAM_BASE};
-use fcc_sim::{Component, Ctx, Engine, Msg, SimTime};
+use fcc_sim::{Engine, Inbox, SimTime};
 
 use crate::calib;
 use crate::capture::Capture;
@@ -41,15 +41,7 @@ pub struct T2Result {
     pub tiers: Vec<Tier>,
 }
 
-struct Sink {
-    report: Option<CoreReport>,
-}
-
-impl Component for Sink {
-    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-        self.report = Some(msg.downcast::<RunDone>().expect("run done").report);
-    }
-}
+type Sink = Inbox<RunDone>;
 
 /// Runs one measurement: a fresh engine + topology per run so tiers don't
 /// share cache state.
@@ -69,7 +61,7 @@ fn measure_captured(
     label: &str,
 ) -> CoreReport {
     let mut engine = Engine::new((0x72 ^ seed) + remote as u64);
-    let sink = engine.add_component("sink", Sink { report: None });
+    let sink = engine.add_component("sink", Sink::default());
     let mut core = CpuCore::new(MemoryHierarchy::new(HierarchyConfig::omega_like()), window);
     let mut remote_topo = None;
     if remote {
@@ -99,9 +91,11 @@ fn measure_captured(
     }
     engine
         .component::<Sink>(sink)
+        .messages()
+        .last()
+        .expect("run completed")
         .report
         .clone()
-        .expect("run completed")
 }
 
 fn dependent(

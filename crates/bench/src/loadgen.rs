@@ -151,7 +151,9 @@ impl Component for LoadGen {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let msg = match msg.downcast::<StartLoad>() {
             Ok(StartLoad) => {
-                assert!(!self.started, "load generator restarted");
+                if self.started {
+                    return ctx.reject("load generator restarted");
+                }
                 self.started = true;
                 self.pump(ctx);
                 return;
@@ -166,7 +168,7 @@ impl Component for LoadGen {
                 self.finished_at = ctx.now();
                 self.pump(ctx);
             }
-            Err(m) => panic!("loadgen: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 }

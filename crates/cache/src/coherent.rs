@@ -198,13 +198,10 @@ impl CoherentL1 {
     }
 
     fn on_completion(&mut self, ctx: &mut Ctx<'_>, hc: HostCompletion) {
-        // The FHA only ever echoes tags this cache issued, so an unknown tag
-        // is a wiring bug worth stopping on.
-        #[allow(clippy::expect_used)]
-        let pending = self
-            .outstanding
-            .remove(&hc.tag)
-            .expect("completion for unknown request");
+        // The FHA only ever echoes tags this cache issued.
+        let Some(pending) = self.outstanding.remove(&hc.tag) else {
+            return ctx.reject("completion for a request this cache never issued");
+        };
         if pending.tag == u64::MAX {
             // Eviction acknowledged; nothing to deliver.
             return;
@@ -269,7 +266,7 @@ impl Component for CoherentL1 {
         };
         match msg.downcast::<SnoopMsg>() {
             Ok(s) => self.on_snoop(ctx, s),
-            Err(m) => panic!("coherent l1: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 
@@ -301,20 +298,11 @@ mod tests {
     use fcc_proto::addr::{AddrMap, AddrRange, NodeId};
     use fcc_proto::link::CreditConfig;
     use fcc_proto::phys::PhysConfig;
-    use fcc_sim::Engine;
+    use fcc_sim::{Engine, Inbox};
 
     use super::*;
 
-    struct Sink {
-        done: Vec<CoherentDone>,
-    }
-
-    impl Component for Sink {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            self.done
-                .push(msg.downcast::<CoherentDone>().expect("done"));
-        }
-    }
+    type Sink = Inbox<CoherentDone>;
 
     struct Setup {
         engine: Engine,
@@ -364,7 +352,7 @@ mod tests {
             s.routing.add_pbr(dir_nid, p);
         }
         engine.component_mut::<DirectoryNode>(dir).connect(sw);
-        let sink = engine.add_component("sink", Sink { done: vec![] });
+        let sink = engine.add_component("sink", Sink::default());
         Setup {
             engine,
             caches,
@@ -394,7 +382,7 @@ mod tests {
         let mut s = setup();
         access(&mut s, 0, 0x1000, false, 1);
         access(&mut s, 0, 0x1000, false, 2);
-        let done = &s.engine.component::<Sink>(s.sink).done;
+        let done = s.engine.component::<Sink>(s.sink).messages();
         assert!(!done[0].hit);
         assert!(done[1].hit);
         assert!(done[0].latency > done[1].latency * 10);
@@ -436,7 +424,7 @@ mod tests {
         // Both can now read-hit locally.
         access(&mut s, 0, 0x3000, false, 3);
         access(&mut s, 1, 0x3000, false, 4);
-        let done = &s.engine.component::<Sink>(s.sink).done;
+        let done = s.engine.component::<Sink>(s.sink).messages();
         assert!(done[2].hit && done[3].hit);
     }
 

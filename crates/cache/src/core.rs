@@ -371,7 +371,9 @@ impl Component for CpuCore {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let msg = match msg.downcast::<StartRun>() {
             Ok(start) => {
-                assert!(self.run.is_none(), "core already running");
+                if self.run.is_some() {
+                    return ctx.reject("run started while one is active");
+                }
                 let (_, region, stride, _, _, warmup_passes) = start.pattern.params();
                 let per_pass = (region / stride.max(1)).max(1);
                 self.run = Some(RunState {
@@ -416,33 +418,24 @@ impl Component for CpuCore {
                 );
                 self.complete(ctx, hc.tag);
             }
-            Err(m) => panic!("cpu core: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use fcc_sim::Engine;
+    use fcc_sim::{Engine, Inbox};
 
     use crate::hierarchy::HierarchyConfig;
 
     use super::*;
 
-    struct Sink {
-        report: Option<CoreReport>,
-    }
-
-    impl Component for Sink {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            let done = msg.downcast::<RunDone>().expect("run done");
-            self.report = Some(done.report);
-        }
-    }
+    type Sink = Inbox<RunDone>;
 
     fn run_local(pattern: AccessPattern, window: usize) -> CoreReport {
         let mut engine = Engine::new(2);
-        let sink = engine.add_component("sink", Sink { report: None });
+        let sink = engine.add_component("sink", Sink::default());
         let core = engine.add_component(
             "core",
             CpuCore::new(MemoryHierarchy::new(HierarchyConfig::omega_like()), window),
@@ -458,9 +451,11 @@ mod tests {
         engine.run_until_idle();
         engine
             .component::<Sink>(sink)
+            .messages()
+            .last()
+            .expect("run finished")
             .report
             .clone()
-            .expect("run finished")
     }
 
     #[test]
@@ -579,7 +574,7 @@ mod tests {
     #[test]
     fn prefetcher_reduces_miss_latency_on_streams() {
         let mut engine = Engine::new(2);
-        let sink = engine.add_component("sink", Sink { report: None });
+        let sink = engine.add_component("sink", Sink::default());
         let mut core_model = CpuCore::new(MemoryHierarchy::new(HierarchyConfig::omega_like()), 16);
         core_model.set_prefetcher(StridePrefetcher::new(8, 4, 64));
         let core = engine.add_component("core", core_model);
@@ -599,7 +594,12 @@ mod tests {
             },
         );
         engine.run_until_idle();
-        let with_pf = engine.component::<Sink>(sink).report.clone().expect("done");
+        let with_pf = &engine
+            .component::<Sink>(sink)
+            .messages()
+            .last()
+            .expect("done")
+            .report;
         // Without prefetch, a 64B-stride sweep over 16 MiB misses every
         // line (~111.7ns each). With prefetch, most demand accesses hit L1.
         assert!(with_pf.prefetches > 0);

@@ -102,11 +102,9 @@ impl Component for ArbiterClient {
         match msg.downcast::<ArbiterResponse>() {
             Ok(rsp) => {
                 // The arbiter only echoes tags this client issued.
-                #[allow(clippy::expect_used)]
-                let (future_id, reply_to, issued_at) = self
-                    .pending
-                    .remove(&rsp.tag)
-                    .expect("response for unknown tag");
+                let Some((future_id, reply_to, issued_at)) = self.pending.remove(&rsp.tag) else {
+                    return ctx.reject("response to a request this client never issued");
+                };
                 let rtt = ctx.now() - issued_at;
                 self.rtt.record_time(rtt);
                 let ok = matches!(
@@ -124,7 +122,7 @@ impl Component for ArbiterClient {
                 );
                 ctx.send(reply_to, SimTime::ZERO, FutureResolved { future_id, ok });
             }
-            Err(m) => panic!("arbiter client: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 }
@@ -134,20 +132,11 @@ mod tests {
     use fcc_fabric::arbiter::FabricArbiter;
     use fcc_fabric::switch::FlowId;
     use fcc_proto::addr::NodeId;
-    use fcc_sim::Engine;
+    use fcc_sim::{Engine, Inbox};
 
     use super::*;
 
-    struct Waiter {
-        resolved: Vec<FutureResolved>,
-    }
-
-    impl Component for Waiter {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            self.resolved
-                .push(msg.downcast::<FutureResolved>().expect("future"));
-        }
-    }
+    type Waiter = Inbox<FutureResolved>;
 
     fn flow() -> FlowId {
         FlowId {
@@ -158,7 +147,7 @@ mod tests {
 
     fn setup() -> (Engine, ComponentId, ComponentId) {
         let mut engine = Engine::new(3);
-        let sink = engine.add_component("waiter", Waiter { resolved: vec![] });
+        let sink = engine.add_component("waiter", Waiter::default());
         // The arbiter needs somewhere to install rates: the waiter absorbs
         // nothing here because the flow path is registered against a dummy
         // switch component (the waiter itself would panic); use capacity
@@ -191,8 +180,8 @@ mod tests {
         );
         engine.run_until_idle();
         let w = engine.component::<Waiter>(sink);
-        assert_eq!(w.resolved.len(), 1);
-        assert!(w.resolved[0].ok);
+        assert_eq!(w.messages().len(), 1);
+        assert!(w.messages()[0].ok);
         let c = engine.component::<ArbiterClient>(client);
         let res = c.resolution(5).expect("resolved");
         // The paper's claim: the 64B control-flit RTT is up to 200 ns.
@@ -254,6 +243,6 @@ mod tests {
         );
         engine.run_until_idle();
         let w = engine.component::<Waiter>(sink);
-        assert!(!w.resolved[0].ok);
+        assert!(!w.messages()[0].ok);
     }
 }

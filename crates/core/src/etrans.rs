@@ -319,11 +319,9 @@ impl Component for TransactionEngine {
         match msg.downcast::<JobDone>() {
             Ok(done) => {
                 // Agents only complete jobs this coordinator handed them.
-                #[allow(clippy::expect_used)]
-                let (job, agent_idx) = self
-                    .inflight
-                    .remove(&done.job_id)
-                    .expect("completion for unknown job");
+                let Some((job, agent_idx)) = self.inflight.remove(&done.job_id) else {
+                    return ctx.reject("completion for a job this engine never dispatched");
+                };
                 self.agent_load[agent_idx] =
                     self.agent_load[agent_idx].saturating_sub(job.etrans.bytes());
                 self.completed.inc();
@@ -362,7 +360,7 @@ impl Component for TransactionEngine {
                     }
                 }
             }
-            Err(m) => panic!("etrans engine: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 }
@@ -507,11 +505,9 @@ impl Component for MigrationAgent {
         match msg.downcast::<HostCompletion>() {
             Ok(hc) => {
                 // The FHA only echoes tags this agent issued.
-                #[allow(clippy::expect_used)]
-                let state = self
-                    .outstanding
-                    .remove(&hc.tag)
-                    .expect("completion for unknown chunk");
+                let Some(state) = self.outstanding.remove(&hc.tag) else {
+                    return ctx.reject("completion for a chunk this agent never issued");
+                };
                 match state {
                     ChunkState::Reading { dst, len } => {
                         // Read half done; now write to the destination.
@@ -556,7 +552,7 @@ impl Component for MigrationAgent {
                     }
                 }
             }
-            Err(m) => panic!("migration agent: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 }
@@ -565,30 +561,12 @@ impl Component for MigrationAgent {
 mod tests {
     use fcc_fabric::endpoint::{Endpoint, FixedLatencyMemory};
     use fcc_fabric::topology::{self, TopologySpec, FAM_BASE};
-    use fcc_sim::Engine;
+    use fcc_sim::{Engine, Inbox};
 
     use super::*;
+    use crate::arbiter_client::FutureResolved;
 
-    struct Sink {
-        done: Vec<ETransDone>,
-        futures: Vec<crate::arbiter_client::FutureResolved>,
-    }
-
-    impl Component for Sink {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            let msg = match msg.downcast::<ETransDone>() {
-                Ok(d) => {
-                    self.done.push(d);
-                    return;
-                }
-                Err(m) => m,
-            };
-            match msg.downcast::<crate::arbiter_client::FutureResolved>() {
-                Ok(f) => self.futures.push(f),
-                Err(m) => panic!("sink: unexpected {}", m.type_name()),
-            }
-        }
-    }
+    type Sink = Inbox<ETransDone>;
 
     /// Topology: one host (whose FHA the agent uses) + two devices behind
     /// a switch; engine + one agent.
@@ -609,13 +587,7 @@ mod tests {
         );
         let agent = engine.add_component("agent0", MigrationAgent::new(topo.hosts[0].fha, 4096, 4));
         let te = engine.add_component("etrans", TransactionEngine::new(vec![agent]));
-        let sink = engine.add_component(
-            "sink",
-            Sink {
-                done: vec![],
-                futures: vec![],
-            },
-        );
+        let sink = engine.add_component("sink", Sink::default());
         (engine, te, sink)
     }
 
@@ -643,14 +615,15 @@ mod tests {
         );
         engine.run_until_idle();
         let s = engine.component::<Sink>(sink);
-        assert_eq!(s.done.len(), 1);
-        assert_eq!(s.done[0].bytes, 64 * 1024);
-        assert!(s.done[0].completed_at > s.done[0].issued_at);
+        assert_eq!(s.messages().len(), 1);
+        assert_eq!(s.messages()[0].bytes, 64 * 1024);
+        assert!(s.messages()[0].completed_at > s.messages()[0].issued_at);
     }
 
     #[test]
     fn detached_and_future_ownership() {
         let (mut engine, te, sink) = setup();
+        let futures = engine.add_component("futures", Inbox::<FutureResolved>::default());
         engine.post(
             te,
             fcc_sim::SimTime::ZERO,
@@ -659,14 +632,22 @@ mod tests {
         engine.post(
             te,
             fcc_sim::SimTime::ZERO,
-            submit(4096, 2, sink, TransOwnership::Future(77)),
+            submit(4096, 2, futures, TransOwnership::Future(77)),
         );
         engine.run_until_idle();
         let s = engine.component::<Sink>(sink);
-        assert!(s.done.is_empty(), "detached/future produce no ETransDone");
-        assert_eq!(s.futures.len(), 1);
-        assert_eq!(s.futures[0].future_id, 77);
-        assert!(s.futures[0].ok);
+        assert!(s.messages().is_empty(), "detached produces no ETransDone");
+        let f = engine
+            .component::<Inbox<FutureResolved>>(futures)
+            .messages();
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].future_id, 77);
+        assert!(f[0].ok);
+        assert_eq!(
+            engine.rejections().count(),
+            0,
+            "a future gets no ETransDone"
+        );
     }
 
     #[test]
@@ -734,9 +715,9 @@ mod tests {
         }
         engine.run_until_idle();
         let s = engine.component::<Sink>(sink);
-        assert_eq!(s.done.len(), 2);
-        let first = s.done.iter().find(|d| d.tag == 1).expect("first");
-        let second = s.done.iter().find(|d| d.tag == 2).expect("second");
+        assert_eq!(s.messages().len(), 2);
+        let first = s.messages().iter().find(|d| d.tag == 1).expect("first");
+        let second = s.messages().iter().find(|d| d.tag == 2).expect("second");
         let lat1 = first.completed_at - first.issued_at;
         let lat2 = second.completed_at - second.issued_at;
         assert!(
@@ -763,8 +744,8 @@ mod tests {
         }
         engine.run_until_idle();
         let s = engine.component::<Sink>(sink);
-        assert_eq!(s.done.len(), 2);
-        for d in &s.done {
+        assert_eq!(s.messages().len(), 2);
+        for d in s.messages() {
             let lat = d.completed_at - d.issued_at;
             assert!(
                 lat < fcc_sim::SimTime::from_us(40.0),
@@ -802,9 +783,9 @@ mod tests {
         }
         engine.run_until_idle();
         let s = engine.component::<Sink>(sink);
-        assert_eq!(s.done.len(), 2);
-        let first = s.done.iter().find(|d| d.tag == 1).expect("first");
-        let second = s.done.iter().find(|d| d.tag == 2).expect("second");
+        assert_eq!(s.messages().len(), 2);
+        let first = s.messages().iter().find(|d| d.tag == 1).expect("first");
+        let second = s.messages().iter().find(|d| d.tag == 2).expect("second");
         let lat1 = first.completed_at - first.issued_at;
         let lat2 = second.completed_at - second.issued_at;
         assert!(
@@ -821,6 +802,6 @@ mod tests {
         engine.post(te, fcc_sim::SimTime::ZERO, sub);
         engine.run_until_idle();
         assert_eq!(engine.component::<TransactionEngine>(te).rejected.get(), 1);
-        assert!(engine.component::<Sink>(sink).done.is_empty());
+        assert!(engine.component::<Sink>(sink).messages().is_empty());
     }
 }

@@ -269,26 +269,18 @@ impl Component for FaaEngine {
                 self.busy = false;
                 self.service_next(ctx);
             }
-            Err(m) => panic!("faa engine: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use fcc_sim::Engine;
+    use fcc_sim::{Engine, Inbox};
 
     use super::*;
 
-    struct Sink {
-        done: Vec<FnDone>,
-    }
-
-    impl Component for Sink {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            self.done.push(msg.downcast::<FnDone>().expect("fn done"));
-        }
-    }
+    type Sink = Inbox<FnDone>;
 
     fn engine_with(
         n_functions: u32,
@@ -296,7 +288,7 @@ mod tests {
         quantum: u32,
     ) -> (Engine, ComponentId, ComponentId) {
         let mut engine = Engine::new(4);
-        let sink = engine.add_component("sink", Sink { done: vec![] });
+        let sink = engine.add_component("sink", Sink::default());
         let functions = (0..n_functions)
             .map(|i| FunctionTemplate::uniform(i, SimTime::from_ns(500.0), 0.0, 64))
             .collect();
@@ -325,7 +317,7 @@ mod tests {
         }
         engine.run_until_idle();
         let s = engine.component::<Sink>(sink);
-        let tags: Vec<u64> = s.done.iter().map(|d| d.tag).collect();
+        let tags: Vec<u64> = s.messages().iter().map(|d| d.tag).collect();
         assert_eq!(tags, vec![0, 1, 2, 3, 4]);
         // 5 x 500ns back-to-back, no switches.
         assert_eq!(engine.now(), SimTime::from_us(2.5));
@@ -369,7 +361,7 @@ mod tests {
     #[test]
     fn queue_overflow_backpressures() {
         let mut engine = Engine::new(4);
-        let sink = engine.add_component("sink", Sink { done: vec![] });
+        let sink = engine.add_component("sink", Sink::default());
         let faa = engine.add_component(
             "faa",
             FaaEngine::new(
@@ -386,14 +378,14 @@ mod tests {
         // 1 in service + 2 queued; 2 rejected.
         assert_eq!(e.rejected.get(), 2);
         let s = engine.component::<Sink>(sink);
-        let failed = s.done.iter().filter(|d| !d.ok).count();
+        let failed = s.messages().iter().filter(|d| !d.ok).count();
         assert_eq!(failed, 2);
     }
 
     #[test]
     fn per_byte_cost_scales_service_time() {
         let mut engine = Engine::new(4);
-        let sink = engine.add_component("sink", Sink { done: vec![] });
+        let sink = engine.add_component("sink", Sink::default());
         let faa = engine.add_component(
             "faa",
             FaaEngine::new(

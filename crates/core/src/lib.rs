@@ -36,6 +36,6 @@ pub use etrans::{
 pub use faa::{FaaEngine, FnDone, FnInvoke, FunctionTemplate, HandlerSpec};
 pub use heap::{FabricBox, HeapError, HeapNodeCfg, PlacementHint, UnifiedHeap};
 pub use task::{
-    analyze_idempotence, make_idempotent, DagRuntime, Half, RecoveryMode, RunStats, TaskId,
-    TaskSpec,
+    analyze_idempotence, make_idempotent, DagError, DagRuntime, Half, RecoveryMode, RunStats,
+    TaskId, TaskSpec,
 };

@@ -226,6 +226,29 @@ pub struct RunStats {
     pub correct: bool,
 }
 
+/// Why [`DagRuntime::run`] cannot schedule a task DAG.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DagError {
+    /// `(task, dep)`: `task` depends on `dep`, which no task has as its id.
+    MissingDependency(TaskId, TaskId),
+    /// No executor of the runtime runs this task's half.
+    NoExecutor(TaskId, Half),
+    /// These tasks wait on a dependency cycle, so none can ever start.
+    Cycle(Vec<TaskId>),
+}
+
+impl std::fmt::Display for DagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DagError::MissingDependency(t, dep) => write!(f, "{t:?} depends on missing {dep:?}"),
+            DagError::NoExecutor(t, half) => write!(f, "no {half:?} executor for {t:?}"),
+            DagError::Cycle(tasks) => write!(f, "dependency cycle among {tasks:?}"),
+        }
+    }
+}
+
+impl std::error::Error for DagError {}
+
 /// The split runtime: schedules a DAG over executors with failures.
 pub struct DagRuntime {
     executors: Vec<Executor>,
@@ -254,16 +277,18 @@ impl DagRuntime {
         self.trace = track;
     }
 
-    /// Runs `tasks` to completion under `failures`, returning statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the DAG has a dependency cycle or a missing dependency.
-    pub fn run(&self, tasks: &[TaskSpec], failures: &FailureSchedule) -> RunStats {
+    /// Runs `tasks` to completion under `failures`, returning statistics,
+    /// or the reason the DAG cannot run: a missing dependency, a task no
+    /// executor can take, or a dependency cycle.
+    pub fn run(
+        &self,
+        tasks: &[TaskSpec],
+        failures: &FailureSchedule,
+    ) -> Result<RunStats, DagError> {
         let by_id: HashMap<TaskId, &TaskSpec> = tasks.iter().map(|t| (t.id, t)).collect();
         for t in tasks {
-            for d in &t.deps {
-                assert!(by_id.contains_key(d), "missing dependency {d:?}");
+            if let Some(&dep) = t.deps.iter().find(|d| !by_id.contains_key(d)) {
+                return Err(DagError::MissingDependency(t.id, dep));
             }
         }
         let mut finished: HashMap<TaskId, SimTime> = HashMap::new();
@@ -277,13 +302,7 @@ impl DagRuntime {
             correct: true,
         };
         let mut remaining: Vec<&TaskSpec> = tasks.iter().collect();
-        let mut guard = 0usize;
         while !remaining.is_empty() {
-            guard += 1;
-            assert!(
-                guard <= tasks.len() * tasks.len() + tasks.len() + 4,
-                "dependency cycle in task DAG"
-            );
             let mut next_round = Vec::new();
             let mut progressed = false;
             for t in remaining {
@@ -301,12 +320,14 @@ impl DagRuntime {
                 };
                 progressed = true;
                 // Earliest-finish executor of the right half.
-                let (exec_idx, _) = exec_free
+                let Some((exec_idx, _)) = exec_free
                     .iter()
                     .enumerate()
                     .filter(|&(i, _)| self.executors[i].half == t.half)
                     .min_by_key(|&(_, &free)| free.max(ready_at))
-                    .unwrap_or_else(|| panic!("no executor for half {:?}", t.half));
+                else {
+                    return Err(DagError::NoExecutor(t.id, t.half));
+                };
                 let start = exec_free[exec_idx].max(ready_at);
                 let end = self.simulate_task(t, exec_idx, start, failures, &mut stats);
                 let name = match t.half {
@@ -319,10 +340,14 @@ impl DagRuntime {
                 finished.insert(t.id, end);
                 stats.makespan = stats.makespan.max(end);
             }
-            assert!(progressed || next_round.is_empty(), "cycle");
+            // Every dependency exists, so a round that starts nothing
+            // leaves only tasks waiting on each other.
+            if !progressed {
+                return Err(DagError::Cycle(next_round.iter().map(|t| t.id).collect()));
+            }
             remaining = next_round;
         }
-        stats
+        Ok(stats)
     }
 
     /// Simulates one task execution with failures; returns its end time.
@@ -562,7 +587,7 @@ mod tests {
             TaskSpec::new(2, SimTime::from_us(10.0), vec![]),
             TaskSpec::new(3, SimTime::from_us(5.0), vec![1, 2]),
         ];
-        let stats = rt.run(&tasks, &no_failures());
+        let stats = rt.run(&tasks, &no_failures()).expect("DAG runs");
         // 1 and 2 in parallel (10us), then 3 (5us).
         assert_eq!(stats.makespan, SimTime::from_us(15.0));
         assert_eq!(stats.useful_work, SimTime::from_us(25.0));
@@ -578,7 +603,7 @@ mod tests {
             TaskSpec::new(2, SimTime::from_us(4.0), vec![1]),
             TaskSpec::new(3, SimTime::from_us(5.0), vec![2]),
         ];
-        let stats = rt.run(&tasks, &no_failures());
+        let stats = rt.run(&tasks, &no_failures()).expect("DAG runs");
         assert_eq!(stats.makespan, SimTime::from_us(12.0));
     }
 
@@ -592,7 +617,7 @@ mod tests {
             domain: 0,
             recovered_at: SimTime::from_us(8.0),
         }]);
-        let stats = rt.run(&tasks, &failures);
+        let stats = rt.run(&tasks, &failures).expect("DAG runs");
         assert_eq!(stats.makespan, SimTime::from_us(18.0));
         assert_eq!(stats.reexecutions, 1);
         assert_eq!(stats.wasted_work, SimTime::from_us(6.0));
@@ -610,11 +635,11 @@ mod tests {
             domain: 0,
             recovered_at: SimTime::from_us(6.0),
         }]);
-        let stats = rt.run(&[t.clone()], &failures);
+        let stats = rt.run(&[t.clone()], &failures).expect("DAG runs");
         assert!(!stats.correct, "naive re-execution corrupts");
         // After versioning, the same failure is safe.
         let fixed = make_idempotent(&t, 0x10_0000, 99);
-        let stats = rt.run(&fixed, &failures);
+        let stats = rt.run(&fixed, &failures).expect("DAG runs");
         assert!(stats.correct);
     }
 
@@ -626,7 +651,9 @@ mod tests {
             domain: 0,
             recovered_at: SimTime::from_us(95.0),
         }]);
-        let idem = DagRuntime::new(executors(1), RecoveryMode::Idempotent).run(&tasks, &failures);
+        let idem = DagRuntime::new(executors(1), RecoveryMode::Idempotent)
+            .run(&tasks, &failures)
+            .expect("DAG runs");
         let ckpt = DagRuntime::new(
             executors(1),
             RecoveryMode::Checkpoint {
@@ -634,7 +661,8 @@ mod tests {
                 cost: SimTime::from_us(1.0),
             },
         )
-        .run(&tasks, &failures);
+        .run(&tasks, &failures)
+        .expect("DAG runs");
         assert!(idem.wasted_work > ckpt.wasted_work, "checkpoints save work");
         assert!(ckpt.checkpoint_overhead > SimTime::ZERO);
         assert_eq!(idem.checkpoint_overhead, SimTime::ZERO);
@@ -652,18 +680,42 @@ mod tests {
         let mut dispatch = TaskSpec::new(1, SimTime::from_us(1.0), vec![]);
         dispatch.half = Half::Top;
         let bulk = TaskSpec::new(2, SimTime::from_us(10.0), vec![1]);
-        let stats = rt.run(&[dispatch, bulk], &no_failures());
+        let stats = rt.run(&[dispatch, bulk], &no_failures()).expect("DAG runs");
         assert_eq!(stats.makespan, SimTime::from_us(11.0));
     }
 
     #[test]
-    #[should_panic(expected = "cycle")]
     fn dependency_cycles_detected() {
         let rt = DagRuntime::new(executors(1), RecoveryMode::Idempotent);
         let tasks = vec![
             TaskSpec::new(1, SimTime::from_us(1.0), vec![2]),
             TaskSpec::new(2, SimTime::from_us(1.0), vec![1]),
+            TaskSpec::new(3, SimTime::from_us(1.0), vec![]),
+            TaskSpec::new(4, SimTime::from_us(1.0), vec![2, 3]),
         ];
-        rt.run(&tasks, &no_failures());
+        let err = rt.run(&tasks, &no_failures()).expect_err("cycle");
+        assert_eq!(err, DagError::Cycle(vec![TaskId(1), TaskId(2), TaskId(4)]));
+        assert!(err.to_string().contains("cycle"));
+    }
+
+    #[test]
+    fn missing_dependency_is_an_error() {
+        let rt = DagRuntime::new(executors(1), RecoveryMode::Idempotent);
+        let tasks = vec![
+            TaskSpec::new(1, SimTime::from_us(1.0), vec![]),
+            TaskSpec::new(2, SimTime::from_us(1.0), vec![1, 7]),
+        ];
+        let err = DagError::MissingDependency(TaskId(2), TaskId(7));
+        assert_eq!(rt.run(&tasks, &no_failures()), Err(err));
+    }
+
+    #[test]
+    fn task_without_an_executor_for_its_half_is_an_error() {
+        let rt = DagRuntime::new(executors(2), RecoveryMode::Idempotent);
+        let mut dispatch = TaskSpec::new(1, SimTime::from_us(1.0), vec![]);
+        dispatch.half = Half::Top;
+        let bulk = TaskSpec::new(2, SimTime::from_us(10.0), vec![1]);
+        let err = DagError::NoExecutor(TaskId(1), Half::Top);
+        assert_eq!(rt.run(&[dispatch, bulk], &no_failures()), Err(err));
     }
 }

@@ -174,7 +174,7 @@ impl Component for DrainCoordinator {
                     st.bump_epoch(ctx.now(), node, ReconfigKind::EvacuationComplete);
                 }
             }
-            Err(m) => panic!("drain coordinator: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 
@@ -583,10 +583,13 @@ impl ElasticCluster {
 #[cfg(test)]
 mod tests {
     use fcc_core::heap::PlacementHint;
-    use fcc_fabric::adapter::{HostOp, HostRequest};
+    use fcc_fabric::adapter::{HostCompletion, HostOp, HostRequest};
     use fcc_memnode::profile::MemNodeKind;
+    use fcc_sim::Inbox;
 
     use super::*;
+
+    type Sink = Inbox<HostCompletion>;
 
     fn fam(capacity: u64) -> MemNodeProfile {
         MemNodeProfile::omega_like(MemNodeKind::CpulessNuma, capacity)
@@ -638,17 +641,7 @@ mod tests {
         let idx = cluster.hot_add(&mut engine, fam(1 << 20));
         engine.run_until_idle();
         // Read the new device through the fabric.
-        struct Sink {
-            done: usize,
-        }
-        impl Component for Sink {
-            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-                msg.downcast::<fcc_fabric::adapter::HostCompletion>()
-                    .expect("completion");
-                self.done += 1;
-            }
-        }
-        let sink = engine.add_component("sink", Sink { done: 0 });
+        let sink = engine.add_component("sink", Sink::default());
         let (fha, addr) = {
             let st = cluster.state().lock_state();
             (st.topo.hosts[0].fha, st.topo.devices[idx].range.base)
@@ -663,7 +656,7 @@ mod tests {
             },
         );
         engine.run_until_idle();
-        assert_eq!(engine.component::<Sink>(sink).done, 1);
+        assert_eq!(engine.component::<Sink>(sink).messages().len(), 1);
         let sw = engine.component::<FabricSwitch>(cluster.switch);
         assert_eq!(sw.unroutable.get(), 0, "two-phase add never drops");
         assert!(cluster.audit(&engine).is_clean());
@@ -747,17 +740,7 @@ mod tests {
             .node_of(objs[0])
             .expect("live");
         // An in-flight read toward the victim at yank time.
-        struct Sink {
-            done: usize,
-        }
-        impl Component for Sink {
-            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-                msg.downcast::<fcc_fabric::adapter::HostCompletion>()
-                    .expect("completion");
-                self.done += 1;
-            }
-        }
-        let sink = engine.add_component("sink", Sink { done: 0 });
+        let sink = engine.add_component("sink", Sink::default());
         let (fha, addr) = {
             let st = cluster.state().lock_state();
             let (node, bin) = st.heap.locate(objs[0]).expect("live");
@@ -776,7 +759,10 @@ mod tests {
         let lost = cluster.naive_yank(&mut engine, victim);
         assert_eq!(lost, objs.len());
         engine.run_until_idle();
-        assert_eq!(engine.component::<Sink>(sink).done, 0, "op never completes");
+        assert!(
+            engine.component::<Sink>(sink).messages().is_empty(),
+            "op never completes"
+        );
         let sw = engine.component::<FabricSwitch>(cluster.switch);
         assert!(sw.unroutable.get() >= 1, "flit dropped at the switch");
         let report = engine.deadlock_report().expect("stranded work detected");

@@ -141,7 +141,7 @@ impl Component for HeapLoadGen {
                 }
                 self.fill(ctx);
             }
-            Err(m) => panic!("loadgen: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 

@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use fcc_proto::addr::{AddrMap, NodeId};
+use fcc_proto::addr::{AddrMap, Decoded, NodeId};
 use fcc_proto::channel::{MemOpcode, MsgClass, Transaction, TransactionKind};
 use fcc_proto::flit::FlitPayload;
 use fcc_proto::link::CreditConfig;
@@ -191,7 +191,8 @@ pub struct Fha {
     outstanding: BTreeMap<u64, PendingReq>,
     /// Responses whose header is in but not yet every data slot.
     reassembly: Reassembler,
-    waitq: VecDeque<(HostRequest, SimTime)>,
+    /// Requests behind the outstanding window, decoded on arrival.
+    waitq: VecDeque<(HostRequest, Decoded, SimTime)>,
     snoop_handler: Option<ComponentId>,
     trace: Track,
     /// Completed operations.
@@ -297,11 +298,7 @@ impl Fha {
         id
     }
 
-    fn issue(&mut self, ctx: &mut Ctx<'_>, req: HostRequest, issued_at: SimTime) {
-        let decoded = self
-            .addr_map
-            .decode(req.op.addr())
-            .unwrap_or_else(|| panic!("unmapped fabric address {:#x}", req.op.addr()));
+    fn issue(&mut self, ctx: &mut Ctx<'_>, req: HostRequest, decoded: Decoded, issued_at: SimTime) {
         let id = self.alloc_txn_id();
         // A request popped from the wait queue stalled behind the
         // outstanding window; attribute that stall to the txn it became.
@@ -366,8 +363,8 @@ impl Fha {
         ctx.send(pending.reply_to, SimTime::ZERO, completion);
         // Admit a waiting request, if any; its latency clock started when it
         // entered the wait queue, so window stalls show up in the histogram.
-        if let Some((req, queued_at)) = self.waitq.pop_front() {
-            self.issue(ctx, req, queued_at);
+        if let Some((req, decoded, queued_at)) = self.waitq.pop_front() {
+            self.issue(ctx, req, decoded, queued_at);
         }
     }
 
@@ -382,9 +379,10 @@ impl Fha {
                 // Unsolicited request: a snoop from a coherence directory.
                 // Forward to the host's coherent agent.
                 self.snoops.inc();
-                if let Some(handler) = self.snoop_handler {
-                    ctx.send(handler, SimTime::ZERO, SnoopMsg { txn });
-                }
+                let Some(handler) = self.snoop_handler else {
+                    return ctx.reject("snoop at a host without a coherent agent");
+                };
+                ctx.send(handler, SimTime::ZERO, SnoopMsg { txn });
                 return;
             }
             FlitPayload::Transaction(txn) => self.reassembly.header(self.port.phys.flit_mode, txn),
@@ -394,9 +392,10 @@ impl Fha {
         let Some(id) = whole.map(|t| t.id) else {
             return;
         };
-        if let Some(pending) = self.outstanding.remove(&id) {
-            self.complete(ctx, id, pending);
-        }
+        let Some(pending) = self.outstanding.remove(&id) else {
+            return ctx.reject("response to a transaction this host never issued");
+        };
+        self.complete(ctx, id, pending);
     }
 }
 
@@ -404,10 +403,15 @@ impl Component for Fha {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let msg = match msg.downcast::<HostRequest>() {
             Ok(req) => {
+                // Mappings only grow, so a request that decodes now still
+                // decodes when it leaves the wait queue.
+                let Some(decoded) = self.addr_map.decode(req.op.addr()) else {
+                    return ctx.reject("request to an unmapped fabric address");
+                };
                 if self.outstanding.len() < self.max_outstanding {
-                    self.issue(ctx, req, ctx.now());
+                    self.issue(ctx, req, decoded, ctx.now());
                 } else {
-                    self.waitq.push_back((req, ctx.now()));
+                    self.waitq.push_back((req, decoded, ctx.now()));
                 }
                 return;
             }
@@ -448,7 +452,7 @@ impl Component for Fha {
                 };
                 ctx.send(req.reply_to, SimTime::from_ns(100.0), rsp);
             }
-            Err(m) => panic!("fha: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 
@@ -683,7 +687,7 @@ impl Component for Fea {
                 };
                 ctx.send(req.reply_to, SimTime::from_ns(100.0), rsp);
             }
-            Err(m) => panic!("fea: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 
@@ -696,7 +700,7 @@ impl Component for Fea {
 mod tests {
     use fcc_proto::addr::AddrRange;
     use fcc_proto::flit::{data_slots, Flit};
-    use fcc_sim::Engine;
+    use fcc_sim::{Engine, Inbox};
 
     use super::*;
     use crate::endpoint::FixedLatencyMemory;
@@ -704,16 +708,7 @@ mod tests {
     use crate::topology::TopologySpec;
 
     /// Collects completions for assertions.
-    struct Sink {
-        done: Vec<HostCompletion>,
-    }
-
-    impl Component for Sink {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            self.done
-                .push(msg.downcast::<HostCompletion>().expect("completion"));
-        }
-    }
+    type Sink = Inbox<HostCompletion>;
 
     /// Builds host ↔ device directly attached (no switch).
     fn direct_pair(
@@ -740,7 +735,7 @@ mod tests {
         let fea = engine.add_component("fea", Fea::new(dev_node, phys, credit, Box::new(dev)));
         engine.component_mut::<Fha>(fha).connect(fea);
         engine.component_mut::<Fea>(fea).connect(fha);
-        let sink = engine.add_component("sink", Sink { done: vec![] });
+        let sink = engine.add_component("sink", Sink::default());
         (fha, fea, sink)
     }
 
@@ -761,7 +756,7 @@ mod tests {
             },
         );
         engine.run_until_idle();
-        let done = &engine.component::<Sink>(sink).done;
+        let done = engine.component::<Sink>(sink).messages();
         assert_eq!(done.len(), 1);
         let lat = done[0].latency();
         let phys = PhysConfig::omega_like();
@@ -790,7 +785,7 @@ mod tests {
             },
         );
         engine.run_until_idle();
-        let done = &engine.component::<Sink>(sink).done;
+        let done = engine.component::<Sink>(sink).messages();
         assert_eq!(done.len(), 1);
         assert!(!done[0].was_read);
         let fea_ref = engine.component::<Fea>(fea);
@@ -822,7 +817,7 @@ mod tests {
             assert_eq!(f.queued(), 4);
         });
         engine.run_until_idle();
-        let done = &engine.component::<Sink>(sink).done;
+        let done = engine.component::<Sink>(sink).messages();
         assert_eq!(done.len(), 6);
         // With a window of 2 and a 100ns serial device, the last completion
         // is no earlier than 3 * (2 serialized reads) behind the first...
@@ -849,7 +844,7 @@ mod tests {
             },
         );
         engine.run_until_idle();
-        let done = &engine.component::<Sink>(sink).done;
+        let done = engine.component::<Sink>(sink).messages();
         assert_eq!(done.len(), 1);
         // 16 KiB = 256 data flits at ~1.08ns each ≈ 278ns of wire, plus
         // device and propagation: must be well above the 64B case.
@@ -916,7 +911,7 @@ mod tests {
         );
         engine.component_mut::<Fha>(fha).connect(dev);
         engine.component_mut::<SlotsFirst>(dev).port.connect(fha);
-        let sink = engine.add_component("sink", Sink { done: vec![] });
+        let sink = engine.add_component("sink", Sink::default());
         engine.post(
             fha,
             SimTime::ZERO,
@@ -932,7 +927,7 @@ mod tests {
         engine.run_until_idle();
         // Each slot found no header to join, so the header that follows
         // still waits for its slots and the read never completes.
-        assert!(engine.component::<Sink>(sink).done.is_empty());
+        assert!(engine.component::<Sink>(sink).messages().is_empty());
         let fha = engine.component::<Fha>(fha);
         assert_eq!(fha.orphan_slots(), 256 / phys.flit_mode.payload_bytes());
         assert_eq!(fha.completions.get(), 0);

@@ -208,9 +208,10 @@ impl FabricArbiter {
 
 impl Component for FabricArbiter {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        let req = msg
-            .downcast::<ArbiterRequest>()
-            .unwrap_or_else(|m| panic!("arbiter: unexpected message {}", m.type_name()));
+        let req = match msg.downcast::<ArbiterRequest>() {
+            Ok(req) => req,
+            Err(m) => return ctx.reject(m.type_name()),
+        };
         self.requests.inc();
         let result = self.apply(ctx, req.op);
         ctx.send(
@@ -227,39 +228,20 @@ impl Component for FabricArbiter {
 #[cfg(test)]
 mod tests {
     use fcc_proto::addr::NodeId;
-    use fcc_sim::Engine;
+    use fcc_sim::{Engine, Inbox};
 
     use super::*;
 
-    /// Records arbiter responses; also a stand-in for a switch so that
-    /// InstallRate/RemoveRate messages have somewhere to land.
-    #[derive(Default)]
-    struct Probe {
-        responses: Vec<ArbiterResponse>,
-        installs: Vec<InstallRate>,
-        removals: Vec<RemoveRate>,
-    }
+    type Probe = Inbox<ArbiterResponse>;
 
-    impl Component for Probe {
+    /// Stands in for a switch: records the type of every message, so the
+    /// rate installs and removals have somewhere to land.
+    #[derive(Default)]
+    struct FakeSwitch(Vec<&'static str>);
+
+    impl Component for FakeSwitch {
         fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            let msg = match msg.downcast::<ArbiterResponse>() {
-                Ok(r) => {
-                    self.responses.push(r);
-                    return;
-                }
-                Err(m) => m,
-            };
-            let msg = match msg.downcast::<InstallRate>() {
-                Ok(r) => {
-                    self.installs.push(r);
-                    return;
-                }
-                Err(m) => m,
-            };
-            match msg.downcast::<RemoveRate>() {
-                Ok(r) => self.removals.push(r),
-                Err(m) => panic!("probe: unexpected {}", m.type_name()),
-            }
+            self.0.push(msg.type_name());
         }
     }
 
@@ -273,7 +255,7 @@ mod tests {
     fn setup() -> (Engine, ComponentId, ComponentId, ComponentId) {
         let mut engine = Engine::new(0);
         let probe = engine.add_component("probe", Probe::default());
-        let fake_switch = engine.add_component("switch", Probe::default());
+        let fake_switch = engine.add_component("switch", FakeSwitch::default());
         let mut arb = FabricArbiter::new(SimTime::from_ns(100.0));
         arb.register_path(flow(1, 9), vec![(fake_switch, 3)]);
         arb.register_path(flow(2, 9), vec![(fake_switch, 3)]);
@@ -302,16 +284,20 @@ mod tests {
         }
         engine.run_until_idle();
         let p = engine.component::<Probe>(probe);
-        assert_eq!(p.responses.len(), 2);
-        assert_eq!(p.responses[0].result, ArbiterResult::Granted { gbps: 60.0 });
+        assert_eq!(p.messages().len(), 2);
         assert_eq!(
-            p.responses[1].result,
+            p.messages()[0].result,
+            ArbiterResult::Granted { gbps: 60.0 }
+        );
+        assert_eq!(
+            p.messages()[1].result,
             ArbiterResult::Denied {
                 available_gbps: 40.0
             }
         );
-        let sw = engine.component::<Probe>(fake_switch);
-        assert_eq!(sw.installs.len(), 1, "only the granted flow installed");
+        let sw = &engine.component::<FakeSwitch>(fake_switch).0;
+        let install = std::any::type_name::<InstallRate>();
+        assert_eq!(sw, &[install], "only the granted flow installed");
     }
 
     #[test]
@@ -350,16 +336,20 @@ mod tests {
         );
         engine.run_until_idle();
         let p = engine.component::<Probe>(probe);
-        assert_eq!(p.responses[1].result, ArbiterResult::Reclaimed);
+        assert_eq!(p.messages()[1].result, ArbiterResult::Reclaimed);
         assert_eq!(
-            p.responses[2].result,
+            p.messages()[2].result,
             ArbiterResult::Info {
                 reserved_gbps: 0.0,
                 available_gbps: 100.0
             }
         );
-        let sw = engine.component::<Probe>(fake_switch);
-        assert_eq!(sw.removals.len(), 1);
+        let sw = &engine.component::<FakeSwitch>(fake_switch).0;
+        let installed_then_removed = [
+            std::any::type_name::<InstallRate>(),
+            std::any::type_name::<RemoveRate>(),
+        ];
+        assert_eq!(sw, &installed_then_removed);
     }
 
     #[test]
@@ -395,6 +385,6 @@ mod tests {
         );
         engine.run_until_idle();
         let p = engine.component::<Probe>(probe);
-        assert_eq!(p.responses[0].result, ArbiterResult::UnknownFlow);
+        assert_eq!(p.messages()[0].result, ArbiterResult::UnknownFlow);
     }
 }

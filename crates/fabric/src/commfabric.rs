@@ -139,9 +139,10 @@ impl RdmaNic {
 
 impl Component for RdmaNic {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        let op = msg
-            .downcast::<RdmaOp>()
-            .unwrap_or_else(|m| panic!("rdma nic: unexpected message {}", m.type_name()));
+        let op = match msg.downcast::<RdmaOp>() {
+            Ok(op) => op,
+            Err(m) => return ctx.reject(m.type_name()),
+        };
         let now = ctx.now();
         let done = self.schedule_op(now, &op);
         self.bytes_moved.add(op.bytes as u64);
@@ -161,25 +162,16 @@ impl Component for RdmaNic {
 
 #[cfg(test)]
 mod tests {
-    use fcc_sim::Engine;
+    use fcc_sim::{Engine, Inbox};
 
     use super::*;
 
-    struct Sink {
-        done: Vec<RdmaCompletion>,
-    }
-
-    impl Component for Sink {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            self.done
-                .push(msg.downcast::<RdmaCompletion>().expect("cqe"));
-        }
-    }
+    type Sink = Inbox<RdmaCompletion>;
 
     /// Each op is `(write, bytes, tag)`.
     fn run_ops(ops: Vec<(bool, u32, u64)>, cfg: RdmaConfig) -> Vec<RdmaCompletion> {
         let mut engine = Engine::new(0);
-        let sink = engine.add_component("sink", Sink { done: vec![] });
+        let sink = engine.add_component("sink", Sink::default());
         let nic = engine.add_component("nic", RdmaNic::new(cfg));
         for (write, bytes, tag) in ops {
             engine.post(
@@ -194,7 +186,7 @@ mod tests {
             );
         }
         engine.run_until_idle();
-        engine.component::<Sink>(sink).done.clone()
+        engine.component::<Sink>(sink).messages().to_vec()
     }
 
     fn op(write: bool, bytes: u32, tag: u64) -> (bool, u32, u64) {

@@ -14,9 +14,10 @@
 //!   minimum guarantee per input).
 //!
 //! [`FabricSwitch::audit`](crate::switch::FabricSwitch::audit) checks one
-//! switch; [`audit_topology`] sweeps every switch in a built topology and
+//! switch; [`audit_topology`] sweeps every switch in a built topology,
 //! reports any adapter that dropped a data slot for arriving without its
-//! header.
+//! header, and reports every message a component rejected
+//! ([`Engine::rejections`]): a misrouted message fails the audit.
 //! Run these at quiescence (after `run_until_idle`): mid-flight, credits
 //! legitimately live on the wire and the pair-wise equations would
 //! misreport them as leaked.
@@ -91,8 +92,8 @@ impl std::fmt::Display for AuditReport {
     }
 }
 
-/// Audits every switch in a built topology, and every FHA and FEA for
-/// orphan data slots.
+/// Audits every switch in a built topology, every FHA and FEA for
+/// orphan data slots, and the engine for rejected messages.
 ///
 /// Call at quiescence; see the module docs for why mid-flight sweeps
 /// produce false positives.
@@ -116,6 +117,9 @@ pub fn audit_topology(engine: &Engine, topo: &Topology) -> AuditReport {
             engine.name(id),
             format!("{orphans} data slot(s) arrived without their header"),
         );
+    }
+    for (component, detail) in engine.rejections() {
+        report.push(component, detail);
     }
     report
 }

@@ -182,7 +182,9 @@ impl Component for FabricManager {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let msg = match msg.downcast::<StartDiscovery>() {
             Ok(StartDiscovery) => {
-                assert_eq!(self.phase, Phase::Idle, "discovery already started");
+                if self.phase != Phase::Idle {
+                    return ctx.reject("discovery already started");
+                }
                 self.phase = Phase::Discovering;
                 self.started_at = ctx.now();
                 for &sw in &self.switches {
@@ -210,14 +212,17 @@ impl Component for FabricManager {
         };
         match msg.downcast::<IdentifyRsp>() {
             Ok(rsp) => {
+                let Some(left) = self.pending_identify.checked_sub(1) else {
+                    return ctx.reject("identify response nobody asked for");
+                };
                 self.endpoints
                     .insert(rsp.component, (rsp.node, rsp.is_host));
-                self.pending_identify -= 1;
-                if self.pending_identify == 0 {
+                self.pending_identify = left;
+                if left == 0 {
                     self.install_routes(ctx);
                 }
             }
-            Err(m) => panic!("manager: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 }

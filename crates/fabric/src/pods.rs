@@ -24,6 +24,7 @@
 //!    every switch-to-switch link under VC flow control
 //!    ([`FabricSwitch::set_vc_link`]).
 //!
+//! [`ShardGateway`]: fcc_sim::shard::ShardGateway
 //! [`single_switch`]: crate::topology::single_switch
 //! [`chain`]: crate::topology::chain
 //! [`sharded_chain`]: crate::sharded::sharded_chain
@@ -44,7 +45,7 @@ use std::collections::BTreeMap;
 
 use fcc_proto::addr::NodeId;
 use fcc_proto::link::CreditConfig;
-use fcc_sim::shard::{ShardGateway, ShardedEngine};
+use fcc_sim::shard::ShardedEngine;
 use fcc_sim::{ComponentId, Engine, SimTime};
 
 use crate::endpoint::Endpoint;
@@ -110,7 +111,7 @@ pub struct PlanLink {
     /// Higher endpoint switch id.
     pub b: usize,
     /// Whether the endpoints live in different domains (the link becomes
-    /// a [`ShardGateway`] cable).
+    /// a [`ShardGateway`](fcc_sim::shard::ShardGateway) cable).
     pub cross_domain: bool,
 }
 
@@ -519,6 +520,8 @@ impl PodSpec {
 /// Panics on any count mismatch between `spec`, `domains`, and the
 /// engine's shard count, or on a zero `cross_latency` in a multi-domain
 /// pod.
+///
+/// [`ShardGateway`]: fcc_sim::shard::ShardGateway
 pub fn sharded_pod(
     sharded: &mut ShardedEngine,
     spec: &PodSpec,
@@ -657,11 +660,12 @@ pub(crate) fn instantiate(
         let (da, db) = (plan.switches[a].domain, plan.switches[b].domain);
         let (peer_a, peer_b) = match &mut engines {
             Engines::Sharded(sharded) if link.cross_domain => {
-                let (ga, gb) = sharded.link(da, db, cross_latency, &format!("cable{a}-{b}"));
-                for (d, g, sw) in [(da, ga, a), (db, gb, b)] {
-                    let gateway = sharded.engine_mut(d).component_mut::<ShardGateway>(g);
-                    gateway.set_local_peer(switches[sw]);
-                }
+                let (ga, gb) = sharded.link(
+                    (da, switches[a]),
+                    (db, switches[b]),
+                    cross_latency,
+                    &format!("cable{a}-{b}"),
+                );
                 gateways.push((ga, gb));
                 (ga, gb)
             }
@@ -723,7 +727,7 @@ pub(crate) fn instantiate(
 
 #[cfg(test)]
 mod tests {
-    use fcc_sim::{Component, Ctx, Msg};
+    use fcc_sim::Inbox;
 
     use super::*;
     use crate::adapter::{HostCompletion, HostOp, HostRequest};
@@ -807,16 +811,7 @@ mod tests {
         }
     }
 
-    struct Sink {
-        done: Vec<HostCompletion>,
-    }
-
-    impl Component for Sink {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            self.done
-                .push(msg.downcast::<HostCompletion>().expect("hc"));
-        }
-    }
+    type Sink = Inbox<HostCompletion>;
 
     fn wormhole_spec(kind: PodKind) -> PodSpec {
         let mut topo = TopologySpec::default();
@@ -841,9 +836,7 @@ mod tests {
         let specs = plan.domain_specs(|_, _| mem());
         let (plan, fabric) = sharded_pod(&mut sharded, &spec, specs);
         assert!(plan.is_connected());
-        let sink = sharded
-            .engine_mut(0)
-            .add_component("sink", Sink { done: vec![] });
+        let sink = sharded.engine_mut(0).add_component("sink", Sink::default());
         let far = fabric.domains[domains - 1].devices[0];
         let near = fabric.domains[0].hosts[0];
         sharded.engine_mut(0).post(
@@ -859,7 +852,7 @@ mod tests {
             },
         );
         sharded.run(threads);
-        let done = &sharded.engine(0).component::<Sink>(sink).done;
+        let done = sharded.engine(0).component::<Sink>(sink).messages();
         assert_eq!(done.len(), 1, "write completed across the pod");
         // All VC ledgers must balance at quiescence.
         for (d, topo) in fabric.domains.iter().enumerate() {

@@ -117,23 +117,14 @@ pub fn sharded_chain(
 
 #[cfg(test)]
 mod tests {
-    use fcc_sim::{Component, Ctx, Msg, SimTime};
+    use fcc_sim::{Inbox, SimTime};
 
     use super::*;
     use crate::adapter::{HostCompletion, HostOp, HostRequest};
     use crate::endpoint::FixedLatencyMemory;
     use crate::switch::FabricSwitch;
 
-    struct Sink {
-        done: Vec<HostCompletion>,
-    }
-
-    impl Component for Sink {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            self.done
-                .push(msg.downcast::<HostCompletion>().expect("hc"));
-        }
-    }
+    type Sink = Inbox<HostCompletion>;
 
     fn mem() -> Box<dyn Endpoint> {
         Box::new(FixedLatencyMemory::new(
@@ -179,9 +170,7 @@ mod tests {
     /// gateway cables each way.
     fn cross_domain_read(threads: usize) -> (u64, u64) {
         let (mut sharded, fabric) = build(3);
-        let sink = sharded
-            .engine_mut(0)
-            .add_component("sink", Sink { done: vec![] });
+        let sink = sharded.engine_mut(0).add_component("sink", Sink::default());
         let far = fabric.domains[2].devices[0];
         let near_host = fabric.domains[0].hosts[0];
         sharded.engine_mut(0).post(
@@ -197,7 +186,7 @@ mod tests {
             },
         );
         sharded.run(threads);
-        let done = &sharded.engine(0).component::<Sink>(sink).done;
+        let done = sharded.engine(0).component::<Sink>(sink).messages();
         assert_eq!(done.len(), 1, "read completed across two cables");
         // Two cables (200ns each) each way + device (100ns) + three
         // switch hops each way: well past 900ns.

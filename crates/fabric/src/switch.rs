@@ -1310,15 +1310,11 @@ impl Component for FabricSwitch {
         let src = msg.src;
         let msg = match msg.downcast::<FlitMsg>() {
             Ok(fm) => {
-                // Flits arrive only via ctx.send from a wired peer; a
-                // source-less or unknown sender is a topology bug.
-                #[allow(clippy::expect_used)]
-                let src = src.expect("flits always have a source");
-                #[allow(clippy::expect_used)]
-                let port = *self
-                    .peer_to_port
-                    .get(&src)
-                    .expect("flit from unconnected component");
+                // Flits arrive only from a wired peer; a flit without a
+                // source or from an unconnected one has no input port.
+                let Some(&port) = src.and_then(|src| self.peer_to_port.get(&src)) else {
+                    return ctx.reject("flit from an unconnected component");
+                };
                 self.on_flit(ctx, port, fm);
                 return;
             }
@@ -1420,7 +1416,7 @@ impl Component for FabricSwitch {
                 };
                 ctx.send(req.reply_to, SimTime::from_ns(100.0), rsp);
             }
-            Err(m) => panic!("switch: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 

@@ -442,54 +442,45 @@ mod tests {
     }
 
     use crate::adapter::{HostCompletion, HostOp, HostRequest};
-    use fcc_sim::{Component, Ctx, Msg};
+    use fcc_sim::Inbox;
 
-    struct Sink {
-        done: Vec<HostCompletion>,
-    }
+    type Sink = Inbox<HostCompletion>;
 
-    impl Component for Sink {
-        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-            self.done
-                .push(msg.downcast::<HostCompletion>().expect("hc"));
-        }
-    }
-
-    #[test]
-    fn traffic_flows_host_to_device_through_switch() {
-        let mut engine = Engine::new(5);
+    /// Ten reads and writes from each of two hosts through one switch.
+    fn traffic_through_one_switch(engine: &mut Engine) -> (Topology, ComponentId) {
         let dev: Box<dyn Endpoint> = Box::new(FixedLatencyMemory::new(
             SimTime::from_ns(100.0),
             SimTime::from_ns(100.0),
             1 << 24,
         ));
-        let topo = single_switch(&mut engine, TopologySpec::default(), 2, vec![dev]);
-        let sink = engine.add_component("sink", Sink { done: vec![] });
+        let topo = single_switch(engine, TopologySpec::default(), 2, vec![dev]);
+        let sink = engine.add_component("sink", Sink::default());
         for (i, h) in topo.hosts.iter().enumerate() {
             for j in 0..10u64 {
-                engine.post(
-                    h.fha,
-                    SimTime::ZERO,
-                    HostRequest {
-                        op: if j % 2 == 0 {
-                            HostOp::Read {
-                                addr: FAM_BASE + j * 64,
-                                bytes: 64,
-                            }
-                        } else {
-                            HostOp::Write {
-                                addr: FAM_BASE + j * 64,
-                                bytes: 64,
-                            }
-                        },
-                        tag: (i as u64) * 100 + j,
-                        reply_to: sink,
-                    },
-                );
+                let (addr, bytes) = (FAM_BASE + j * 64, 64);
+                let op = if j % 2 == 0 {
+                    HostOp::Read { addr, bytes }
+                } else {
+                    HostOp::Write { addr, bytes }
+                };
+                let tag = (i as u64) * 100 + j;
+                let req = HostRequest {
+                    op,
+                    tag,
+                    reply_to: sink,
+                };
+                engine.post(h.fha, SimTime::ZERO, req);
             }
         }
+        (topo, sink)
+    }
+
+    #[test]
+    fn traffic_flows_host_to_device_through_switch() {
+        let mut engine = Engine::new(5);
+        let (topo, sink) = traffic_through_one_switch(&mut engine);
         engine.run_until_idle();
-        let done = &engine.component::<Sink>(sink).done;
+        let done = engine.component::<Sink>(sink).messages();
         assert_eq!(done.len(), 20, "all requests completed through the switch");
         // Every completion passed the switch twice (~90ns each way) plus
         // the 100ns device: latency must exceed 280ns.
@@ -500,6 +491,54 @@ mod tests {
         assert!(sw.forwarded.get() >= 20 * 2, "requests + responses");
         assert_eq!(sw.unroutable.get(), 0);
         assert_eq!(sw.queued(), 0, "switch drained");
+        assert!(crate::ledger::audit_topology(&engine, &topo).is_clean());
+    }
+
+    /// Mid-traffic, a switch is sent a host request and two flits from a
+    /// component no port is wired to, and an FHA a request for an address
+    /// no device backs. Each is rejected where it lands: the traffic
+    /// still completes, and the audit and the deadlock report name them.
+    #[test]
+    fn misdelivered_messages_are_rejected_and_audited() {
+        let mut engine = Engine::new(5);
+        let (topo, sink) = traffic_through_one_switch(&mut engine);
+        let (sw, fha) = (topo.switches[0], topo.hosts[1].fha);
+        // An FHA cabled to the switch from its own side only.
+        let spec = TopologySpec::default();
+        let (phys, credit, map) = (spec.switch.phys, spec.credit, topo.addr_map.clone());
+        let loose = engine.add_component("loose", Fha::new(NodeId(90), phys, credit, map, 8));
+        engine.component_mut::<Fha>(loose).connect(sw);
+        let request = |addr| HostRequest {
+            op: HostOp::Read { addr, bytes: 64 },
+            tag: 99,
+            reply_to: sink,
+        };
+        for at in [40.0, 90.0] {
+            engine.post(loose, SimTime::from_ns(at), request(FAM_BASE));
+        }
+        engine.post(sw, SimTime::from_ns(150.0), request(FAM_BASE));
+        engine.post(fha, SimTime::from_ns(60.0), request(0x40));
+        engine.run_until_idle();
+        assert_eq!(engine.component::<Sink>(sink).messages().len(), 20);
+        let mut findings: Vec<String> = crate::ledger::audit_topology(&engine, &topo)
+            .findings
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        findings.sort();
+        let host_request = std::any::type_name::<HostRequest>();
+        let (sw, fha) = (engine.name(sw), engine.name(fha));
+        let mut expected = vec![
+            format!("{sw}: rejected 2 message(s): flit from an unconnected component"),
+            format!("{sw}: rejected 1 message(s): {host_request}"),
+            format!("{fha}: rejected 1 message(s): request to an unmapped fabric address"),
+        ];
+        expected.sort();
+        assert_eq!(findings, expected);
+        // The loose FHA's two reads never complete; the three rejections
+        // follow them in the report.
+        let stuck = engine.deadlock_report().expect("rejections reported").stuck;
+        assert_eq!(stuck.len(), 5);
     }
 
     #[test]
@@ -513,7 +552,7 @@ mod tests {
         // fs1 must know every endpoint: 2 hosts + 8 devices.
         assert_eq!(fs1.routing.pbr_entries(), 10);
         // Cross-fabric read: host 1 (on fs1) reads a FAM module behind fs2.
-        let sink = engine.add_component("sink", Sink { done: vec![] });
+        let sink = engine.add_component("sink", Sink::default());
         let far_dev = topo.devices[3]; // first rDIMM of FAM chassis 2.
         let h1 = topo.hosts[0];
         engine.post(
@@ -529,7 +568,7 @@ mod tests {
             },
         );
         engine.run_until_idle();
-        let done = &engine.component::<Sink>(sink).done;
+        let done = engine.component::<Sink>(sink).messages();
         assert_eq!(done.len(), 1);
         // Two switch hops each way (~4 × 90ns) + device 100ns.
         assert!(done[0].latency() > SimTime::from_ns(460.0));

@@ -103,4 +103,11 @@ fn baseline_shrinks_never_grows_r1() {
         !text.contains("wall-clock-in-sim") && !text.contains("entropy-rng"),
         "R2/R3 must never be grandfathered"
     );
+    // A component hands a message it cannot use to `Ctx::reject`, so no
+    // library panic is left to grandfather.
+    assert!(
+        !text.contains("panic-in-lib"),
+        "R5 must never be grandfathered — fix the panic, or allow it inline \
+         with the invariant it guards as the reason"
+    );
 }

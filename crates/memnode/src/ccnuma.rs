@@ -186,13 +186,14 @@ impl DirectoryNode {
             CacheOpcode::RspIHitI | CacheOpcode::RspSHitSe | CacheOpcode::RspIFwdM => {
                 self.handle_snoop_response(ctx, txn);
             }
-            other => panic!("directory node: unexpected cache op {other:?}"),
+            // Its link credit was released on arrival (`on_payload`).
+            _ => ctx.reject("cache op a directory does not serve"),
         }
     }
 
     fn handle_snoop_response(&mut self, ctx: &mut Ctx<'_>, txn: Transaction) {
         let Some((line, target)) = self.snoop_ids.remove(&txn.id) else {
-            return;
+            return ctx.reject("snoop response to a snoop this node never issued");
         };
         let dirty = matches!(txn.kind, TransactionKind::Cache(CacheOpcode::RspIFwdM));
         if let Some((_requester, _grant, had_dirty)) = self.dir.snoop_response(line, target, dirty)
@@ -250,7 +251,7 @@ impl Component for DirectoryNode {
         };
         match msg.downcast::<ResponseDue>() {
             Ok(due) => self.port.send_transfer(ctx, due.txn),
-            Err(m) => panic!("directory node: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 

@@ -212,8 +212,7 @@ impl Component for ServeClient {
                     req_trace_ctx(self.cfg.tenant, reply.tag),
                 );
             }
-            // fcc-lint: allow(panic-in-lib) -- dispatch invariant: only the store and the client itself send to this component
-            Err(m) => panic!("serve client: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 

@@ -626,8 +626,7 @@ impl Component for KvStore {
                 }
                 self.try_finish(ctx, done.tag);
             }
-            // fcc-lint: allow(panic-in-lib) -- dispatch invariant: the store is only wired to components speaking these four messages
-            Err(m) => panic!("kv store: unexpected message {}", m.type_name()),
+            Err(m) => ctx.reject(m.type_name()),
         }
     }
 

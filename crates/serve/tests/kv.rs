@@ -12,7 +12,7 @@ use fcc_fabric::commfabric::{RdmaConfig, RdmaNic};
 use fcc_fabric::endpoint::{Endpoint, FixedLatencyMemory};
 use fcc_fabric::topology::{self, TopologySpec, FAM_BASE};
 use fcc_serve::{Backend, KvOp, KvReply, KvRequest, KvStore, KvStoreCfg};
-use fcc_sim::{Component, ComponentId, Ctx, Engine, Msg, SimTime};
+use fcc_sim::{Component, ComponentId, Ctx, Engine, Inbox, Msg, SimTime};
 
 const KEY: u64 = 42;
 
@@ -140,42 +140,30 @@ impl Component for Driver {
     }
 }
 
-/// A fire-everything-at-once driver for the concurrency tests.
-struct Burst {
+type Replies = Inbox<KvReply>;
+
+/// Fires `count` requests for `KEY` at once, all arriving at the store
+/// after one RPC latency; returns the inbox their replies land in.
+fn burst(
+    engine: &mut Engine,
     store: ComponentId,
     tenant: u32,
     op: KvOp,
     count: u64,
-    replies: Vec<KvReply>,
-}
-
-impl Component for Burst {
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        let msg = match msg.downcast::<Go>() {
-            Ok(Go) => {
-                for tag in 0..self.count {
-                    ctx.send(
-                        self.store,
-                        SimTime::from_ns(120.0),
-                        KvRequest {
-                            op: self.op,
-                            key: KEY,
-                            tenant: self.tenant,
-                            tag,
-                            sent_at: ctx.now(),
-                            reply_to: ctx.self_id(),
-                        },
-                    );
-                }
-                return;
-            }
-            Err(m) => m,
+) -> ComponentId {
+    let replies = engine.add_component(format!("burst-{tenant}"), Replies::default());
+    for tag in 0..count {
+        let req = KvRequest {
+            op,
+            key: KEY,
+            tenant,
+            tag,
+            sent_at: SimTime::ZERO,
+            reply_to: replies,
         };
-        match msg.downcast::<KvReply>() {
-            Ok(reply) => self.replies.push(reply),
-            Err(m) => panic!("burst: unexpected message {}", m.type_name()),
-        }
+        engine.post(store, SimTime::from_ns(120.0), req);
     }
+    replies
 }
 
 fn read_your_writes_on(rdma: bool) {
@@ -220,36 +208,16 @@ fn no_lost_updates_under_concurrent_tenants() {
     // Two tenants, 50 concurrent PUTs each, all to one key, all in
     // flight at once: per-key serialization + joined version bumps must
     // count every single one.
-    let a = engine.add_component(
-        "burst-a",
-        Burst {
-            store,
-            tenant: 1,
-            op: KvOp::Put { bytes: 256 },
-            count: 50,
-            replies: Vec::new(),
-        },
-    );
-    let b = engine.add_component(
-        "burst-b",
-        Burst {
-            store,
-            tenant: 2,
-            op: KvOp::Put { bytes: 256 },
-            count: 50,
-            replies: Vec::new(),
-        },
-    );
-    engine.post(a, SimTime::ZERO, Go);
-    engine.post(b, SimTime::ZERO, Go);
+    let a = burst(&mut engine, store, 1, KvOp::Put { bytes: 256 }, 50);
+    let b = burst(&mut engine, store, 2, KvOp::Put { bytes: 256 }, 50);
     engine.run_until_idle();
     let s = engine.component::<KvStore>(store);
     assert_eq!(s.version_of(KEY), 100, "every update counted exactly once");
     assert_eq!(s.lost_updates.get(), 0);
     assert_eq!(s.puts.get(), 100);
     assert_eq!(s.integrity_violations(), 0);
-    let ra = &engine.component::<Burst>(a).replies;
-    let rb = &engine.component::<Burst>(b).replies;
+    let ra = engine.component::<Replies>(a).messages();
+    let rb = engine.component::<Replies>(b).messages();
     assert_eq!(ra.len() + rb.len(), 100);
     assert!(ra.iter().chain(rb.iter()).all(|r| r.ok));
     // Versions handed back are exactly 1..=100, each once.
@@ -267,19 +235,9 @@ fn gets_wall_time(gets: u64) -> SimTime {
         .component_mut::<KvStore>(store)
         .preload(KEY, 1024)
         .expect("preload fits");
-    let burst = engine.add_component(
-        "get-burst",
-        Burst {
-            store,
-            tenant: 1,
-            op: KvOp::Get,
-            count: gets,
-            replies: Vec::new(),
-        },
-    );
-    engine.post(burst, SimTime::ZERO, Go);
+    let burst = burst(&mut engine, store, 1, KvOp::Get, gets);
     engine.run_until_idle();
-    let replies = &engine.component::<Burst>(burst).replies;
+    let replies = engine.component::<Replies>(burst).messages();
     assert_eq!(replies.len() as u64, gets);
     assert!(replies.iter().all(|r| r.ok && r.version == 1));
     engine.now()
@@ -310,50 +268,26 @@ fn get_miss_and_preload() {
         .preload(KEY, 512)
         .expect("preload fits");
     let driver = engine.add_component("driver", Driver::new(store, 0, vec![KvOp::Get]));
-    // A second driver GETs a key that was never written.
-    struct MissProbe {
-        store: ComponentId,
-        reply: Option<KvReply>,
-    }
-    impl Component for MissProbe {
-        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            let msg = match msg.downcast::<Go>() {
-                Ok(Go) => {
-                    ctx.send(
-                        self.store,
-                        SimTime::ZERO,
-                        KvRequest {
-                            op: KvOp::Get,
-                            key: 9999,
-                            tenant: 0,
-                            tag: 0,
-                            sent_at: ctx.now(),
-                            reply_to: ctx.self_id(),
-                        },
-                    );
-                    return;
-                }
-                Err(m) => m,
-            };
-            match msg.downcast::<KvReply>() {
-                Ok(r) => self.reply = Some(r),
-                Err(m) => panic!("probe: unexpected message {}", m.type_name()),
-            }
-        }
-    }
-    let probe = engine.add_component("probe", MissProbe { store, reply: None });
+    // A second client GETs a key that was never written.
+    let probe = engine.add_component("probe", Replies::default());
+    let miss = KvRequest {
+        op: KvOp::Get,
+        key: 9999,
+        tenant: 0,
+        tag: 0,
+        sent_at: SimTime::ZERO,
+        reply_to: probe,
+    };
     engine.post(driver, SimTime::ZERO, Go);
-    engine.post(probe, SimTime::ZERO, Go);
+    engine.post(store, SimTime::ZERO, miss);
     engine.run_until_idle();
     let hit = &engine.component::<Driver>(driver).replies[0];
     assert!(hit.ok);
     assert_eq!((hit.version, hit.bytes), (1, 512));
-    let miss = engine
-        .component::<MissProbe>(probe)
-        .reply
-        .expect("miss replied");
-    assert!(!miss.ok);
-    assert_eq!(miss.version, 0);
+    let miss = engine.component::<Replies>(probe).messages();
+    assert_eq!(miss.len(), 1, "miss replied");
+    assert!(!miss[0].ok);
+    assert_eq!(miss[0].version, 0);
     let s = engine.component::<KvStore>(store);
     assert_eq!((s.hits.get(), s.misses.get()), (1, 1));
 }

@@ -20,10 +20,12 @@
 //!   payload types and downcasts on receipt (see [`Msg::downcast`]). A
 //!   [`Msg`] is built once per send; the sharded executor carries that
 //!   same value across a shard boundary and re-schedules it whole
-//!   (`Engine::post_msg`, `Ctx::forward`).
+//!   (`Engine::post_msg`, `Ctx::forward`). A message a component cannot
+//!   use goes back through [`Ctx::reject`], which counts it.
 
 use std::any::Any;
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -134,6 +136,12 @@ impl MsgBatch<'_> {
 /// included — onto worker threads.
 pub trait Component: Any + Send {
     /// Handles one message delivered at the current simulation time.
+    ///
+    /// A message the component cannot use (a type it does not take, a
+    /// reply to a request it never issued) is a fault of the simulated
+    /// fabric, not of the host: pass it to [`Ctx::reject`] instead of
+    /// panicking or dropping it unseen. A downcast chain ends in
+    /// `Err(m) => ctx.reject(m.type_name())`.
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg);
 
     /// Handles a run of messages in one call; the default forwards each
@@ -196,6 +204,9 @@ struct EngineCore {
     free_head: u32,
     rng: StdRng,
     events_dispatched: u64,
+    /// Messages components could not use, counted per `(component,
+    /// what)`; see [`Ctx::reject`].
+    rejected: BTreeMap<(ComponentId, String), u64>,
 }
 
 impl EngineCore {
@@ -273,6 +284,7 @@ impl Engine {
                 free_head: NO_FREE,
                 rng: StdRng::seed_from_u64(seed),
                 events_dispatched: 0,
+                rejected: BTreeMap::new(),
             },
             components: Vec::new(),
             names: Vec::new(),
@@ -326,13 +338,18 @@ impl Engine {
         }
     }
 
+    /// The id the next [`Engine::add_component`] call will return.
+    pub(crate) fn next_component_id(&self) -> ComponentId {
+        ComponentId(self.components.len() as u32)
+    }
+
     /// Registers a component and returns its id.
     pub fn add_component<C: Component>(
         &mut self,
         name: impl Into<String>,
         component: C,
     ) -> ComponentId {
-        let id = ComponentId(self.components.len() as u32);
+        let id = self.next_component_id();
         self.components.push(Some(Box::new(component)));
         self.names.push(name.into());
         id
@@ -499,6 +516,18 @@ impl Engine {
         self.core.now
     }
 
+    /// Every message a component rejected through [`Ctx::reject`], as
+    /// `(component name, "rejected N message(s): <what>")`, in
+    /// component-index order.
+    pub fn rejections(&self) -> impl Iterator<Item = (&str, String)> + '_ {
+        self.core.rejected.iter().map(|((id, what), n)| {
+            (
+                self.names[id.index()].as_str(),
+                format!("rejected {n} message(s): {what}"),
+            )
+        })
+    }
+
     /// Analyzes the simulation for a deadlock after the event queue has
     /// drained.
     ///
@@ -507,10 +536,11 @@ impl Engine {
     /// were lost or are mutually blocked: no future event can complete
     /// them. The report lists every stuck component and, from the
     /// `waiting_on` edges, any wait-for cycles (the classic
-    /// credit-deadlock signature of §3 D#3).
+    /// credit-deadlock signature of §3 D#3), then one entry per
+    /// [`Engine::rejections`] row.
     ///
     /// Returns `None` when events are still pending (the system may yet
-    /// make progress) or when nothing is outstanding (a clean drain).
+    /// make progress) or when nothing is outstanding or rejected.
     pub fn deadlock_report(&self) -> Option<DeadlockReport> {
         if !self.core.queue.is_empty() {
             return None;
@@ -535,6 +565,11 @@ impl Engine {
                 });
             }
         }
+        stuck.extend(self.rejections().map(|(component, what)| StuckComponent {
+            component: component.to_string(),
+            what,
+            waiting_on: None,
+        }));
         if stuck.is_empty() {
             return None;
         }
@@ -686,6 +721,59 @@ impl Ctx<'_> {
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.core.rng
     }
+
+    /// Refuses the message being dispatched, which the current component
+    /// cannot use (see [`Component::on_msg`]): it is dropped and counted
+    /// against the component under `what` for [`Engine::rejections`].
+    /// Nothing is scheduled, so event order and counts do not move. Keep
+    /// `what` free of per-message ids so the table stays bounded.
+    pub fn reject(&mut self, what: impl Into<String>) {
+        *self
+            .core
+            .rejected
+            .entry((self.self_id, what.into()))
+            .or_insert(0) += 1;
+    }
+}
+
+/// A reply sink for harnesses and tests: keeps every `T` it receives,
+/// with its arrival time, and rejects any other message.
+pub struct Inbox<T> {
+    messages: Vec<T>,
+    arrivals: Vec<SimTime>,
+}
+
+impl<T> Inbox<T> {
+    /// The messages kept, in arrival order.
+    pub fn messages(&self) -> &[T] {
+        &self.messages
+    }
+
+    /// When each of [`Inbox::messages`] arrived.
+    pub fn arrivals(&self) -> &[SimTime] {
+        &self.arrivals
+    }
+}
+
+impl<T> Default for Inbox<T> {
+    fn default() -> Self {
+        Inbox {
+            messages: Vec::new(),
+            arrivals: Vec::new(),
+        }
+    }
+}
+
+impl<T: Send + 'static> Component for Inbox<T> {
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        match msg.downcast::<T>() {
+            Ok(m) => {
+                self.messages.push(m);
+                self.arrivals.push(ctx.now());
+            }
+            Err(m) => ctx.reject(m.type_name()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -698,16 +786,7 @@ mod tests {
 
     use super::*;
 
-    struct Recorder {
-        log: Vec<(SimTime, u32)>,
-    }
-
-    impl Component for Recorder {
-        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            let v = msg.downcast::<u32>().expect("u32 payload");
-            self.log.push((ctx.now(), v));
-        }
-    }
+    type Recorder = Inbox<u32>;
 
     struct PingPong {
         peer: Option<ComponentId>,
@@ -732,16 +811,15 @@ mod tests {
     #[test]
     fn events_fire_in_time_order_with_fifo_ties() {
         let mut engine = Engine::new(0);
-        let rec = engine.add_component("rec", Recorder { log: vec![] });
+        let rec = engine.add_component("rec", Recorder::default());
         engine.post(rec, SimTime::from_ns(20.0), 2u32);
         engine.post(rec, SimTime::from_ns(10.0), 1u32);
         engine.post(rec, SimTime::from_ns(20.0), 3u32);
         engine.post(rec, SimTime::from_ns(20.0), 4u32);
         engine.run_until_idle();
-        let log = &engine.component::<Recorder>(rec).log;
-        let values: Vec<u32> = log.iter().map(|&(_, v)| v).collect();
-        assert_eq!(values, vec![1, 2, 3, 4]);
-        assert_eq!(log[0].0, SimTime::from_ns(10.0));
+        let rec = engine.component::<Recorder>(rec);
+        assert_eq!(rec.messages(), &[1, 2, 3, 4]);
+        assert_eq!(rec.arrivals()[0], SimTime::from_ns(10.0));
     }
 
     #[test]
@@ -777,29 +855,29 @@ mod tests {
     #[test]
     fn run_until_respects_deadline() {
         let mut engine = Engine::new(0);
-        let rec = engine.add_component("rec", Recorder { log: vec![] });
+        let rec = engine.add_component("rec", Recorder::default());
         for i in 0..10 {
             engine.post(rec, SimTime::from_ns(i as f64 * 10.0), i as u32);
         }
         engine.run_until(SimTime::from_ns(45.0));
-        assert_eq!(engine.component::<Recorder>(rec).log.len(), 5);
+        assert_eq!(engine.component::<Recorder>(rec).messages().len(), 5);
         assert_eq!(engine.pending_events(), 5);
         engine.run_until_idle();
-        assert_eq!(engine.component::<Recorder>(rec).log.len(), 10);
+        assert_eq!(engine.component::<Recorder>(rec).messages().len(), 10);
     }
 
     #[test]
     fn call_at_sees_components() {
         let mut engine = Engine::new(0);
-        let rec = engine.add_component("rec", Recorder { log: vec![] });
+        let rec = engine.add_component("rec", Recorder::default());
         engine.post(rec, SimTime::from_ns(1.0), 7u32);
         engine.call_at(SimTime::from_ns(2.0), move |e| {
-            let seen = e.component::<Recorder>(rec).log.len();
+            let seen = e.component::<Recorder>(rec).messages().len();
             assert_eq!(seen, 1);
             e.post(rec, e.now(), 8u32);
         });
         engine.run_until_idle();
-        assert_eq!(engine.component::<Recorder>(rec).log.len(), 2);
+        assert_eq!(engine.component::<Recorder>(rec).messages().len(), 2);
     }
 
     #[test]
@@ -837,7 +915,7 @@ mod tests {
     #[test]
     fn clean_drain_reports_no_deadlock() {
         let mut engine = Engine::new(0);
-        let rec = engine.add_component("rec", Recorder { log: vec![] });
+        let rec = engine.add_component("rec", Recorder::default());
         engine.post(rec, SimTime::from_ns(1.0), 1u32);
         engine.run_until_idle();
         assert!(engine.deadlock_report().is_none());
@@ -891,7 +969,7 @@ mod tests {
     #[test]
     fn acyclic_blockage_lists_stuck_without_cycles() {
         let mut engine = Engine::new(0);
-        let sink = engine.add_component("sink", Recorder { log: vec![] });
+        let sink = engine.add_component("sink", Recorder::default());
         let w = engine.add_component(
             "w",
             Waiter {
@@ -921,6 +999,51 @@ mod tests {
         assert_eq!(report.cycles, vec![vec!["w".to_string()]]);
     }
 
+    /// A message of a type the receiver does not take is rejected: the
+    /// run drains, the good messages are kept, and the report names the
+    /// component, the type and the count after any stranded work.
+    #[test]
+    fn rejected_messages_are_counted_and_reported() {
+        let mut engine = Engine::new(0);
+        let inbox = engine.add_component("inbox", Recorder::default());
+        let w = engine.add_component(
+            "w",
+            Waiter {
+                on: None,
+                what: "req 9",
+            },
+        );
+        let early = engine.add_component("early", Inbox::<Ball>::default());
+        for (i, at) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
+            engine.post(inbox, SimTime::from_ns(at), i as u32);
+        }
+        engine.post(inbox, SimTime::from_ns(2.5), Ball);
+        engine.post(inbox, SimTime::from_ns(3.5), Ball);
+        engine.post(early, SimTime::from_ns(5.0), 9u64);
+        engine.post(w, SimTime::from_ns(6.0), Ball);
+        engine.run_until_idle();
+        assert_eq!(engine.events_dispatched(), 8);
+        assert_eq!(
+            engine.component::<Recorder>(inbox).messages(),
+            &[0, 1, 2, 3]
+        );
+        let report = engine.deadlock_report().expect("rejections are reported");
+        let stuck: Vec<(&str, &str)> = report
+            .stuck
+            .iter()
+            .map(|s| (s.component.as_str(), s.what.as_str()))
+            .collect();
+        let ball = format!("rejected 2 message(s): {}", std::any::type_name::<Ball>());
+        let expected = [
+            ("w", "req 9"),
+            ("inbox", ball.as_str()),
+            ("early", "rejected 1 message(s): u64"),
+        ];
+        assert_eq!(stuck, expected);
+        assert!(report.cycles.is_empty());
+        assert_eq!(engine.rejections().count(), 2);
+    }
+
     #[test]
     fn msg_downcast_fallthrough_preserves_payload() {
         let msg = Msg::new(5u32)
@@ -933,20 +1056,20 @@ mod tests {
     #[test]
     fn post_in_the_past_is_clamped_to_now() {
         let mut engine = Engine::new(0);
-        let rec = engine.add_component("rec", Recorder { log: vec![] });
+        let rec = engine.add_component("rec", Recorder::default());
         engine.post(rec, SimTime::from_ns(100.0), 1u32);
         engine.run_until_idle();
         // Posting at t=0 after the clock reached 100ns must not go backwards.
         engine.post(rec, SimTime::ZERO, 2u32);
         engine.run_until_idle();
-        let log = &engine.component::<Recorder>(rec).log;
-        assert_eq!(log[1].0, SimTime::from_ns(100.0));
+        let arrivals = engine.component::<Recorder>(rec).arrivals();
+        assert_eq!(arrivals[1], SimTime::from_ns(100.0));
     }
 
     #[test]
     fn trace_ring_keeps_the_tail() {
         let mut engine = Engine::new(0);
-        let rec = engine.add_component("rec", Recorder { log: vec![] });
+        let rec = engine.add_component("rec", Recorder::default());
         engine.enable_trace(3);
         for i in 0..10u32 {
             engine.post(rec, SimTime::from_ns(i as f64), i);
@@ -1116,7 +1239,7 @@ mod tests {
         let before = thread_events_dispatched();
         {
             let mut engine = Engine::new(0);
-            let rec = engine.add_component("rec", Recorder { log: vec![] });
+            let rec = engine.add_component("rec", Recorder::default());
             for i in 0..7u32 {
                 engine.post(rec, SimTime::from_ns(i as f64 * 1000.0), i);
             }
@@ -1130,7 +1253,7 @@ mod tests {
     #[should_panic(expected = "is not a")]
     fn wrong_component_type_panics() {
         let mut engine = Engine::new(0);
-        let rec = engine.add_component("rec", Recorder { log: vec![] });
+        let rec = engine.add_component("rec", Recorder::default());
         let _ = engine.component::<PingPong>(rec);
     }
 }

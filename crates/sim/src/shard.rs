@@ -89,24 +89,16 @@ pub struct ShardGateway {
     /// Mailbox cell for this gateway's direction (`my shard → peer shard`).
     outbox: Cell,
     /// The peer gateway in the destination shard.
-    peer: Option<ComponentId>,
+    peer: ComponentId,
     /// Local component injected traffic is forwarded to (the switch this
     /// gateway is attached to).
-    local: Option<ComponentId>,
+    local: ComponentId,
     /// One-way relay latency of the modeled cable.
     latency: SimTime,
     /// Messages relayed toward the peer shard.
     pub relayed_out: u64,
     /// Messages injected by the executor and forwarded locally.
     pub relayed_in: u64,
-}
-
-impl ShardGateway {
-    /// Sets the local component (normally the attached switch) that
-    /// injected cross-shard traffic is forwarded to.
-    pub fn set_local_peer(&mut self, local: ComponentId) {
-        self.local = Some(local);
-    }
 }
 
 impl Component for ShardGateway {
@@ -116,13 +108,9 @@ impl Component for ShardGateway {
                 // Local traffic heading off-shard: stage it for the peer
                 // gateway one cable latency in the future. The staged
                 // timestamp is what gives the executor its lookahead.
-                let Some(peer) = self.peer else {
-                    // fcc-lint: allow(panic-in-lib) -- wiring error: gateway used before link() paired it
-                    panic!("shard gateway has no peer");
-                };
                 lock(&self.outbox).push(StagedMsg {
                     time_ps: (ctx.now() + self.latency).as_ps(),
-                    dst: peer,
+                    dst: self.peer,
                     msg,
                 });
                 self.relayed_out += 1;
@@ -130,11 +118,7 @@ impl Component for ShardGateway {
             None => {
                 // Injected by the executor: hand to the local switch at
                 // this timestamp so it arrives with `src = gateway`.
-                let Some(local) = self.local else {
-                    // fcc-lint: allow(panic-in-lib) -- wiring error: set_local_peer was never called
-                    panic!("shard gateway has no local attachment");
-                };
-                ctx.forward(local, SimTime::ZERO, msg);
+                ctx.forward(self.local, SimTime::ZERO, msg);
                 self.relayed_in += 1;
             }
         }
@@ -215,9 +199,11 @@ impl ShardedEngine {
 
     /// Creates a linked gateway pair modeling a full-duplex cable of
     /// one-way latency `latency` between shards `a` and `b`, and lowers
-    /// the run's lookahead to `latency` if it is the new minimum.
-    /// Returns `(gateway in a, gateway in b)`; attach each to a switch
-    /// port on its side and call [`ShardGateway::set_local_peer`].
+    /// the run's lookahead to `latency` if it is the new minimum. Each
+    /// side is `(shard, local attachment)`: the component (normally a
+    /// switch) that the side's gateway hands arriving traffic to.
+    /// Returns `(gateway in a, gateway in b)`; connect each to a port of
+    /// its attachment.
     ///
     /// # Panics
     ///
@@ -225,8 +211,8 @@ impl ShardedEngine {
     /// is zero (zero lookahead would stall the epoch scheme).
     pub fn link(
         &mut self,
-        a: usize,
-        b: usize,
+        (a, local_a): (usize, ComponentId),
+        (b, local_b): (usize, ComponentId),
         latency: SimTime,
         name: &str,
     ) -> (ComponentId, ComponentId) {
@@ -235,29 +221,23 @@ impl ShardedEngine {
             latency > SimTime::ZERO,
             "cross-shard latency must be positive"
         );
-        let ga = self.engines[a].add_component(
-            format!("{name}.gw{a}to{b}"),
-            ShardGateway {
-                outbox: Arc::clone(&self.channels[a][b]),
-                peer: None,
-                local: None,
-                latency,
-                relayed_out: 0,
-                relayed_in: 0,
-            },
+        // The two gateways name each other, so each is built with the id
+        // its peer is about to receive in the other engine.
+        let (ga, gb) = (
+            self.engines[a].next_component_id(),
+            self.engines[b].next_component_id(),
         );
-        let gb = self.engines[b].add_component(
-            format!("{name}.gw{b}to{a}"),
-            ShardGateway {
-                outbox: Arc::clone(&self.channels[b][a]),
-                peer: Some(ga),
-                local: None,
-                latency,
-                relayed_out: 0,
-                relayed_in: 0,
-            },
-        );
-        self.engines[a].component_mut::<ShardGateway>(ga).peer = Some(gb);
+        let gateway = |from: usize, to: usize, peer, local| ShardGateway {
+            outbox: Arc::clone(&self.channels[from][to]),
+            peer,
+            local,
+            latency,
+            relayed_out: 0,
+            relayed_in: 0,
+        };
+        let (gw_a, gw_b) = (gateway(a, b, gb, local_a), gateway(b, a, ga, local_b));
+        self.engines[a].add_component(format!("{name}.gw{a}to{b}"), gw_a);
+        self.engines[b].add_component(format!("{name}.gw{b}to{a}"), gw_b);
         self.lookahead = Some(match self.lookahead {
             Some(l) => l.min(latency),
             None => latency,
@@ -397,6 +377,7 @@ fn guarded(shared: &RunShared, failure: &mut Option<Box<dyn Any + Send>>, work: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Inbox;
 
     /// Echoes every `u64` payload to `target` after `delay`, decremented;
     /// stops at zero (or when no target is wired).
@@ -410,7 +391,7 @@ mod tests {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
             let v = match msg.downcast::<u64>() {
                 Ok(v) => v,
-                Err(m) => panic!("unexpected payload {}", m.type_name()),
+                Err(m) => return ctx.reject(m.type_name()),
             };
             self.heard.push((ctx.now().as_ps(), v));
             if v > 0 {
@@ -432,26 +413,32 @@ mod tests {
     /// `(time ps, value)` observations of one bouncer.
     type Heard = Vec<(u64, u64)>;
 
+    /// Adds a bouncer to shards `a` and `b` and joins them by one cable,
+    /// each bouncing into its own side's gateway. Returns the bouncers.
+    fn bouncer_pair(
+        sharded: &mut ShardedEngine,
+        (a, b): (usize, usize),
+        lat: SimTime,
+        delay: SimTime,
+    ) -> (ComponentId, ComponentId) {
+        let ba = sharded
+            .engine_mut(a)
+            .add_component(format!("b{a}"), bouncer(None, delay));
+        let bb = sharded
+            .engine_mut(b)
+            .add_component(format!("b{b}"), bouncer(None, delay));
+        let (ga, gb) = sharded.link((a, ba), (b, bb), lat, "cable");
+        sharded.engine_mut(a).component_mut::<Bouncer>(ba).target = Some(ga);
+        sharded.engine_mut(b).component_mut::<Bouncer>(bb).target = Some(gb);
+        (ba, bb)
+    }
+
     /// Two shards bouncing a counter through the gateway pair.
     fn bounce_run(threads: usize) -> (Heard, Heard, u64) {
         let mut sharded = ShardedEngine::new(7, 2);
         let lat = SimTime::from_ns(50.0);
-        let (ga, gb) = sharded.link(0, 1, lat, "cable");
         let delay = SimTime::from_ns(10.0);
-        let b0 = sharded
-            .engine_mut(0)
-            .add_component("b0", bouncer(Some(ga), delay));
-        let b1 = sharded
-            .engine_mut(1)
-            .add_component("b1", bouncer(Some(gb), delay));
-        sharded
-            .engine_mut(0)
-            .component_mut::<ShardGateway>(ga)
-            .set_local_peer(b0);
-        sharded
-            .engine_mut(1)
-            .component_mut::<ShardGateway>(gb)
-            .set_local_peer(b1);
+        let (b0, b1) = bouncer_pair(&mut sharded, (0, 1), lat, delay);
         sharded.engine_mut(0).post(b0, SimTime::ZERO, 6u64);
         sharded.run(threads);
         let h0 = sharded.engine(0).component::<Bouncer>(b0).heard.clone();
@@ -485,29 +472,20 @@ mod tests {
     fn star_run(threads: usize) -> Vec<(u64, u64)> {
         let lat = SimTime::from_ns(10.0);
         let mut sharded = ShardedEngine::new(0, 3);
-        let (g01, g10) = sharded.link(0, 1, lat, "a");
-        let (g02, g20) = sharded.link(0, 2, lat, "b");
         let sink = sharded
             .engine_mut(0)
             .add_component("sink", bouncer(None, SimTime::ZERO));
-        sharded
-            .engine_mut(0)
-            .component_mut::<ShardGateway>(g01)
-            .set_local_peer(sink);
-        sharded
-            .engine_mut(0)
-            .component_mut::<ShardGateway>(g02)
-            .set_local_peer(sink);
         // Shard 1 relays value 0, shard 2 relays value 1, both arriving
         // in shard 0 at the same 15ns instant.
-        for (shard, gw_in, value) in [(1usize, g10, 1u64), (2, g20, 2)] {
+        for (shard, value) in [(1usize, 1u64), (2, 2)] {
             let src = sharded
                 .engine_mut(shard)
-                .add_component("src", bouncer(Some(gw_in), SimTime::ZERO));
+                .add_component("src", bouncer(None, SimTime::ZERO));
+            let (_, gw_in) = sharded.link((0, sink), (shard, src), lat, "c");
             sharded
                 .engine_mut(shard)
-                .component_mut::<ShardGateway>(gw_in)
-                .set_local_peer(src);
+                .component_mut::<Bouncer>(src)
+                .target = Some(gw_in);
             sharded
                 .engine_mut(shard)
                 .post(src, SimTime::from_ns(5.0), value);
@@ -549,27 +527,15 @@ mod tests {
     fn shared_cell_run(threads: usize) -> Vec<(u64, u64)> {
         let lat = SimTime::from_ns(10.0);
         let mut sharded = ShardedEngine::new(0, 3);
-        let (g0a, g1a) = sharded.link(0, 1, lat, "a");
-        let (g0b, g1b) = sharded.link(0, 1, lat, "b");
         let sink = sharded
             .engine_mut(0)
             .add_component("sink", bouncer(None, SimTime::ZERO));
-        for gw in [g0a, g0b] {
-            sharded
-                .engine_mut(0)
-                .component_mut::<ShardGateway>(gw)
-                .set_local_peer(sink);
-        }
-        let spray = Spray {
-            sends: vec![(g1b, 1), (g1a, 2)],
-        };
-        let src = sharded.engine_mut(1).add_component("spray", spray);
-        for gw in [g1a, g1b] {
-            sharded
-                .engine_mut(1)
-                .component_mut::<ShardGateway>(gw)
-                .set_local_peer(src);
-        }
+        let src = sharded
+            .engine_mut(1)
+            .add_component("spray", Spray { sends: Vec::new() });
+        let (_, g1a) = sharded.link((0, sink), (1, src), lat, "a");
+        let (_, g1b) = sharded.link((0, sink), (1, src), lat, "b");
+        sharded.engine_mut(1).component_mut::<Spray>(src).sends = vec![(g1b, 1), (g1a, 2)];
         sharded.engine_mut(1).post(src, SimTime::from_ns(5.0), ());
         sharded.run(threads);
         sharded.engine(0).component::<Bouncer>(sink).heard.clone()
@@ -599,30 +565,14 @@ mod tests {
         }
     }
 
-    /// Three linked shards: bouncers keep shards 1 and 2 busy across the
-    /// 1-2 cable while a component in shard 0 panics at 5 ns.
+    /// Three shards: bouncers keep shards 1 and 2 busy across the 1-2
+    /// cable while a component in shard 0 panics at 5 ns.
     fn panicking_run(threads: usize) {
         let lat = SimTime::from_ns(10.0);
         let mut sharded = ShardedEngine::new(0, 3);
-        sharded.link(0, 1, lat, "a");
-        let (g12, g21) = sharded.link(1, 2, lat, "b");
-        let delay = SimTime::from_ns(1.0);
-        let b1 = sharded
-            .engine_mut(1)
-            .add_component("b1", bouncer(Some(g12), delay));
-        let b2 = sharded
-            .engine_mut(2)
-            .add_component("b2", bouncer(Some(g21), delay));
-        sharded
-            .engine_mut(1)
-            .component_mut::<ShardGateway>(g12)
-            .set_local_peer(b1);
-        sharded
-            .engine_mut(2)
-            .component_mut::<ShardGateway>(g21)
-            .set_local_peer(b2);
-        sharded.engine_mut(1).post(b1, SimTime::ZERO, 1_000u64);
         let bomb = sharded.engine_mut(0).add_component("bomb", Bomb);
+        let (b1, _) = bouncer_pair(&mut sharded, (1, 2), lat, SimTime::from_ns(1.0));
+        sharded.engine_mut(1).post(b1, SimTime::ZERO, 1_000u64);
         sharded.engine_mut(0).post(bomb, SimTime::from_ns(5.0), ());
         sharded.run(threads);
     }
@@ -637,6 +587,54 @@ mod tests {
     #[should_panic(expected = "shard worker panicked")]
     fn component_panic_fails_a_three_worker_run() {
         panicking_run(3);
+    }
+
+    /// Three shards in a line; shard 2 is sent types its components do
+    /// not take, once from its own harness and twice across a cable from
+    /// shard 1, while bouncers keep every shard busy.
+    fn rejecting_run(threads: usize) -> (Vec<(String, String)>, u64) {
+        let lat = SimTime::from_ns(10.0);
+        let mut sharded = ShardedEngine::new(5, 3);
+        let (b0, _) = bouncer_pair(&mut sharded, (0, 1), lat, SimTime::from_ns(3.0));
+        let (b1, b2) = bouncer_pair(&mut sharded, (1, 2), lat, SimTime::from_ns(2.0));
+        let spray = Spray { sends: Vec::new() };
+        let spray = sharded.engine_mut(1).add_component("spray", spray);
+        let inbox = sharded
+            .engine_mut(2)
+            .add_component("inbox", Inbox::<u32>::default());
+        let (to_2, _) = sharded.link((1, spray), (2, inbox), lat, "stray");
+        sharded.engine_mut(1).component_mut::<Spray>(spray).sends = vec![(to_2, 7)];
+        sharded.engine_mut(0).post(b0, SimTime::ZERO, 30u64);
+        sharded.engine_mut(1).post(b1, SimTime::ZERO, 40u64);
+        sharded
+            .engine_mut(2)
+            .post(b2, SimTime::from_ns(7.0), "stray");
+        for at in [20.0, 45.0] {
+            sharded.engine_mut(1).post(spray, SimTime::from_ns(at), ());
+        }
+        sharded.run(threads);
+        for s in [0, 1] {
+            assert!(sharded.engine(s).deadlock_report().is_none(), "shard {s}");
+        }
+        let report = sharded
+            .engine(2)
+            .deadlock_report()
+            .expect("shard 2 rejected");
+        let stuck = report.stuck.into_iter().map(|s| (s.component, s.what));
+        (stuck.collect(), sharded.total_events())
+    }
+
+    #[test]
+    fn rejection_in_one_shard_is_reported_at_any_worker_count() {
+        let serial = rejecting_run(1);
+        let expected = [
+            ("b2", "rejected 1 message(s): &str"),
+            ("inbox", "rejected 2 message(s): u64"),
+        ];
+        let expected = expected.map(|(c, w)| (c.to_string(), w.to_string()));
+        assert_eq!(serial.0, expected);
+        assert_eq!(rejecting_run(3), serial);
+        assert_eq!(rejecting_run(2), serial);
     }
 
     #[test]
@@ -655,7 +653,7 @@ mod tests {
     #[should_panic(expected = "cross-shard latency must be positive")]
     fn zero_latency_link_is_rejected() {
         let mut sharded = ShardedEngine::new(0, 2);
-        sharded.link(0, 1, SimTime::ZERO, "bad");
+        bouncer_pair(&mut sharded, (0, 1), SimTime::ZERO, SimTime::ZERO);
     }
 
     /// A parameterized two-shard bounce: every observation (timestamps,
@@ -669,22 +667,9 @@ mod tests {
         threads: usize,
     ) -> (Heard, Heard, u64) {
         let mut sharded = ShardedEngine::new(seed, 2);
-        let (ga, gb) = sharded.link(0, 1, SimTime::from_ps(lat_ps), "cable");
+        let lat = SimTime::from_ps(lat_ps);
         let delay = SimTime::from_ps(delay_ps);
-        let b0 = sharded
-            .engine_mut(0)
-            .add_component("b0", bouncer(Some(ga), delay));
-        let b1 = sharded
-            .engine_mut(1)
-            .add_component("b1", bouncer(Some(gb), delay));
-        sharded
-            .engine_mut(0)
-            .component_mut::<ShardGateway>(ga)
-            .set_local_peer(b0);
-        sharded
-            .engine_mut(1)
-            .component_mut::<ShardGateway>(gb)
-            .set_local_peer(b1);
+        let (b0, b1) = bouncer_pair(&mut sharded, (0, 1), lat, delay);
         sharded.engine_mut(0).post(b0, SimTime::ZERO, hops);
         sharded.run(threads);
         let h0 = sharded.engine(0).component::<Bouncer>(b0).heard.clone();

@@ -14,7 +14,8 @@
 use fcc::proto::addr::AddrRange;
 use fcc::sim::SimTime;
 use fcc::unifabric::task::{
-    analyze_idempotence, make_idempotent, DagRuntime, Executor, Half, RecoveryMode, TaskSpec,
+    analyze_idempotence, make_idempotent, DagError, DagRuntime, Executor, Half, RecoveryMode,
+    TaskSpec,
 };
 use fcc::workloads::failure::FailureSchedule;
 use rand::rngs::StdRng;
@@ -30,7 +31,7 @@ fn executors(n: usize) -> Vec<Executor> {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), DagError> {
     let mut rng = StdRng::seed_from_u64(3);
     // A 3-stage fork-join DAG of 50 µs tasks.
     let mut tasks = Vec::new();
@@ -59,7 +60,7 @@ fn main() {
         "injected {} failures across 4 power domains",
         failures.events().len()
     );
-    let idem = DagRuntime::new(executors(4), RecoveryMode::Idempotent).run(&tasks, &failures);
+    let idem = DagRuntime::new(executors(4), RecoveryMode::Idempotent).run(&tasks, &failures)?;
     let ckpt = DagRuntime::new(
         executors(4),
         RecoveryMode::Checkpoint {
@@ -67,7 +68,7 @@ fn main() {
             cost: SimTime::from_us(2.0),
         },
     )
-    .run(&tasks, &failures);
+    .run(&tasks, &failures)?;
     println!("idempotent re-execution:");
     println!(
         "  makespan {:.0} us, wasted {:.0} us, restarts {}, overhead 0 us, correct: {}",
@@ -109,10 +110,11 @@ fn main() {
         recovered_at: SimTime::from_us(30.0),
     }]);
     let single = DagRuntime::new(executors(1), RecoveryMode::Idempotent);
-    let naive = single.run(std::slice::from_ref(&in_place), &crash);
-    let fixed = single.run(&versioned, &crash);
+    let naive = single.run(std::slice::from_ref(&in_place), &crash)?;
+    let fixed = single.run(&versioned, &crash)?;
     println!(
         "crash mid-task: naive re-execution correct = {}, versioned correct = {}",
         naive.correct, fixed.correct
     );
+    Ok(())
 }

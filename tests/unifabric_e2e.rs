@@ -67,13 +67,15 @@ fn case_study_port_follows_the_papers_steps() {
         },
     ];
     let rt = DagRuntime::new(execs, RecoveryMode::Idempotent);
-    let clean = rt.run(&tasks, &FailureSchedule::explicit(vec![]));
+    let clean = rt
+        .run(&tasks, &FailureSchedule::explicit(vec![]))
+        .expect("DAG runs");
     let crash = FailureSchedule::explicit(vec![FailureEvent {
         at: clean.makespan / 2,
         domain: 0,
         recovered_at: clean.makespan / 2 + SimTime::from_us(3.0),
     }]);
-    let failed = rt.run(&tasks, &crash);
+    let failed = rt.run(&tasks, &crash).expect("DAG runs");
     assert!(failed.correct);
     assert!(failed.makespan >= clean.makespan);
     assert!(failed.reexecutions >= 1);
