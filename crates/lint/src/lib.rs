@@ -22,17 +22,17 @@
 //! See `DESIGN.md` ("The determinism contract") for the rationale
 //! behind each rule and the crate classification.
 //!
-//! # Suppression and baseline
+//! # Suppression
 //!
-//! A finding is silenced inline with
+//! A finding is accepted only inline, with
 //! `// fcc-lint: allow(rule) -- reason` (trailing on the line or on
-//! the line above; the reason is mandatory), or grandfathered in
-//! `lint_baseline.json` (regenerate with `fcc-lint --update-baseline`).
-//! Unbaselined, unsuppressed findings exit non-zero.
+//! the line above; the reason is mandatory), so every accepted finding
+//! sits next to the code it excuses. Any unsuppressed finding exits
+//! non-zero.
 //!
 //! # Design constraints
 //!
-//! Everything is hand-rolled — lexer, TOML scanner, JSON reader/writer —
+//! Everything is hand-rolled — lexer, TOML scanner, JSON writer —
 //! because the build environment is offline and the gate must not
 //! depend on crates it is not allowed to fetch. The lexer is
 //! comment/string/char-literal aware, so prose mentioning `HashMap`
@@ -40,7 +40,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod classify;
 pub mod lexer;
 pub mod manifest;
@@ -48,7 +47,6 @@ pub mod report;
 pub mod rules;
 pub mod workspace;
 
-pub use baseline::Baseline;
 pub use classify::{CrateClass, FileKind};
 pub use report::{Finding, RuleId};
 pub use rules::FileCtx;

@@ -1,53 +1,43 @@
 //! `fcc-lint` CLI: the determinism & layering gate.
 //!
 //! ```text
-//! fcc-lint [--root DIR] [--baseline FILE] [--json FILE] [--update-baseline] [--list-rules]
+//! fcc-lint [--root DIR] [--json FILE] [--list-rules]
 //! ```
 //!
-//! Exit codes: 0 clean (or baseline updated), 1 unbaselined findings or
-//! a refused `--update-baseline` (a regression-only rule's grandfathered
-//! budget would grow — see [`fcc_lint::baseline::RATCHET_RULES`]),
-//! 2 usage/environment error.
+//! Exit codes: 0 clean, 1 any finding not suppressed inline with
+//! `// fcc-lint: allow(rule) -- reason`, 2 usage/environment error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fcc_lint::{baseline::Baseline, report, workspace, RuleId};
+use fcc_lint::{report, workspace, RuleId};
 
 struct Opts {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: Option<PathBuf>,
-    update_baseline: bool,
     list_rules: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         root: None,
-        baseline: None,
         json: None,
-        update_baseline: false,
         list_rules: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => opts.root = Some(PathBuf::from(next(&mut args, "--root")?)),
-            "--baseline" => opts.baseline = Some(PathBuf::from(next(&mut args, "--baseline")?)),
             "--json" => opts.json = Some(PathBuf::from(next(&mut args, "--json")?)),
-            "--update-baseline" => opts.update_baseline = true,
             "--list-rules" => opts.list_rules = true,
             "--help" | "-h" => {
                 println!(
                     "fcc-lint: workspace determinism & layering linter\n\n\
-                     USAGE: fcc-lint [--root DIR] [--baseline FILE] [--json FILE] \
-                     [--update-baseline] [--list-rules]\n\n\
-                     Findings not covered by an inline \
-                     `// fcc-lint: allow(rule) -- reason` or by the committed\n\
-                     baseline (default: <root>/lint_baseline.json) fail the run."
+                     USAGE: fcc-lint [--root DIR] [--json FILE] [--list-rules]\n\n\
+                     Findings not suppressed by an inline \
+                     `// fcc-lint: allow(rule) -- reason` fail the run."
                 );
                 std::process::exit(0);
             }
@@ -96,47 +86,13 @@ fn run() -> Result<bool, String> {
             })?
         }
     };
-    let baseline_path = opts
-        .baseline
-        .unwrap_or_else(|| root.join("lint_baseline.json"));
-
     let (findings, errors) = workspace::run(&root)?;
     for e in &errors {
         eprintln!("fcc-lint: warning: {e}");
     }
 
-    if opts.update_baseline {
-        // Ratchet: regression-only rules may never grow their budget.
-        let old = match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-            Err(e) => return Err(format!("read {}: {e}", baseline_path.display())),
-        };
-        let rendered = Baseline::render(&findings);
-        let new = Baseline::parse(&rendered)?;
-        if let Err(why) = fcc_lint::baseline::check_ratchet(&old, &new) {
-            println!("fcc-lint: REFUSED baseline update: {why}");
-            return Ok(false);
-        }
-        std::fs::write(&baseline_path, rendered)
-            .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
-        println!(
-            "fcc-lint: baseline updated: {} finding(s) -> {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return Ok(true);
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(format!("read {}: {e}", baseline_path.display())),
-    };
-    let res = baseline.match_findings(findings);
-
     if let Some(json_path) = &opts.json {
-        let body = report::render_json(&res.new, &res.baselined, &res.stale);
+        let body = report::render_json(&findings);
         if json_path.as_os_str() == "-" {
             print!("{body}");
         } else {
@@ -151,21 +107,12 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    for f in &res.new {
+    for f in &findings {
         println!("{}", f.render_text());
     }
-    for k in &res.stale {
-        println!("stale baseline entry (fix shipped? run --update-baseline): {k}");
+    println!("fcc-lint: {} finding(s)", findings.len());
+    if !findings.is_empty() {
+        println!("fcc-lint: FAIL — fix, or suppress inline with a reason");
     }
-    println!(
-        "fcc-lint: {} new, {} baselined, {} stale baseline entr{}",
-        res.new.len(),
-        res.baselined.len(),
-        res.stale.len(),
-        if res.stale.len() == 1 { "y" } else { "ies" }
-    );
-    if !res.new.is_empty() {
-        println!("fcc-lint: FAIL — fix, suppress with a reason, or --update-baseline");
-    }
-    Ok(res.new.is_empty())
+    Ok(findings.is_empty())
 }

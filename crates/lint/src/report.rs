@@ -76,19 +76,12 @@ pub struct Finding {
     pub file: String,
     /// 1-based line; 0 for manifest-level findings (R6).
     pub line: u32,
-    /// Trimmed source-line text; part of the baseline key so findings
-    /// survive unrelated line drift.
+    /// Trimmed source-line text.
     pub excerpt: String,
     pub message: String,
 }
 
 impl Finding {
-    /// The baseline identity of this finding: rule + file + excerpt
-    /// (not the line number, which churns with unrelated edits).
-    pub fn key(&self) -> String {
-        format!("{}|{}|{}", self.rule.code(), self.file, self.excerpt)
-    }
-
     /// `file:line: rule[code]: message` — the text reporter line.
     pub fn render_text(&self) -> String {
         format!(
@@ -121,40 +114,31 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders the machine-readable report consumed by CI artifacts.
+/// Renders the machine-readable report shipped as a CI artifact.
 ///
-/// Shape: `{ "schema": 1, "new": [...], "baselined": [...],
-/// "stale_baseline": [...] }` where each finding object carries
-/// `rule`, `code`, `file`, `line`, `excerpt`, `message`.
-pub fn render_json(new: &[Finding], baselined: &[Finding], stale: &[String]) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n");
-    let render_list = |out: &mut String, name: &str, list: &[Finding]| {
-        let _ = write!(out, "  \"{name}\": [");
-        for (i, f) in list.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(
-                out,
-                "{sep}    {{\"rule\": \"{}\", \"code\": \"{}\", \"file\": \"{}\", \
-                 \"line\": {}, \"excerpt\": \"{}\", \"message\": \"{}\"}}",
-                f.rule.name(),
-                f.rule.code(),
-                json_escape(&f.file),
-                f.line,
-                json_escape(&f.excerpt),
-                json_escape(&f.message)
-            );
-        }
-        out.push_str(if list.is_empty() { "],\n" } else { "\n  ],\n" });
-    };
-    render_list(&mut out, "new", new);
-    render_list(&mut out, "baselined", baselined);
-    let _ = write!(out, "  \"stale_baseline\": [");
-    for (i, k) in stale.iter().enumerate() {
+/// Shape: `{ "schema": 2, "findings": [...] }` where each finding object
+/// carries `rule`, `code`, `file`, `line`, `excerpt`, `message`.
+pub fn render_json(findings: &[Finding]) -> String {
+    let mut out = String::from("{\n  \"schema\": 2,\n  \"findings\": [");
+    for (i, f) in findings.iter().enumerate() {
         let sep = if i == 0 { "\n" } else { ",\n" };
-        let _ = write!(out, "{sep}    \"{}\"", json_escape(k));
+        let _ = write!(
+            out,
+            "{sep}    {{\"rule\": \"{}\", \"code\": \"{}\", \"file\": \"{}\", \
+             \"line\": {}, \"excerpt\": \"{}\", \"message\": \"{}\"}}",
+            f.rule.name(),
+            f.rule.code(),
+            json_escape(&f.file),
+            f.line,
+            json_escape(&f.excerpt),
+            json_escape(&f.message)
+        );
     }
-    out.push_str(if stale.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
+    out.push_str(if findings.is_empty() {
+        "]\n}\n"
+    } else {
+        "\n  ]\n}\n"
+    });
     out
 }
 

@@ -18,13 +18,7 @@ fn run(label: &str, cfg: &Config) -> bool {
     let start = Instant::now();
     match check(cfg) {
         Ok(report) => {
-            println!(
-                "ok   {label}: {} reachable states, {} transitions, depth {} ({:.2?})",
-                report.states,
-                report.transitions,
-                report.depth,
-                start.elapsed()
-            );
+            println!("ok   {label}: {report} ({:.2?})", start.elapsed());
             true
         }
         Err(violation) => {

@@ -21,13 +21,7 @@ fn run(label: &str, plan: &fcc_elastic::epoch::ReconfigPlan, dir: Direction, cfg
     let start = Instant::now();
     match check(plan, dir, cfg) {
         Ok(report) => {
-            println!(
-                "ok   {label}: {} reachable states, {} transitions, depth {} ({:.2?})",
-                report.states,
-                report.transitions,
-                report.depth,
-                start.elapsed()
-            );
+            println!("ok   {label}: {report} ({:.2?})", start.elapsed());
             true
         }
         Err(violation) => {

@@ -34,13 +34,16 @@
 //! prove the checker catches both safety ([`Mutation::DropInvalidate`])
 //! and liveness ([`Mutation::LoseGrant`]) violations.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use fcc_cache::protocol::{self, HostLineState};
 use fcc_memnode::directory::{DirOutcome, Directory, Grant, LineState, SnoopKind};
 use fcc_proto::addr::NodeId;
 use fcc_proto::channel::CacheOpcode;
+
+use crate::explore::{explore, Model};
+pub use crate::explore::{Report, Violation};
 
 /// A checker configuration: the system size and op budget to explore.
 #[derive(Debug, Clone, Copy)]
@@ -77,41 +80,6 @@ pub enum Mutation {
     /// the requester waits forever (a deadlock becomes reachable).
     LoseGrant,
 }
-
-/// Summary of a successful exhaustive run.
-#[derive(Debug, Clone, Copy)]
-pub struct Report {
-    /// Distinct reachable states visited.
-    pub states: usize,
-    /// Transitions executed (including ones reaching known states).
-    pub transitions: u64,
-    /// Longest BFS depth (transitions from the initial state).
-    pub depth: usize,
-}
-
-/// An invariant violation with its full counterexample trace.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Which invariant failed.
-    pub invariant: String,
-    /// Human-readable dump of the violating state.
-    pub state: String,
-    /// Every transition from the initial state to the violation.
-    pub trace: Vec<String>,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "invariant violated: {}", self.invariant)?;
-        writeln!(f, "trace ({} steps):", self.trace.len())?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:3}. {step}", i + 1)?;
-        }
-        write!(f, "state: {}", self.state)
-    }
-}
-
-impl std::error::Error for Violation {}
 
 /// A message in flight between a host and the directory.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -204,74 +172,6 @@ fn addr(line: usize) -> u64 {
     line as u64 * LINE_BYTES
 }
 
-impl State {
-    fn initial(cfg: &Config) -> State {
-        State {
-            hosts: vec![
-                Host {
-                    lines: vec![None; cfg.lines],
-                    outstanding: None,
-                    budget: cfg.ops_per_host,
-                };
-                cfg.hosts
-            ],
-            dir: Directory::new(),
-            h2d: vec![VecDeque::new(); cfg.hosts],
-            d2h: vec![VecDeque::new(); cfg.hosts],
-            deferred: vec![VecDeque::new(); cfg.lines],
-            latest: vec![0; cfg.lines],
-        }
-    }
-
-    fn key(&self) -> StateKey {
-        (
-            self.hosts.clone(),
-            self.dir.canonical(),
-            self.h2d.clone(),
-            self.d2h.clone(),
-            self.deferred.clone(),
-            self.latest.clone(),
-        )
-    }
-
-    /// Nothing in flight, nothing outstanding, nothing deferred.
-    fn quiescent(&self, cfg: &Config) -> bool {
-        self.h2d.iter().all(VecDeque::is_empty)
-            && self.d2h.iter().all(VecDeque::is_empty)
-            && self.hosts.iter().all(|h| h.outstanding.is_none())
-            && self.deferred.iter().all(VecDeque::is_empty)
-            && (0..cfg.lines).all(|l| !self.dir.is_busy(addr(l)))
-    }
-
-    fn dump(&self) -> String {
-        let mut s = String::new();
-        for (i, h) in self.hosts.iter().enumerate() {
-            s.push_str(&format!(
-                "\n  host {i}: lines={:?} outstanding={:?} budget={}",
-                h.lines, h.outstanding, h.budget
-            ));
-        }
-        s.push_str(&format!("\n  directory: {:?}", self.dir.canonical()));
-        s.push_str(&format!("\n  latest versions: {:?}", self.latest));
-        for (i, q) in self.h2d.iter().enumerate() {
-            if !q.is_empty() {
-                s.push_str(&format!("\n  h2d[{i}]: {q:?}"));
-            }
-        }
-        for (i, q) in self.d2h.iter().enumerate() {
-            if !q.is_empty() {
-                s.push_str(&format!("\n  d2h[{i}]: {q:?}"));
-            }
-        }
-        for (l, q) in self.deferred.iter().enumerate() {
-            if !q.is_empty() {
-                s.push_str(&format!("\n  deferred[line {l}]: {q:?}"));
-            }
-        }
-        s
-    }
-}
-
 /// One enabled transition out of a state.
 enum Step {
     /// Host starts a load/store on a line.
@@ -308,13 +208,46 @@ impl fmt::Display for Step {
     }
 }
 
-/// The checker: BFS over the induced transition system.
+/// The checker: the transition system [`explore`] searches.
 struct Checker<'a> {
     cfg: &'a Config,
 }
 
-impl Checker<'_> {
-    fn enabled(&self, s: &State) -> Vec<Step> {
+impl Model for Checker<'_> {
+    type State = State;
+    type Key = StateKey;
+    type Step = Step;
+
+    fn initial(&self) -> State {
+        State {
+            hosts: vec![
+                Host {
+                    lines: vec![None; self.cfg.lines],
+                    outstanding: None,
+                    budget: self.cfg.ops_per_host,
+                };
+                self.cfg.hosts
+            ],
+            dir: Directory::new(),
+            h2d: vec![VecDeque::new(); self.cfg.hosts],
+            d2h: vec![VecDeque::new(); self.cfg.hosts],
+            deferred: vec![VecDeque::new(); self.cfg.lines],
+            latest: vec![0; self.cfg.lines],
+        }
+    }
+
+    fn key(&self, s: &State) -> StateKey {
+        (
+            s.hosts.clone(),
+            s.dir.canonical(),
+            s.h2d.clone(),
+            s.d2h.clone(),
+            s.deferred.clone(),
+            s.latest.clone(),
+        )
+    }
+
+    fn steps(&self, s: &State) -> Vec<Step> {
         let mut steps = Vec::new();
         for (hi, h) in s.hosts.iter().enumerate() {
             if h.outstanding.is_none() && h.budget > 0 {
@@ -345,57 +278,7 @@ impl Checker<'_> {
         steps
     }
 
-    /// Issues a grant for a resolved request, honoring `LoseGrant`.
-    fn push_grant(&self, s: &mut State, to: usize, line: usize, grant: Grant) {
-        if self.cfg.mutation == Some(Mutation::LoseGrant) {
-            return;
-        }
-        let version = s.latest[line];
-        s.d2h[to].push_back(Msg::Grant {
-            line,
-            grant,
-            version,
-        });
-    }
-
-    /// Feeds one request into the real directory and routes the
-    /// resulting snoops/grant; `Busy` requests join the deferred
-    /// queue exactly as `DirectoryNode` defers them.
-    fn dir_request(&self, s: &mut State, host: usize, line: usize, write: bool) -> bool {
-        let outcome = if write {
-            s.dir.write(addr(line), nid(host))
-        } else {
-            s.dir.read(addr(line), nid(host))
-        };
-        match outcome {
-            DirOutcome::Ready(g) => {
-                self.push_grant(s, host, line, g);
-                false
-            }
-            DirOutcome::Wait(snoops) => {
-                for (node, kind) in snoops {
-                    s.d2h[host_of(node)].push_back(Msg::Snoop { line, kind });
-                }
-                true
-            }
-            DirOutcome::Busy => {
-                s.deferred[line].push_back((host, write));
-                false
-            }
-        }
-    }
-
-    /// Retries deferred requests for a line until one blocks again.
-    fn retry_deferred(&self, s: &mut State, line: usize) {
-        while let Some((host, write)) = s.deferred[line].pop_front() {
-            if self.dir_request(s, host, line, write) {
-                break;
-            }
-        }
-    }
-
-    /// Applies `step`, returning an in-step violation message if the
-    /// transition itself is ill-formed.
+    /// Applies `step`; `Err` means the transition itself is ill-formed.
     fn apply(&self, s: &mut State, step: &Step) -> Result<(), String> {
         match *step {
             Step::Access { host, line, write } => {
@@ -511,7 +394,7 @@ impl Checker<'_> {
     }
 
     /// Checks all state invariants; returns the failing one, if any.
-    fn check_state(&self, s: &State) -> Option<String> {
+    fn invariant(&self, s: &State) -> Option<String> {
         for line in 0..self.cfg.lines {
             let copies: Vec<_> = s
                 .hosts
@@ -547,7 +430,7 @@ impl Checker<'_> {
         }
         // 3b. In quiescent states the directory must agree exactly
         //     with the hosts.
-        if s.quiescent(self.cfg) {
+        if self.quiescent(s) {
             for line in 0..self.cfg.lines {
                 let holders: Vec<_> = s
                     .hosts
@@ -579,81 +462,99 @@ impl Checker<'_> {
         None
     }
 
-    fn violation(
-        &self,
-        invariant: String,
-        state: &State,
-        key: &StateKey,
-        parents: &HashMap<StateKey, (StateKey, String)>,
-    ) -> Box<Violation> {
-        let mut trace = Vec::new();
-        let mut cur = key.clone();
-        while let Some((prev, step)) = parents.get(&cur) {
-            trace.push(step.clone());
-            cur = prev.clone();
+    /// Nothing in flight, nothing outstanding, nothing deferred.
+    fn quiescent(&self, s: &State) -> bool {
+        s.h2d.iter().all(VecDeque::is_empty)
+            && s.d2h.iter().all(VecDeque::is_empty)
+            && s.hosts.iter().all(|h| h.outstanding.is_none())
+            && s.deferred.iter().all(VecDeque::is_empty)
+            && (0..self.cfg.lines).all(|l| !s.dir.is_busy(addr(l)))
+    }
+
+    fn dump(&self, s: &State) -> String {
+        let mut out = String::new();
+        for (i, h) in s.hosts.iter().enumerate() {
+            out.push_str(&format!(
+                "\n  host {i}: lines={:?} outstanding={:?} budget={}",
+                h.lines, h.outstanding, h.budget
+            ));
         }
-        trace.reverse();
-        Box::new(Violation {
-            invariant,
-            state: state.dump(),
-            trace,
-        })
+        out.push_str(&format!("\n  directory: {:?}", s.dir.canonical()));
+        out.push_str(&format!("\n  latest versions: {:?}", s.latest));
+        for (i, q) in s.h2d.iter().enumerate() {
+            if !q.is_empty() {
+                out.push_str(&format!("\n  h2d[{i}]: {q:?}"));
+            }
+        }
+        for (i, q) in s.d2h.iter().enumerate() {
+            if !q.is_empty() {
+                out.push_str(&format!("\n  d2h[{i}]: {q:?}"));
+            }
+        }
+        for (l, q) in s.deferred.iter().enumerate() {
+            if !q.is_empty() {
+                out.push_str(&format!("\n  deferred[line {l}]: {q:?}"));
+            }
+        }
+        out
+    }
+}
+
+impl Checker<'_> {
+    /// Issues a grant for a resolved request, honoring `LoseGrant`.
+    fn push_grant(&self, s: &mut State, to: usize, line: usize, grant: Grant) {
+        if self.cfg.mutation == Some(Mutation::LoseGrant) {
+            return;
+        }
+        let version = s.latest[line];
+        s.d2h[to].push_back(Msg::Grant {
+            line,
+            grant,
+            version,
+        });
+    }
+
+    /// Feeds one request into the real directory and routes the
+    /// resulting snoops/grant; `Busy` requests join the deferred
+    /// queue exactly as `DirectoryNode` defers them.
+    fn dir_request(&self, s: &mut State, host: usize, line: usize, write: bool) -> bool {
+        let outcome = if write {
+            s.dir.write(addr(line), nid(host))
+        } else {
+            s.dir.read(addr(line), nid(host))
+        };
+        match outcome {
+            DirOutcome::Ready(g) => {
+                self.push_grant(s, host, line, g);
+                false
+            }
+            DirOutcome::Wait(snoops) => {
+                for (node, kind) in snoops {
+                    s.d2h[host_of(node)].push_back(Msg::Snoop { line, kind });
+                }
+                true
+            }
+            DirOutcome::Busy => {
+                s.deferred[line].push_back((host, write));
+                false
+            }
+        }
+    }
+
+    /// Retries deferred requests for a line until one blocks again.
+    fn retry_deferred(&self, s: &mut State, line: usize) {
+        while let Some((host, write)) = s.deferred[line].pop_front() {
+            if self.dir_request(s, host, line, write) {
+                break;
+            }
+        }
     }
 }
 
 /// Exhaustively explores `cfg`, returning exploration statistics, or
-/// the first invariant violation found (with its shortest trace —
-/// BFS order guarantees minimal counterexamples).
+/// the first invariant violation found (with its shortest trace).
 pub fn check(cfg: &Config) -> Result<Report, Box<Violation>> {
-    let checker = Checker { cfg };
-    let initial = State::initial(cfg);
-    let initial_key = initial.key();
-    let mut parents: HashMap<StateKey, (StateKey, String)> = HashMap::new();
-    let mut seen: HashMap<StateKey, usize> = HashMap::new();
-    seen.insert(initial_key.clone(), 0);
-    let mut frontier = VecDeque::from([(initial, initial_key)]);
-    let mut transitions = 0u64;
-    let mut depth = 0usize;
-
-    while let Some((state, key)) = frontier.pop_front() {
-        let d = seen.get(&key).copied().unwrap_or(0);
-        depth = depth.max(d);
-        if let Some(inv) = checker.check_state(&state) {
-            return Err(checker.violation(inv, &state, &key, &parents));
-        }
-        let steps = checker.enabled(&state);
-        // 4. Deadlock freedom: a non-quiescent state must be able to
-        //    make progress.
-        if steps.is_empty() && !state.quiescent(cfg) {
-            return Err(checker.violation(
-                "deadlock: in-flight work but no enabled transition".into(),
-                &state,
-                &key,
-                &parents,
-            ));
-        }
-        for step in steps {
-            transitions += 1;
-            let mut next = state.clone();
-            if let Err(msg) = checker.apply(&mut next, &step) {
-                let mut v = checker.violation(msg, &next, &key, &parents);
-                v.trace.push(step.to_string());
-                return Err(v);
-            }
-            let next_key = next.key();
-            if !seen.contains_key(&next_key) {
-                seen.insert(next_key.clone(), d + 1);
-                parents.insert(next_key.clone(), (key.clone(), step.to_string()));
-                frontier.push_back((next, next_key));
-            }
-        }
-    }
-
-    Ok(Report {
-        states: seen.len(),
-        transitions,
-        depth,
-    })
+    explore(&Checker { cfg })
 }
 
 #[cfg(test)]

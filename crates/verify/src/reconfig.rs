@@ -30,16 +30,20 @@
 //! 2. **No post-detach delivery** — no flit completes its traversal
 //!    after [`UpdateStep::Detach`].
 //!
-//! A violation carries the complete transition trace from the initial
-//! state (BFS order makes it minimal). The naive plan variants
+//! [`explore`] also checks that a stepless state is quiescent: every
+//! flit delivered and the plan finished. A violation carries the
+//! complete transition trace from the initial state (breadth-first
+//! order makes it minimal). The naive plan variants
 //! ([`fcc_elastic::epoch::hot_add_naive`],
 //! [`fcc_elastic::epoch::hot_remove_naive`]) are the deliberate faults
 //! proving the checker catches both failure modes.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use fcc_elastic::epoch::{ReconfigPlan, UpdateStep};
+
+use crate::explore::{explore, Model};
+pub use crate::explore::{Report, Violation};
 
 /// Which lifecycle the plan performs, fixing the initial fabric state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,41 +74,6 @@ impl Config {
     }
 }
 
-/// Summary of a clean exhaustive run.
-#[derive(Debug, Clone, Copy)]
-pub struct Report {
-    /// Distinct reachable states.
-    pub states: usize,
-    /// Transitions executed.
-    pub transitions: u64,
-    /// Longest BFS depth.
-    pub depth: usize,
-}
-
-/// An invariant violation with its counterexample trace.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Which invariant failed.
-    pub invariant: String,
-    /// Dump of the violating state.
-    pub state: String,
-    /// Every transition from the initial state to the violation.
-    pub trace: Vec<String>,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "invariant violated: {}", self.invariant)?;
-        writeln!(f, "trace ({} steps):", self.trace.len())?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:3}. {step}", i + 1)?;
-        }
-        write!(f, "state: {}", self.state)
-    }
-}
-
-impl std::error::Error for Violation {}
-
 /// The abstract fabric state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct State {
@@ -123,38 +92,6 @@ struct State {
     injected: u8,
     /// Flits delivered so far.
     delivered: u8,
-}
-
-impl State {
-    fn initial(cfg: &Config, direction: Direction) -> State {
-        let (routed, exposed) = match direction {
-            Direction::Add => (false, false),
-            Direction::Remove => (true, true),
-        };
-        State {
-            pc: 0,
-            routes: vec![routed; cfg.switches],
-            exposed,
-            detached: false,
-            flits: Vec::new(),
-            injected: 0,
-            delivered: 0,
-        }
-    }
-
-    fn dump(&self) -> String {
-        format!(
-            "\n  pc={} routes={:?} exposed={} detached={}\
-             \n  flits at switches {:?}, injected {}, delivered {}",
-            self.pc,
-            self.routes,
-            self.exposed,
-            self.detached,
-            self.flits,
-            self.injected,
-            self.delivered
-        )
-    }
 }
 
 /// One enabled transition.
@@ -195,137 +132,142 @@ impl fmt::Display for Step {
     }
 }
 
-fn enabled(plan: &ReconfigPlan, cfg: &Config, s: &State) -> Vec<Step> {
-    let mut steps = Vec::new();
-    if let Some(&step) = plan.steps.get(s.pc) {
-        let blocked = matches!(
-            step,
-            UpdateStep::PruneRoute {
-                require_quiescent: true,
-                ..
-            }
-        ) && !s.flits.is_empty();
-        if !blocked {
-            steps.push(Step::Control(step));
-        }
-    }
-    if s.exposed && s.injected < cfg.max_flits {
-        steps.push(Step::Inject);
-    }
-    let mut seen_pos: Option<u8> = None;
-    for &at in &s.flits {
-        // Flits at the same switch are interchangeable; advance one.
-        if seen_pos != Some(at) {
-            steps.push(Step::Advance { at });
-            seen_pos = Some(at);
-        }
-    }
-    steps
+/// One plan checked against in-flight traffic: the transition system
+/// [`explore`] searches.
+struct Reconfig<'a> {
+    plan: &'a ReconfigPlan,
+    direction: Direction,
+    cfg: &'a Config,
 }
 
-/// Applies `step`; `Err` is an invariant violation message.
-fn apply(cfg: &Config, s: &mut State, step: Step) -> Result<(), String> {
-    match step {
-        Step::Control(c) => {
-            s.pc += 1;
-            match c {
-                UpdateStep::InstallRoute { switch } => s.routes[switch] = true,
-                UpdateStep::Announce => s.exposed = true,
-                UpdateStep::Retract => s.exposed = false,
-                UpdateStep::PruneRoute { switch, .. } => s.routes[switch] = false,
-                UpdateStep::Detach => s.detached = true,
-            }
+impl Model for Reconfig<'_> {
+    type State = State;
+    type Key = State;
+    type Step = Step;
+
+    fn initial(&self) -> State {
+        let (routed, exposed) = match self.direction {
+            Direction::Add => (false, false),
+            Direction::Remove => (true, true),
+        };
+        State {
+            pc: 0,
+            routes: vec![routed; self.cfg.switches],
+            exposed,
+            detached: false,
+            flits: Vec::new(),
+            injected: 0,
+            delivered: 0,
         }
-        Step::Inject => {
-            s.injected += 1;
-            s.flits.push(0);
-            s.flits.sort_unstable();
-        }
-        Step::Advance { at } => {
-            // Present by construction of `enabled`.
-            let i = match s.flits.iter().position(|&p| p == at) {
-                Some(i) => i,
-                None => return Err(format!("advance of absent flit at switch {at}")),
-            };
-            if !s.routes[at as usize] {
-                return Err(format!(
-                    "flit dropped: switch {at} has no route entry for the node"
-                ));
-            }
-            s.flits.remove(i);
-            if (at as usize) + 1 == cfg.switches {
-                if s.detached {
-                    return Err("flit delivered to a detached port".into());
+    }
+
+    fn key(&self, s: &State) -> State {
+        s.clone()
+    }
+
+    fn steps(&self, s: &State) -> Vec<Step> {
+        let mut steps = Vec::new();
+        if let Some(&step) = self.plan.steps.get(s.pc) {
+            let blocked = matches!(
+                step,
+                UpdateStep::PruneRoute {
+                    require_quiescent: true,
+                    ..
                 }
-                s.delivered += 1;
-            } else {
-                s.flits.push(at + 1);
+            ) && !s.flits.is_empty();
+            if !blocked {
+                steps.push(Step::Control(step));
+            }
+        }
+        if s.exposed && s.injected < self.cfg.max_flits {
+            steps.push(Step::Inject);
+        }
+        let mut seen_pos: Option<u8> = None;
+        for &at in &s.flits {
+            // Flits at the same switch are interchangeable; advance one.
+            if seen_pos != Some(at) {
+                steps.push(Step::Advance { at });
+                seen_pos = Some(at);
+            }
+        }
+        steps
+    }
+
+    /// Applies `step`; `Err` is an invariant violation message.
+    fn apply(&self, s: &mut State, step: &Step) -> Result<(), String> {
+        match *step {
+            Step::Control(c) => {
+                s.pc += 1;
+                match c {
+                    UpdateStep::InstallRoute { switch } => s.routes[switch] = true,
+                    UpdateStep::Announce => s.exposed = true,
+                    UpdateStep::Retract => s.exposed = false,
+                    UpdateStep::PruneRoute { switch, .. } => s.routes[switch] = false,
+                    UpdateStep::Detach => s.detached = true,
+                }
+            }
+            Step::Inject => {
+                s.injected += 1;
+                s.flits.push(0);
                 s.flits.sort_unstable();
             }
+            Step::Advance { at } => {
+                // Present by construction of `steps`.
+                let i = match s.flits.iter().position(|&p| p == at) {
+                    Some(i) => i,
+                    None => return Err(format!("advance of absent flit at switch {at}")),
+                };
+                if !s.routes[at as usize] {
+                    return Err(format!(
+                        "flit dropped: switch {at} has no route entry for the node"
+                    ));
+                }
+                s.flits.remove(i);
+                if (at as usize) + 1 == self.cfg.switches {
+                    if s.detached {
+                        return Err("flit delivered to a detached port".into());
+                    }
+                    s.delivered += 1;
+                } else {
+                    s.flits.push(at + 1);
+                    s.flits.sort_unstable();
+                }
+            }
         }
+        Ok(())
     }
-    Ok(())
-}
 
-fn violation(
-    invariant: String,
-    state: &State,
-    key: &State,
-    parents: &HashMap<State, (State, String)>,
-) -> Box<Violation> {
-    let mut trace = Vec::new();
-    let mut cur = key.clone();
-    while let Some((prev, step)) = parents.get(&cur) {
-        trace.push(step.clone());
-        cur = prev.clone();
+    /// Both invariants are checked by the step that would break them.
+    fn invariant(&self, _: &State) -> Option<String> {
+        None
     }
-    trace.reverse();
-    Box::new(Violation {
-        invariant,
-        state: state.dump(),
-        trace,
-    })
+
+    /// No flit in flight and the plan finished.
+    fn quiescent(&self, s: &State) -> bool {
+        s.flits.is_empty() && s.pc == self.plan.steps.len()
+    }
+
+    fn dump(&self, s: &State) -> String {
+        format!(
+            "\n  pc={} routes={:?} exposed={} detached={}\
+             \n  flits at switches {:?}, injected {}, delivered {}",
+            s.pc, s.routes, s.exposed, s.detached, s.flits, s.injected, s.delivered
+        )
+    }
 }
 
 /// Exhaustively checks `plan` against all traffic interleavings.
 /// Returns exploration statistics, or the first violation (with its
-/// shortest trace — BFS order guarantees minimal counterexamples).
+/// shortest trace).
 pub fn check(
     plan: &ReconfigPlan,
     direction: Direction,
     cfg: &Config,
 ) -> Result<Report, Box<Violation>> {
-    let initial = State::initial(cfg, direction);
-    let mut parents: HashMap<State, (State, String)> = HashMap::new();
-    let mut seen: HashMap<State, usize> = HashMap::new();
-    seen.insert(initial.clone(), 0);
-    let mut frontier = VecDeque::from([initial]);
-    let mut transitions = 0u64;
-    let mut depth = 0usize;
-
-    while let Some(state) = frontier.pop_front() {
-        let d = seen.get(&state).copied().unwrap_or(0);
-        depth = depth.max(d);
-        for step in enabled(plan, cfg, &state) {
-            transitions += 1;
-            let mut next = state.clone();
-            if let Err(msg) = apply(cfg, &mut next, step) {
-                let mut v = violation(msg, &next, &state, &parents);
-                v.trace.push(step.to_string());
-                return Err(v);
-            }
-            if !seen.contains_key(&next) {
-                seen.insert(next.clone(), d + 1);
-                parents.insert(next.clone(), (state.clone(), step.to_string()));
-                frontier.push_back(next);
-            }
-        }
-    }
-
-    Ok(Report {
-        states: seen.len(),
-        transitions,
-        depth,
+    explore(&Reconfig {
+        plan,
+        direction,
+        cfg,
     })
 }
 

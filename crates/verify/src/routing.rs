@@ -13,11 +13,11 @@
 //!    argument gives deadlock freedom for the whole fabric. The check
 //!    also proves every escape route terminates at its destination
 //!    through real neighbor links.
-//! 2. **Credit-ledger soundness.** An explicit-state exploration of the
-//!    real [`VcLink`] ledger coupled to an abstract peer lane buffer:
-//!    every interleaving of head/body/tail dispatches and credit returns
-//!    (to a bounded depth) must keep conservation exact — no negative
-//!    ledger, no credit minted past the cap, zero recorded violations.
+//! 2. **Credit-ledger soundness.** A [`Model`] of the real [`VcLink`]
+//!    ledger coupled to an abstract peer lane buffer, explored in full:
+//!    every interleaving of worm dispatches and credit returns must keep
+//!    conservation exact — no negative ledger, no credit minted past the
+//!    cap, zero recorded violations — and must never wedge a worm.
 //!
 //! The `check-routing` binary sweeps the standard configurations and
 //! writes a JSON verdict (with a counterexample cycle or operation trace
@@ -28,6 +28,8 @@ use std::fmt;
 
 use fcc_fabric::pods::{PodKind, PodPlan};
 use fcc_fabric::wormhole::{VcConfig, VcLink};
+
+use crate::explore::{explore, Model, Report, Violation};
 
 /// A directed channel: one direction of a switch-to-switch cable.
 pub type Channel = (usize, usize);
@@ -61,13 +63,8 @@ pub enum RoutingViolation {
         /// that induces it.
         witnesses: Vec<(usize, usize)>,
     },
-    /// The credit-ledger exploration hit a conservation violation.
-    CreditModel {
-        /// The operation trace reaching the bad state.
-        trace: Vec<String>,
-        /// What went wrong.
-        detail: String,
-    },
+    /// The credit-ledger exploration broke conservation or wedged.
+    CreditModel(Box<Violation>),
 }
 
 impl fmt::Display for RoutingViolation {
@@ -87,13 +84,7 @@ impl fmt::Display for RoutingViolation {
                 }
                 Ok(())
             }
-            RoutingViolation::CreditModel { trace, detail } => {
-                writeln!(f, "credit ledger violation: {detail}")?;
-                for op in trace {
-                    writeln!(f, "  {op}")?;
-                }
-                Ok(())
-            }
+            RoutingViolation::CreditModel(v) => writeln!(f, "credit ledger {v}"),
         }
     }
 }
@@ -122,10 +113,11 @@ impl RoutingViolation {
                 pairs(cycle),
                 pairs(witnesses)
             ),
-            RoutingViolation::CreditModel { trace, detail } => {
-                let ops: Vec<String> = trace.iter().map(|t| format!("\"{t}\"")).collect();
+            RoutingViolation::CreditModel(v) => {
+                let ops: Vec<String> = v.trace.iter().map(|t| format!("{t:?}")).collect();
                 format!(
-                    "{{\"kind\":\"credit_model\",\"detail\":\"{detail}\",\"trace\":[{}]}}",
+                    "{{\"kind\":\"credit_model\",\"invariant\":{:?},\"trace\":[{}]}}",
+                    v.invariant,
                     ops.join(",")
                 )
             }
@@ -272,18 +264,10 @@ pub fn check_escape_acyclic(plan: &PodPlan) -> Result<CdgStats, RoutingViolation
     }
 }
 
-/// Statistics from a clean credit-ledger exploration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LedgerStats {
-    /// Distinct states visited.
-    pub states: usize,
-    /// Transitions taken.
-    pub transitions: usize,
-}
-
 /// State of the ledger model: the real [`VcLink`] is re-derived from the
-/// abstract state on every step, so only the abstract part is hashed.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// abstract state in every explored state, so only the abstract part is
+/// hashed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct LedgerState {
     /// Per-lane flits in flight (sent, credit not yet returned).
     in_flight: Vec<u32>,
@@ -293,38 +277,102 @@ struct LedgerState {
     remaining: Vec<u32>,
 }
 
-/// Exhaustively explores every interleaving of worm dispatches and
-/// credit returns over the real [`VcLink`] ledger, to `depth` operations
-/// deep, asserting conservation after every step.
-pub fn check_credit_ledger(
+/// One ledger operation.
+enum LedgerStep {
+    /// Worm `worm` sends its next flit on `lane`.
+    Send { worm: u64, lane: usize },
+    /// The peer drains one flit from `lane`, returning its credit.
+    Return { lane: usize },
+}
+
+impl fmt::Display for LedgerStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LedgerStep::Send { worm, lane } => write!(f, "worm {worm} sends on lane {lane}"),
+            LedgerStep::Return { lane } => write!(f, "peer returns credit on lane {lane}"),
+        }
+    }
+}
+
+/// `worms` two-flit worms sharing the lanes of one [`VcLink`].
+struct Ledger {
     cfg: VcConfig,
     worms: u32,
-    depth: usize,
-) -> Result<LedgerStats, RoutingViolation> {
-    let lanes = usize::from(cfg.vcs.max(2));
-    let init = LedgerState {
-        in_flight: vec![0; lanes],
-        holder: vec![None; lanes],
-        remaining: vec![2; worms as usize],
-    };
-    let mut seen: BTreeSet<LedgerState> = BTreeSet::new();
-    let mut stats = LedgerStats::default();
-    // DFS over (state, trace depth). The trace is rebuilt on demand by
-    // carrying it alongside.
-    let mut stack: Vec<(LedgerState, Vec<String>)> = vec![(init.clone(), Vec::new())];
-    seen.insert(init);
-    while let Some((state, trace)) = stack.pop() {
-        stats.states += 1;
-        // Re-derive the real ledger from the abstract state and audit it:
-        // conservation must hold in *every* reachable state.
-        let mut link = VcLink::new(cfg);
-        for (v, (&fl, &h)) in state.in_flight.iter().zip(&state.holder).enumerate() {
+}
+
+impl Model for Ledger {
+    type State = LedgerState;
+    type Key = LedgerState;
+    type Step = LedgerStep;
+
+    fn initial(&self) -> LedgerState {
+        let lanes = usize::from(self.cfg.vcs.max(2));
+        LedgerState {
+            in_flight: vec![0; lanes],
+            holder: vec![None; lanes],
+            remaining: vec![2; self.worms as usize],
+        }
+    }
+
+    fn key(&self, s: &LedgerState) -> LedgerState {
+        s.clone()
+    }
+
+    fn steps(&self, s: &LedgerState) -> Vec<LedgerStep> {
+        let mut steps = Vec::new();
+        // Dispatch moves: a worm that holds a lane sends only on it, as
+        // `FabricSwitch::vc_gate` sends a worm's later flits on
+        // `worm.lane`; a worm that holds none takes any free lane.
+        for (w, &rem) in s.remaining.iter().enumerate() {
+            if rem == 0 {
+                continue;
+            }
+            let worm = w as u64 + 1;
+            let held = s.holder.iter().position(|&h| h == Some(worm));
+            for (lane, &h) in s.holder.iter().enumerate() {
+                let fits = s.in_flight[lane] < self.cfg.buf_flits;
+                let mine = held.map_or(h.is_none(), |l| l == lane);
+                // Lane 0 stands in for the escape VC: only worm 1's route
+                // is "primary" in this abstract model.
+                let escape_ok = lane > 0 || worm == 1;
+                if fits && mine && escape_ok {
+                    steps.push(LedgerStep::Send { worm, lane });
+                }
+            }
+        }
+        // Credit returns: the peer drains one flit from any lane.
+        for (lane, &fl) in s.in_flight.iter().enumerate() {
+            if fl > 0 {
+                steps.push(LedgerStep::Return { lane });
+            }
+        }
+        steps
+    }
+
+    fn apply(&self, s: &mut LedgerState, step: &LedgerStep) -> Result<(), String> {
+        match *step {
+            LedgerStep::Send { worm, lane } => {
+                let w = (worm - 1) as usize;
+                s.in_flight[lane] += 1;
+                s.remaining[w] -= 1;
+                s.holder[lane] = (s.remaining[w] > 0).then_some(worm);
+            }
+            LedgerStep::Return { lane } => s.in_flight[lane] -= 1,
+        }
+        Ok(())
+    }
+
+    /// Re-derives the real ledger from the abstract state and audits it:
+    /// conservation must hold in *every* reachable state.
+    fn invariant(&self, s: &LedgerState) -> Option<String> {
+        let mut link = VcLink::new(self.cfg);
+        for (v, (&fl, &h)) in s.in_flight.iter().zip(&s.holder).enumerate() {
             for _ in 0..fl {
                 if !link.can_send(v as u8) {
-                    return Err(RoutingViolation::CreditModel {
-                        trace,
-                        detail: format!("lane {v} oversubscribed: {fl} > cap {}", cfg.buf_flits),
-                    });
+                    return Some(format!(
+                        "lane {v} oversubscribed: {fl} > cap {}",
+                        self.cfg.buf_flits
+                    ));
                 }
                 link.consume(v as u8, h.unwrap_or(0));
             }
@@ -333,71 +381,40 @@ pub fn check_credit_ledger(
             }
         }
         if link.violations > 0 {
-            return Err(RoutingViolation::CreditModel {
-                trace,
-                detail: format!("{} violations replaying state {state:?}", link.violations),
-            });
+            return Some(format!(
+                "{} violations replaying state {s:?}",
+                link.violations
+            ));
         }
         let conserved = link
             .lanes
             .iter()
             .enumerate()
-            .all(|(v, l)| l.credits + state.in_flight[v] == l.cap);
-        if !conserved {
-            return Err(RoutingViolation::CreditModel {
-                trace,
-                detail: format!("credits + in_flight != cap in {state:?}"),
-            });
-        }
-        if trace.len() >= depth {
-            continue;
-        }
-        let mut push = |next: LedgerState, op: String, stack: &mut Vec<_>| {
-            stats.transitions += 1;
-            if seen.insert(next.clone()) {
-                let mut t = trace.clone();
-                t.push(op);
-                stack.push((next, t));
-            }
-        };
-        // Dispatch moves: each live worm may send its next flit on any
-        // lane the real allocator would grant it.
-        for (w, &rem) in state.remaining.iter().enumerate() {
-            if rem == 0 {
-                continue;
-            }
-            let worm = w as u64 + 1;
-            for (v, &h) in state.holder.iter().enumerate() {
-                let fits = state.in_flight[v] < cfg.buf_flits;
-                let mine = h.is_none() || h == Some(worm);
-                // Lane 0 stands in for the escape VC: only worm 1's route
-                // is "primary" in this abstract model.
-                let escape_ok = v > 0 || worm == 1;
-                if !(fits && mine && escape_ok) {
-                    continue;
-                }
-                let mut next = state.clone();
-                next.in_flight[v] += 1;
-                next.remaining[w] -= 1;
-                next.holder[v] = if next.remaining[w] == 0 {
-                    None
-                } else {
-                    Some(worm)
-                };
-                push(next, format!("worm {worm} sends on lane {v}"), &mut stack);
-            }
-        }
-        // Credit returns: the peer drains one flit from any lane.
-        for v in 0..lanes {
-            if state.in_flight[v] == 0 {
-                continue;
-            }
-            let mut next = state.clone();
-            next.in_flight[v] -= 1;
-            push(next, format!("peer returns credit on lane {v}"), &mut stack);
-        }
+            .all(|(v, l)| l.credits + s.in_flight[v] == l.cap);
+        (!conserved).then(|| format!("credits + in_flight != cap in {s:?}"))
     }
-    Ok(stats)
+
+    /// Nothing in flight, nothing left to send, no lane held.
+    fn quiescent(&self, s: &LedgerState) -> bool {
+        s.in_flight.iter().all(|&f| f == 0)
+            && s.remaining.iter().all(|&r| r == 0)
+            && s.holder.iter().all(Option::is_none)
+    }
+
+    fn dump(&self, s: &LedgerState) -> String {
+        format!(
+            "in_flight {:?}, holder {:?}, remaining {:?}",
+            s.in_flight, s.holder, s.remaining
+        )
+    }
+}
+
+/// Explores every interleaving of worm dispatches and credit returns
+/// over the real [`VcLink`] ledger, `worms` two-flit worms on
+/// `cfg.vcs` lanes, asserting conservation in every state and that
+/// every worm can always finish.
+pub fn check_credit_ledger(cfg: VcConfig, worms: u32) -> Result<Report, RoutingViolation> {
+    explore(&Ledger { cfg, worms }).map_err(RoutingViolation::CreditModel)
 }
 
 /// The small-K plan sweep the `check-routing` binary proves acyclic:
@@ -460,16 +477,12 @@ mod tests {
 
     #[test]
     fn credit_model_is_conservation_clean() {
-        let stats = check_credit_ledger(
-            VcConfig {
-                vcs: 2,
-                buf_flits: 2,
-            },
-            2,
-            8,
-        )
-        .expect("ledger clean");
-        assert!(stats.states > 50, "nontrivial exploration: {stats:?}");
+        // Exact counts are pinned in tests/exploration.rs.
+        let config = VcConfig {
+            vcs: 2,
+            buf_flits: 2,
+        };
+        check_credit_ledger(config, 2).expect("ledger clean, no worm wedged");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Workspace quality gate: formatting, lints, tests, and the coherence
-# and reconfiguration model checks. CI runs exactly this script; run it
-# locally before pushing.
+# Workspace quality gate: formatting, lints, tests, the four model
+# checks (coherence, reconfiguration, scheduler isolation, routing) and
+# the scenario and perfbench smokes. CI runs exactly this script; run
+# it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
