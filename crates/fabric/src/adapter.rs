@@ -385,7 +385,9 @@ impl Fha {
                 ctx.send(handler, SimTime::ZERO, SnoopMsg { txn });
                 return;
             }
-            FlitPayload::Transaction(txn) => self.reassembly.header(self.port.phys.flit_mode, txn),
+            FlitPayload::Transaction(txn) => {
+                self.reassembly.header(self.port.phys().flit_mode, txn)
+            }
             FlitPayload::Data { txn_id, .. } => self.reassembly.slot(txn_id),
             _ => None,
         };
@@ -621,7 +623,7 @@ impl Fea {
         match payload {
             FlitPayload::Transaction(txn) => {
                 // The request's credit is held until device admission.
-                if let Some(txn) = self.reassembly.header(self.port.phys.flit_mode, txn) {
+                if let Some(txn) = self.reassembly.header(self.port.phys().flit_mode, txn) {
                     self.try_admit(ctx, txn);
                 }
             }
@@ -882,7 +884,7 @@ mod tests {
                 return;
             };
             let rsp = req.response(TransactionKind::Mem(MemOpcode::MemData), req.bytes);
-            for slot in 0..data_slots(self.port.phys.flit_mode, &rsp) {
+            for slot in 0..data_slots(self.port.phys().flit_mode, &rsp) {
                 let data = FlitPayload::Data {
                     txn_id: rsp.id,
                     slot: slot as u32,

@@ -63,8 +63,9 @@ pub enum PortEvent {
 
 /// One endpoint of a full-duplex Flex Bus link.
 pub struct LinkPort {
-    /// Physical-layer configuration of the wire.
-    pub phys: PhysConfig,
+    phys: PhysConfig,
+    /// `phys.flit_serialization()`, computed once: every flit pays it.
+    flit_time: SimTime,
     /// Link-layer state machine.
     pub link: LinkLayer,
     peer: Option<ComponentId>,
@@ -84,6 +85,7 @@ impl LinkPort {
     pub fn new(phys: PhysConfig, credit: CreditConfig) -> Self {
         LinkPort {
             phys,
+            flit_time: phys.flit_serialization(),
             link: LinkLayer::symmetric(phys.flit_mode, credit),
             peer: None,
             wire_free_at: SimTime::ZERO,
@@ -93,6 +95,11 @@ impl LinkPort {
             tx_flits: Counter::new(),
             rx_flits: Counter::new(),
         }
+    }
+
+    /// Physical-layer configuration of the wire.
+    pub fn phys(&self) -> &PhysConfig {
+        &self.phys
     }
 
     /// Binds the port to its peer component.
@@ -211,9 +218,8 @@ impl LinkPort {
         {
             flit.corrupt();
         }
-        let serialize = self.phys.flit_serialization();
         let depart = self.wire_free_at.max(ctx.now());
-        self.wire_free_at = depart + serialize;
+        self.wire_free_at = depart + self.flit_time;
         let arrive = self.wire_free_at + self.phys.propagation;
         self.tx_flits.inc();
         // Only transaction-carrying flits get serialize spans: ack and
@@ -696,9 +702,9 @@ mod tests {
             };
             self.port.release(ctx, payload.msg_class());
             let whole = match &payload {
-                FlitPayload::Transaction(t) => {
-                    self.reassembly.header(self.port.phys.flit_mode, t.clone())
-                }
+                FlitPayload::Transaction(t) => self
+                    .reassembly
+                    .header(self.port.phys().flit_mode, t.clone()),
                 FlitPayload::Data { txn_id, .. } => self.reassembly.slot(*txn_id),
                 _ => None,
             };

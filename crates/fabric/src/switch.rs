@@ -30,7 +30,7 @@
 
 use std::cmp::Reverse;
 use std::collections::btree_map::Entry as MapEntry;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -300,7 +300,9 @@ struct PortWaiters {
 pub struct FabricSwitch {
     cfg: SwitchConfig,
     ports: Vec<LinkPort>,
-    peer_to_port: HashMap<ComponentId, usize>,
+    /// Input port of each connected peer, sorted by peer: a flit's input
+    /// port is a binary search over at most radix entries.
+    peer_to_port: Vec<(ComponentId, usize)>,
     /// Routing table (public so topology builders can pre-install routes).
     pub routing: RoutingTable,
     /// Ingress queues[input][lane]. FIFO: the input's one queue in lane
@@ -368,7 +370,7 @@ impl FabricSwitch {
         FabricSwitch {
             cfg,
             ports: Vec::new(),
-            peer_to_port: HashMap::new(),
+            peer_to_port: Vec::new(),
             routing: RoutingTable::new(crate::routing::DomainId(0)),
             vcq: Vec::new(),
             vc_links: Vec::new(),
@@ -475,7 +477,16 @@ impl FabricSwitch {
     /// Panics if the port index is out of range.
     pub fn connect(&mut self, port: usize, peer: ComponentId) {
         self.ports[port].connect(peer);
-        self.peer_to_port.insert(peer, port);
+        match self.peer_slot(peer) {
+            Ok(i) => self.peer_to_port[i].1 = port,
+            Err(i) => self.peer_to_port.insert(i, (peer, port)),
+        }
+    }
+
+    /// Where `peer` sits in `peer_to_port`: `Ok` at its entry, `Err`
+    /// where it would be inserted.
+    fn peer_slot(&self, peer: ComponentId) -> Result<usize, usize> {
+        self.peer_to_port.binary_search_by_key(&peer, |&(p, _)| p)
     }
 
     /// Number of ports.
@@ -532,7 +543,9 @@ impl FabricSwitch {
         for state in self.ramp.iter_mut().flatten() {
             state.release_input(port);
         }
-        self.peer_to_port.remove(&peer);
+        if let Ok(i) = self.peer_slot(peer) {
+            self.peer_to_port.remove(i);
+        }
         Ok(peer)
     }
 
@@ -725,7 +738,7 @@ impl FabricSwitch {
         };
         let out = self.pick_output(dst, now).ok_or(Refusal::Unroutable)?;
         // Only a worm with data slots is indexed (see `worm_of`).
-        let slots = fcc_proto::flit::data_slots(self.ports[in_port].phys.flit_mode, t);
+        let slots = fcc_proto::flit::data_slots(self.ports[in_port].phys().flit_mode, t);
         let index = match (slots > 0).then(|| self.worm_of.entry(t.id)) {
             Some(MapEntry::Occupied(_)) => return Err(Refusal::DuplicateId),
             Some(MapEntry::Vacant(e)) => Some(e),
@@ -1312,9 +1325,10 @@ impl Component for FabricSwitch {
             Ok(fm) => {
                 // Flits arrive only from a wired peer; a flit without a
                 // source or from an unconnected one has no input port.
-                let Some(&port) = src.and_then(|src| self.peer_to_port.get(&src)) else {
+                let Some(i) = src.and_then(|src| self.peer_slot(src).ok()) else {
                     return ctx.reject("flit from an unconnected component");
                 };
+                let port = self.peer_to_port[i].1;
                 self.on_flit(ctx, port, fm);
                 return;
             }
@@ -2163,6 +2177,33 @@ mod tests {
                 let free: Option<Vec<Option<u64>>> = wormhole.then(|| vec![None, None]);
                 assert_eq!(holders, free, "wormhole {wormhole}");
             }
+        }
+
+        #[test]
+        fn flits_from_a_detached_peer_are_rejected() {
+            let mut rig = Rig::fifo(3, 1, CreditConfig::default(), false);
+            for input in 0..3 {
+                rig.send(0.0, input, reads(10 * input as u64, DST, 1), None);
+            }
+            rig.engine.run_until_idle();
+            assert_eq!(rig.delivered(0), 3);
+            // Detaching the middle input leaves its neighbours' peers
+            // resolvable; its own peer no longer names an input port.
+            let gone = rig.inputs[1];
+            assert_eq!(rig.switch_mut().detach_port(1), Ok(gone));
+            rig.send(1.0, 1, reads(100, DST, 2), None);
+            rig.send(1.0, 0, reads(200, DST, 1), None);
+            rig.send(1.0, 2, reads(300, DST, 1), None);
+            rig.engine.run_until_idle();
+            assert_eq!(rig.delivered(0), 5);
+            let rejections: Vec<_> = rig.engine.rejections().collect();
+            assert_eq!(
+                rejections,
+                [(
+                    "sw",
+                    "rejected 2 message(s): flit from an unconnected component".to_string()
+                )]
+            );
         }
 
         /// The FIFO and wormhole rigs the admission-drop tests run on.

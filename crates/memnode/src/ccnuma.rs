@@ -221,7 +221,7 @@ impl DirectoryNode {
         self.port.release(ctx, class);
         match payload {
             FlitPayload::Transaction(txn) => {
-                if let Some(txn) = self.reassembly.header(self.port.phys.flit_mode, txn) {
+                if let Some(txn) = self.reassembly.header(self.port.phys().flit_mode, txn) {
                     self.handle_request(ctx, txn);
                 }
             }

@@ -3,9 +3,13 @@
 //!
 //! The histogram stores counts in buckets whose width grows with magnitude:
 //! each power-of-two range is split into `1 << sub_bits` linear sub-buckets,
-//! giving a worst-case relative quantile error of `2^-sub_bits`. This keeps
-//! memory constant regardless of sample count, which matters because the
-//! fabric experiments record hundreds of millions of latency samples.
+//! giving a worst-case relative quantile error of `2^-sub_bits`. Memory does
+//! not grow with sample count, which matters because the fabric experiments
+//! record hundreds of millions of latency samples; it grows only with the
+//! tiers a histogram touches. Each power-of-two tier is a 512 B row of 64
+//! counters, allocated when the first value lands in it, so the hundreds
+//! of per-component histograms of a pod hold a few rows each, at the same
+//! resolution as if every tier were allocated.
 
 use serde::{Deserialize, Serialize};
 
@@ -117,9 +121,17 @@ const SUB_BITS: u32 = 6;
 const SUBS: usize = 1 << SUB_BITS;
 
 /// A log-linear histogram of `u64` values (typically picoseconds).
+///
+/// Counts are stored one row of 64 sub-buckets (512 B) per
+/// power-of-two tier, and a row is allocated the first time a value lands
+/// in its tier: an empty histogram holds no rows, and a latency
+/// distribution, which spans a few tiers, holds a few. Bucket boundaries
+/// and resolution do not depend on which rows exist.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Histogram {
-    buckets: Vec<u64>,
+    /// `rows[tier]` holds the tier's sub-bucket counts, `None` until a
+    /// value lands there; the vector reaches only the highest tier touched.
+    rows: Vec<Option<Box<[u64]>>>,
     count: u64,
     sum: u128,
     min: u64,
@@ -133,11 +145,11 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram; it allocates nothing until a value is
+    /// recorded.
     pub fn new() -> Self {
         Histogram {
-            // 64 powers of two × SUBS sub-buckets covers the full u64 range.
-            buckets: vec![0; 64 * SUBS],
+            rows: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -165,10 +177,18 @@ impl Histogram {
         }
     }
 
+    /// The row of `tier`, allocated zeroed on first use.
+    fn row_mut(&mut self, tier: usize) -> &mut [u64] {
+        if tier >= self.rows.len() {
+            self.rows.resize_with(tier + 1, || None);
+        }
+        self.rows[tier].get_or_insert_with(|| vec![0; SUBS].into_boxed_slice())
+    }
+
     /// Records a value.
     pub fn record(&mut self, value: u64) {
         let idx = Self::bucket_index(value);
-        self.buckets[idx] += 1;
+        self.row_mut(idx / SUBS)[idx % SUBS] += 1;
         self.count += 1;
         self.sum += value as u128;
         if value < self.min {
@@ -230,10 +250,15 @@ impl Histogram {
         }
         let target = (q * self.count as f64).floor() as u64;
         let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen > target {
-                return Self::bucket_lower_bound(i).max(self.min).min(self.max);
+        for (tier, row) in self.rows.iter().enumerate() {
+            let Some(row) = row else { continue };
+            for (sub, &c) in row.iter().enumerate() {
+                seen += c;
+                if seen > target {
+                    return Self::bucket_lower_bound(tier * SUBS + sub)
+                        .max(self.min)
+                        .min(self.max);
+                }
             }
         }
         self.max
@@ -241,8 +266,11 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        for (tier, theirs) in other.rows.iter().enumerate() {
+            let Some(theirs) = theirs else { continue };
+            for (a, b) in self.row_mut(tier).iter_mut().zip(theirs.iter()) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -342,6 +370,168 @@ mod tests {
 
     use super::*;
 
+    /// The seed histogram, kept as the oracle for the tiered one: all 64
+    /// tiers of 64 sub-buckets allocated up front in one flat vector.
+    struct DenseHistogram {
+        buckets: Vec<u64>,
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+    }
+
+    impl DenseHistogram {
+        fn new() -> Self {
+            DenseHistogram {
+                buckets: vec![0; 64 * SUBS],
+                count: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+            }
+        }
+
+        fn record(&mut self, value: u64) {
+            self.buckets[Histogram::bucket_index(value)] += 1;
+            self.count += 1;
+            self.sum += value as u128;
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+
+        fn merge(&mut self, other: &DenseHistogram) {
+            for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+                *a += b;
+            }
+            self.count += other.count;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+
+        fn mean(&self) -> f64 {
+            if self.count == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.count as f64
+            }
+        }
+
+        fn min(&self) -> u64 {
+            if self.count == 0 {
+                0
+            } else {
+                self.min
+            }
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            if q >= 1.0 {
+                return self.max;
+            }
+            let target = (q * self.count as f64).floor() as u64;
+            let mut seen = 0u64;
+            for (i, &c) in self.buckets.iter().enumerate() {
+                seen += c;
+                if seen > target {
+                    return Histogram::bucket_lower_bound(i).max(self.min).min(self.max);
+                }
+            }
+            self.max
+        }
+
+        fn summary(&self) -> Summary {
+            Summary {
+                count: self.count,
+                mean: self.mean(),
+                min: self.min(),
+                p50: self.quantile(0.50),
+                p90: self.quantile(0.90),
+                p99: self.quantile(0.99),
+                p999: self.quantile(0.999),
+                max: self.max,
+            }
+        }
+    }
+
+    /// One step of the oracle test, applied to histogram `a` or `b` and
+    /// to its dense twin.
+    #[derive(Debug, Clone)]
+    enum HistOp {
+        Record {
+            into_b: bool,
+            value: u64,
+        },
+        /// Merge the other side into this one (`into_b`: b absorbs a).
+        Merge {
+            into_b: bool,
+        },
+    }
+
+    /// Draws [`HistOp`]s: merges in both directions, and records whose
+    /// value is exact-tier (`0..64`), a tier edge `2^k - 1`, `2^k` or
+    /// `2^k + 1`, `u64::MAX`, or a picosecond latency of 1 ns to 10 ms.
+    struct HistOps;
+
+    impl Strategy for HistOps {
+        type Value = HistOp;
+
+        fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> HistOp {
+            let into_b = rng.below(2) == 1;
+            let value = match rng.below(12) {
+                0..=1 => return HistOp::Merge { into_b },
+                2..=3 => rng.below(64),
+                4..=6 => {
+                    let edge = 1u64 << rng.below(64);
+                    match rng.below(3) {
+                        0 => edge - 1,
+                        1 => edge,
+                        _ => edge + 1,
+                    }
+                }
+                7 => u64::MAX,
+                _ => 1_000 + rng.below(10_000_000_000),
+            };
+            HistOp::Record { into_b, value }
+        }
+    }
+
+    /// Fails unless `h` reads exactly as its dense twin `d` on every
+    /// public read, at the fixed quantiles and at each of `qs`.
+    fn same_reads(h: &Histogram, d: &DenseHistogram, qs: &[f64]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(h.count(), d.count);
+        prop_assert_eq!(h.mean().to_bits(), d.mean().to_bits());
+        prop_assert_eq!(h.min(), d.min());
+        prop_assert_eq!(h.max(), d.max);
+        prop_assert_eq!(h.summary(), d.summary());
+        for &q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0].iter().chain(qs) {
+            prop_assert_eq!(h.quantile(q), d.quantile(q), "quantile {}", q);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn rows_are_allocated_per_tier_touched() {
+        let rows = |h: &Histogram| h.rows.iter().flatten().count();
+        let mut h = Histogram::new();
+        assert_eq!(rows(&h), 0);
+        assert_eq!(h.rows.capacity(), 0, "a new histogram allocates nothing");
+        // Tiers 0, 1, 14 (2^19 <= 10^6 < 2^20) and 58 (the top tier),
+        // two values each.
+        for v in [0, 63, 64, 127, 1_000_000, 1_000_001, u64::MAX - 1, u64::MAX] {
+            h.record(v);
+        }
+        assert_eq!(rows(&h), 4);
+        let mut m = Histogram::new();
+        m.merge(&Histogram::new());
+        assert_eq!(rows(&m), 0);
+        m.merge(&h);
+        assert_eq!(rows(&m), 4);
+    }
+
     #[test]
     fn counter_accumulates() {
         let mut c = Counter::new();
@@ -429,6 +619,40 @@ mod tests {
     }
 
     proptest! {
+        /// The tiered histogram matches its dense oracle on every public
+        /// read after any sequence of records and merges in either
+        /// direction, empty sides included.
+        #[test]
+        fn matches_dense_oracle(
+            ops in prop::collection::vec(HistOps, 0..80),
+            qs in prop::collection::vec(0.0f64..1.0, 0..8),
+        ) {
+            let (mut a, mut b) = (Histogram::new(), Histogram::new());
+            let (mut da, mut db) = (DenseHistogram::new(), DenseHistogram::new());
+            for op in &ops {
+                match *op {
+                    HistOp::Record { into_b: false, value } => {
+                        a.record(value);
+                        da.record(value);
+                    }
+                    HistOp::Record { into_b: true, value } => {
+                        b.record(value);
+                        db.record(value);
+                    }
+                    HistOp::Merge { into_b: false } => {
+                        a.merge(&b);
+                        da.merge(&db);
+                    }
+                    HistOp::Merge { into_b: true } => {
+                        b.merge(&a);
+                        db.merge(&da);
+                    }
+                }
+            }
+            same_reads(&a, &da, &qs)?;
+            same_reads(&b, &db, &qs)?;
+        }
+
         #[test]
         fn bucket_index_is_monotonic(a in 0u64..u64::MAX / 2, b in 0u64..u64::MAX / 2) {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };

@@ -9,7 +9,8 @@
 //!
 //! `--report <path>` additionally writes a JSON verdict — including the
 //! counterexample cycle or operation trace on failure — for the CI
-//! artifact.
+//! artifact. Any other argument is a usage error: exit 2 before any
+//! check runs.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -93,20 +94,18 @@ fn report_json(out: &Outcome) -> String {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut report: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--report" => report = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (usage: check-routing [--report <path>])");
-                return ExitCode::FAILURE;
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let report = match args.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--report" => Some(path),
+        _ => {
+            eprintln!("usage: check-routing [--report <path>]");
+            return ExitCode::from(2);
         }
-    }
+    };
     let out = run();
     if let Some(path) = report {
-        if let Err(e) = std::fs::write(&path, report_json(&out) + "\n") {
+        if let Err(e) = std::fs::write(path, report_json(&out) + "\n") {
             eprintln!("cannot write report {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -6,6 +6,7 @@
 //! guaranteed floor service under saturating hogs, and work conservation
 //! (see [`fcc_verify::sched`]). Exits 0 when all invariants hold; on a
 //! violation, prints the counterexample demand schedule and exits 1.
+//! It takes no arguments; any argument exits 2 before any check runs.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -33,6 +34,10 @@ fn run(label: &str, cfg: &Config) -> bool {
 }
 
 fn main() -> ExitCode {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: check-sched (takes no arguments)");
+        return ExitCode::from(2);
+    }
     let mut ok = true;
     ok &= run(
         "hog vs floor-holding victim, 2 tenants x 4 windows",

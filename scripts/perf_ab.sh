@@ -13,8 +13,8 @@
 # Fails (exit 1) if either side reports incorrect outputs, failed ops, or
 # outputs_match 0: both sides check their outputs against the same
 # references, so passing sides produced identical outputs. Prints each
-# pair's wall_s as it goes, then each side's median and quartiles per
-# end-to-end metric, the
+# pair's end-to-end metrics (parent/change) as it goes, then each side's
+# median and quartiles per end-to-end metric, the
 # pairs the change won, and the verdict of the rule for claiming a gain:
 # at least nine tenths of the pairs won, and a median gap larger than the
 # parent's interquartile range. Exit 2 on misuse.
@@ -60,9 +60,16 @@ run() {
 }
 
 echo "perf_ab: $workload, $pairs pair(s) of ${seconds} s, parent $rev vs working tree"
-wall() {
-    tail -n 1 "$work/$1.jsonl" | python3 -c \
-        'import json, sys; print(json.load(sys.stdin)["metrics"]["wall_s"]["value"])'
+# pair_line: every end-to-end metric of the latest pair, parent/change.
+pair_line() {
+    python3 - "$work/base.jsonl" "$work/new.jsonl" BENCHMARK.json <<'PY'
+import json
+import sys
+
+base, new = (json.loads(open(path).readlines()[-1])["metrics"] for path in sys.argv[1:3])
+names = [m["name"] for m in json.load(open(sys.argv[3]))["end_to_end"]]
+print(", ".join(f"{n} {base[n]['value']:.4g}/{new[n]['value']:.4g}" for n in names))
+PY
 }
 for k in $(seq 1 "$pairs"); do
     seed=$((first + k - 1))
@@ -71,7 +78,7 @@ for k in $(seq 1 "$pairs"); do
     for side in $order; do
         run "$side" "$seed"
     done
-    echo "  pair $k (seed $seed, $order): wall_s parent $(wall base), change $(wall new)"
+    echo "  pair $k (seed $seed, $order; parent/change): $(pair_line)"
 done
 
 python3 - "$work/base.jsonl" "$work/new.jsonl" BENCHMARK.json <<'EOF'
