@@ -10,6 +10,7 @@
 //! a device implementing [`Endpoint`].
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use fcc_proto::addr::{AddrMap, Decoded, NodeId};
 use fcc_proto::channel::{MemOpcode, MsgClass, Transaction, TransactionKind};
@@ -185,7 +186,9 @@ fn size_label(bytes: u32) -> String {
 pub struct Fha {
     node: NodeId,
     port: LinkPort,
-    addr_map: AddrMap,
+    /// Shared with the other hosts built over the same map until this
+    /// host's own [`Fha::add_mapping`] copies it.
+    addr_map: Arc<AddrMap>,
     max_outstanding: usize,
     next_txn: u64,
     outstanding: BTreeMap<u64, PendingReq>,
@@ -209,18 +212,19 @@ impl Fha {
     /// `max_outstanding` models the depth of the core's load/store window
     /// toward the fabric: "the throughput of a memory fabric that a core
     /// can drive depends on its channel bandwidth capacity and the depth of
-    /// the CPU pipeline" (§3 D#1).
+    /// the CPU pipeline" (§3 D#1). `addr_map` is an owned map or a
+    /// snapshot shared with other hosts.
     pub fn new(
         node: NodeId,
         phys: PhysConfig,
         credit: CreditConfig,
-        addr_map: AddrMap,
+        addr_map: impl Into<Arc<AddrMap>>,
         max_outstanding: usize,
     ) -> Self {
         Fha {
             node,
             port: LinkPort::new(phys, credit),
-            addr_map,
+            addr_map: addr_map.into(),
             max_outstanding: max_outstanding.max(1),
             next_txn: 0,
             outstanding: BTreeMap::new(),
@@ -260,6 +264,12 @@ impl Fha {
         &mut self.port
     }
 
+    /// The address map this host decodes requests with.
+    #[cfg(test)]
+    pub(crate) fn addr_map(&self) -> &AddrMap {
+        &self.addr_map
+    }
+
     /// Attaches a telemetry track; the adapter then emits window-wait and
     /// end-to-end RTT spans (`rtt-<op><size>`) keyed by transaction id.
     pub fn set_trace(&mut self, track: Track) {
@@ -268,12 +278,13 @@ impl Fha {
 
     /// Extends the adapter's decode window: `range` now reaches `node`.
     /// Idempotent — re-announcing an already-decoded range (a re-added
-    /// node reusing its old window) is a no-op.
+    /// node reusing its old window) is a no-op. A map shared with other
+    /// hosts is copied first, so they keep decoding as before.
     pub fn add_mapping(&mut self, range: fcc_proto::addr::AddrRange, node: NodeId) {
         if self.addr_map.decode(range.base).is_some() {
             return;
         }
-        self.addr_map.add_direct(range, node);
+        Arc::make_mut(&mut self.addr_map).add_direct(range, node);
     }
 
     /// Requests currently in flight.

@@ -41,7 +41,7 @@
 //! gateway cable, so a K-domain pod runs byte-identically on 1..=K
 //! worker threads (scenario E14).
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fcc_proto::addr::NodeId;
 use fcc_proto::link::CreditConfig;
@@ -588,7 +588,8 @@ impl Engines<'_> {
 /// 2. switches, in id order;
 /// 3. links, in plan order, port `a` before port `b`;
 /// 4. per edge switch, its hosts (created and attached), then its devices;
-/// 5. transit routes, escape candidate first.
+/// 5. transit routes, escape candidate first, one whole row per remote
+///    node.
 ///
 /// # Panics
 ///
@@ -653,7 +654,9 @@ pub(crate) fn instantiate(
     // Intra-domain links are direct wires; a cross-domain link becomes a
     // gateway pair (the cable *is* the shard boundary, and its latency
     // the lookahead). A one-domain plan has no cross-domain link.
-    let mut port_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    // `port_to[s * n + t]` is switch `s`'s port toward neighbour `t`.
+    let n = plan.switches.len();
+    let mut port_to: Vec<Option<usize>> = vec![None; n * n];
     let mut gateways: Vec<(ComponentId, ComponentId)> = Vec::new();
     for link in &plan.links {
         let (a, b) = (link.a, link.b);
@@ -671,8 +674,8 @@ pub(crate) fn instantiate(
             }
             _ => (switches[b], switches[a]),
         };
-        port_of.insert((a, b), wire(engines.get(da), switches[a], peer_a));
-        port_of.insert((b, a), wire(engines.get(db), switches[b], peer_b));
+        port_to[a * n + b] = Some(wire(engines.get(da), switches[a], peer_a));
+        port_to[b * n + a] = Some(wire(engines.get(db), switches[b], peer_b));
     }
 
     let mut domains: Vec<Topology> = (0..k)
@@ -685,7 +688,7 @@ pub(crate) fn instantiate(
                 .filter(|s| s.domain == d)
                 .map(|s| switches[s.id])
                 .collect(),
-            addr_map: adapters.map.clone(),
+            addr_map: Arc::clone(&adapters.map),
             manager: None,
         })
         .collect();
@@ -709,17 +712,28 @@ pub(crate) fn instantiate(
     }
 
     // Every switch learns every remote node, candidates in escape-first
-    // order so `route(dst)[0]` is the escape hop.
+    // order so `route(dst)[0]` is the escape hop. A row depends only on
+    // the (switch, home switch) pair, so it is mapped to ports once per
+    // pair and written whole for each node homed there.
     for s in &plan.switches {
         let routing = &mut engines
             .get(s.domain)
             .component_mut::<FabricSwitch>(switches[s.id])
             .routing;
+        let mut rows: Vec<Option<Vec<usize>>> = vec![None; n];
         for &(node, home) in homes.iter().filter(|&&(_, home)| home != s.id) {
-            for hop in plan.route_candidates(s.id, home) {
-                // Candidates are direct neighbors, all wired above.
-                routing.add_pbr(node, port_of[&(s.id, hop)]);
-            }
+            let row = rows[home].get_or_insert_with(|| {
+                plan.route_candidates(s.id, home)
+                    .into_iter()
+                    .map(|hop| {
+                        port_to[s.id * n + hop].unwrap_or_else(|| {
+                            // fcc-lint: allow(panic-in-lib) -- plan error: a candidate hop must be a wired neighbour
+                            panic!("switch {} has no port toward candidate hop {hop}", s.id)
+                        })
+                    })
+                    .collect()
+            });
+            routing.set_pbr(node, row);
         }
     }
     ShardedFabric { domains, gateways }
@@ -727,10 +741,12 @@ pub(crate) fn instantiate(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use fcc_sim::Inbox;
 
     use super::*;
-    use crate::adapter::{HostCompletion, HostOp, HostRequest};
+    use crate::adapter::{Fea, Fha, HostCompletion, HostOp, HostRequest};
     use crate::endpoint::FixedLatencyMemory;
     use crate::switch::QueueDiscipline;
 
@@ -888,6 +904,152 @@ mod tests {
         let kind = PodKind::Torus { cols: 3, rows: 3 };
         let serial = cross_pod_write(kind, 3, 1);
         assert_eq!(cross_pod_write(kind, 3, 3), serial, "byte-identical");
+    }
+
+    /// `plan` with every switch in domain 0 and every link a direct
+    /// wire: the same routes, realizable on one engine.
+    fn one_domain(plan: &PodPlan) -> PodPlan {
+        let mut plan = plan.clone();
+        for s in &mut plan.switches {
+            s.domain = 0;
+        }
+        for l in &mut plan.links {
+            l.cross_domain = false;
+        }
+        plan
+    }
+
+    /// Checks every switch's PBR row for every node against the plan,
+    /// reading the wiring back from the switch ports: a node homed here
+    /// routes to the port its adapter is cabled to, any other node to
+    /// `route_candidates(switch, home)` mapped hop by hop to the port
+    /// whose peer is that neighbour (directly, or through the gateway
+    /// the fabric lists for that cable).
+    fn assert_routes_follow_plan(plan: &PodPlan, engines: &[&Engine], fabric: &ShardedFabric) {
+        // What each (domain, component) a switch port can face stands for.
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Peer {
+            Switch(usize),
+            Node(NodeId),
+        }
+        let mut peers: BTreeMap<(usize, ComponentId), Peer> = BTreeMap::new();
+        let mut switch_of: BTreeMap<(usize, ComponentId), usize> = BTreeMap::new();
+        let mut component_of: BTreeMap<usize, ComponentId> = BTreeMap::new();
+        for (d, topo) in fabric.domains.iter().enumerate() {
+            let ids = plan.switches.iter().filter(|s| s.domain == d);
+            for (&c, s) in topo.switches.iter().zip(ids) {
+                peers.insert((d, c), Peer::Switch(s.id));
+                switch_of.insert((d, c), s.id);
+                component_of.insert(s.id, c);
+            }
+            for h in &topo.hosts {
+                peers.insert((d, h.fha), Peer::Node(h.node));
+            }
+            for dev in &topo.devices {
+                peers.insert((d, dev.fea), Peer::Node(dev.node));
+            }
+        }
+        let cross = plan.links.iter().filter(|l| l.cross_domain);
+        for (l, &(ga, gb)) in cross.zip(&fabric.gateways) {
+            peers.insert((plan.switches[l.a].domain, ga), Peer::Switch(l.b));
+            peers.insert((plan.switches[l.b].domain, gb), Peer::Switch(l.a));
+        }
+        // Every node with its home switch, from its adapter's cable.
+        let mut nodes: Vec<(NodeId, usize)> = Vec::new();
+        for (d, topo) in fabric.domains.iter().enumerate() {
+            let engine = engines[d];
+            for h in &topo.hosts {
+                let sw = engine.component::<Fha>(h.fha).port().peer();
+                nodes.push((h.node, switch_of[&(d, sw)]));
+            }
+            for dev in &topo.devices {
+                let sw = engine.component::<Fea>(dev.fea).port().peer();
+                nodes.push((dev.node, switch_of[&(d, sw)]));
+            }
+        }
+        let endpoints: usize = plan.switches.iter().map(|s| s.hosts + s.devices).sum();
+        assert_eq!(nodes.len(), endpoints, "{:?}", plan.kind);
+        for s in &plan.switches {
+            let d = s.domain;
+            let sw = engines[d].component::<FabricSwitch>(component_of[&s.id]);
+            let facing: Vec<Peer> = (0..sw.port_count())
+                .map(|p| peers[&(d, sw.port(p).peer())])
+                .collect();
+            let port_to = |peer: Peer| facing.iter().position(|&f| f == peer);
+            for &(node, home) in &nodes {
+                let expected: Vec<usize> = if home == s.id {
+                    port_to(Peer::Node(node)).into_iter().collect()
+                } else {
+                    plan.route_candidates(s.id, home)
+                        .into_iter()
+                        .map(|hop| port_to(Peer::Switch(hop)).expect("candidate is cabled"))
+                        .collect()
+                };
+                assert!(!expected.is_empty());
+                assert_eq!(
+                    sw.routing.route(node),
+                    Some(&expected[..]),
+                    "{:?}: switch {} toward node {node} (home {home})",
+                    plan.kind,
+                    s.id
+                );
+            }
+            assert_eq!(sw.routing.pbr_entries(), nodes.len());
+        }
+    }
+
+    /// The routes the builder installs equal the plan's candidates over
+    /// generated spine-leaf, mesh and torus pods, sharded by domain and
+    /// collapsed onto one engine.
+    #[test]
+    fn installed_routes_match_plan_candidates() {
+        let mut kinds = Vec::new();
+        for a in 1..=4 {
+            for b in 1..=3 {
+                kinds.push(PodKind::SpineLeaf {
+                    spines: a,
+                    leaves_per_spine: b,
+                });
+            }
+            for b in 1..=4 {
+                kinds.push(PodKind::Mesh { cols: a, rows: b });
+                kinds.push(PodKind::Torus { cols: a, rows: b });
+            }
+        }
+        for kind in kinds {
+            for (hosts, devices) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+                let spec = PodSpec {
+                    hosts_per_edge: hosts,
+                    devices_per_edge: devices,
+                    ..wormhole_spec(kind)
+                };
+                let plan = spec.plan();
+                let mut sharded = ShardedEngine::new(1, plan.domains());
+                let specs = plan.domain_specs(|_, _| mem());
+                let (plan, fabric) = sharded_pod(&mut sharded, &spec, specs);
+                let engines: Vec<&Engine> =
+                    (0..plan.domains()).map(|d| sharded.engine(d)).collect();
+                assert_routes_follow_plan(&plan, &engines, &fabric);
+
+                let flat = one_domain(&plan);
+                let mut engine = Engine::new(1);
+                let devices = flat
+                    .switches
+                    .iter()
+                    .map(|s| (0..s.devices).map(|_| mem()).collect())
+                    .collect();
+                let fabric = instantiate(
+                    Engines::One(&mut engine),
+                    &flat,
+                    &spec.topo,
+                    None,
+                    SimTime::ZERO,
+                    devices,
+                );
+                assert!(fabric.gateways.is_empty());
+                assert_routes_follow_plan(&flat, &[&engine], &fabric);
+            }
+        }
     }
 
     mod properties {

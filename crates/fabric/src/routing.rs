@@ -80,6 +80,24 @@ impl RoutingTable {
         row(&mut self.domain_of, usize::from(dst.0)).get_or_insert(local);
     }
 
+    /// Installs `dst`'s whole PBR row: its candidates become `ports`,
+    /// primary first, replacing any it had. The builder writes each row
+    /// once at its final length; [`RoutingTable::add_pbr`] extends a row
+    /// at run time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not PBR-addressable (12-bit ID space).
+    pub fn set_pbr(&mut self, dst: NodeId, ports: &[usize]) {
+        assert!(dst.is_pbr_addressable(), "node {dst} exceeds PBR ID space");
+        self.version += 1;
+        let candidates = row(&mut self.pbr, usize::from(dst.0));
+        candidates.clear();
+        candidates.extend_from_slice(ports);
+        let local = self.local_domain;
+        row(&mut self.domain_of, usize::from(dst.0)).get_or_insert(local);
+    }
+
     /// Installs an HBR route toward a foreign domain.
     pub fn add_hbr(&mut self, domain: DomainId, port: usize) {
         self.version += 1;

@@ -12,6 +12,8 @@
 //! helpers, so node ids, address ranges and component names follow one
 //! scheme everywhere.
 
+use std::sync::Arc;
+
 use fcc_proto::addr::{AddrMap, AddrRange, NodeId};
 use fcc_proto::link::CreditConfig;
 use fcc_sim::{ComponentId, Engine, SimTime};
@@ -77,7 +79,7 @@ pub struct Topology {
     /// Fabric switches.
     pub switches: Vec<ComponentId>,
     /// The host physical address map shared by all FHAs.
-    pub addr_map: AddrMap,
+    pub addr_map: Arc<AddrMap>,
     /// The fabric manager, when the topology uses managed discovery.
     pub manager: Option<ComponentId>,
 }
@@ -173,13 +175,15 @@ impl Topology {
 
 /// Assigns node ids and host-physical ranges in creation order and
 /// creates the adapters that carry them. Every builder stages its devices
-/// first, so the address map is complete before any FHA copies it.
+/// first, so the address map is complete before any FHA takes it.
 pub(crate) struct Adapters {
     spec: TopologySpec,
     next_node: u16,
     next_addr: u64,
-    /// The host physical address map built so far.
-    pub(crate) map: AddrMap,
+    /// The host physical address map built so far. Hosts share it; a
+    /// device staged after a host copies it, so that host keeps the map
+    /// as it stood when the host was created.
+    pub(crate) map: Arc<AddrMap>,
 }
 
 impl Adapters {
@@ -188,7 +192,7 @@ impl Adapters {
             spec,
             next_node: 1,
             next_addr: FAM_BASE,
-            map: AddrMap::new(),
+            map: Arc::new(AddrMap::new()),
         }
     }
 
@@ -205,7 +209,7 @@ impl Adapters {
         let capacity = dev.capacity();
         let range = if capacity > 0 {
             let r = AddrRange::new(self.next_addr, capacity);
-            self.map.add_direct(r, node);
+            Arc::make_mut(&mut self.map).add_direct(r, node);
             self.next_addr += capacity;
             r
         } else {
@@ -218,7 +222,8 @@ impl Adapters {
         DeviceHandle { fea, node, range }
     }
 
-    /// Creates an unwired host FHA over the address map as it stands.
+    /// Creates an unwired host FHA over the address map as it stands,
+    /// sharing it with every host created since the last staged device.
     pub(crate) fn host(&mut self, engine: &mut Engine) -> HostHandle {
         let node = self.node();
         let fha = engine.add_component(
@@ -227,7 +232,7 @@ impl Adapters {
                 node,
                 self.spec.switch.phys,
                 self.spec.credit,
-                self.map.clone(),
+                Arc::clone(&self.map),
                 self.spec.fha_outstanding,
             ),
         );
@@ -240,7 +245,7 @@ impl Adapters {
             hosts,
             devices,
             switches: Vec::new(),
-            addr_map: self.map.clone(),
+            addr_map: Arc::clone(&self.map),
             manager: None,
         }
     }
@@ -404,6 +409,80 @@ mod tests {
         assert_eq!(topo.addr_map.total_bytes(), 1 << 20);
     }
 
+    fn mem(capacity: u64) -> Box<dyn Endpoint> {
+        Box::new(FixedLatencyMemory::new(
+            SimTime::from_ns(100.0),
+            SimTime::from_ns(100.0),
+            capacity,
+        ))
+    }
+
+    /// Hosts share one address map until one of them is given a mapping,
+    /// by call or by message; the others keep decoding as before.
+    #[test]
+    fn address_map_is_shared_until_a_host_edits_it() {
+        let mut engine = Engine::new(0);
+        let topo = single_switch(&mut engine, TopologySpec::default(), 3, vec![mem(1 << 20)]);
+        let [a, b, c] = [0, 1, 2].map(|i| topo.hosts[i].fha);
+        let map = |engine: &Engine, h| engine.component::<Fha>(h).addr_map() as *const AddrMap;
+        assert!(std::ptr::eq(map(&engine, a), &*topo.addr_map));
+        assert!(std::ptr::eq(map(&engine, a), map(&engine, b)));
+        let decodes = |engine: &Engine, h, addr| engine.component::<Fha>(h).addr_map().decode(addr);
+        let dev = topo.devices[0];
+        let (ra, rb) = (
+            AddrRange::new(FAM_BASE + (1 << 20), 4096),
+            AddrRange::new(FAM_BASE + (2 << 20), 4096),
+        );
+        engine.component_mut::<Fha>(a).add_mapping(ra, dev.node);
+        engine.post(
+            b,
+            SimTime::ZERO,
+            InstallMapping {
+                range: rb,
+                node: dev.node,
+            },
+        );
+        engine.run_until_idle();
+        assert_eq!(decodes(&engine, a, ra.base).map(|d| d.node), Some(dev.node));
+        assert_eq!(decodes(&engine, b, rb.base).map(|d| d.node), Some(dev.node));
+        assert_eq!(decodes(&engine, a, rb.base), None, "b's mapping stays b's");
+        assert_eq!(decodes(&engine, b, ra.base), None, "a's mapping stays a's");
+        for addr in [ra.base, rb.base] {
+            assert_eq!(decodes(&engine, c, addr), None);
+            assert_eq!(topo.addr_map.decode(addr), None);
+        }
+        assert!(std::ptr::eq(map(&engine, c), &*topo.addr_map));
+        for h in [a, b, c] {
+            assert_eq!(
+                decodes(&engine, h, FAM_BASE).map(|d| d.node),
+                Some(dev.node)
+            );
+        }
+    }
+
+    /// A host sees the map as it stood when the host was created: a
+    /// device staged later is decoded by hosts created after it only.
+    #[test]
+    fn hosts_snapshot_the_map_at_creation() {
+        let mut engine = Engine::new(0);
+        let mut adapters = Adapters::new(TopologySpec::default());
+        let first = adapters.device(&mut engine, mem(1 << 20));
+        let early = adapters.host(&mut engine);
+        let later = adapters.device(&mut engine, mem(1 << 20));
+        let late = adapters.host(&mut engine);
+        let decodes = |h: HostHandle, dev: DeviceHandle| {
+            let d = engine
+                .component::<Fha>(h.fha)
+                .addr_map()
+                .decode(dev.range.base);
+            d.map(|d| d.node)
+        };
+        assert_eq!(decodes(early, first), Some(first.node));
+        assert_eq!(decodes(early, later), None, "staged after the host");
+        assert_eq!(decodes(late, first), Some(first.node));
+        assert_eq!(decodes(late, later), Some(later.node));
+    }
+
     #[test]
     fn chain_installs_transit_routes() {
         let mut engine = Engine::new(0);
@@ -441,7 +520,7 @@ mod tests {
         assert!(mid.routing.route(topo.hosts[0].node).is_some());
     }
 
-    use crate::adapter::{HostCompletion, HostOp, HostRequest};
+    use crate::adapter::{HostCompletion, HostOp, HostRequest, InstallMapping};
     use fcc_sim::Inbox;
 
     type Sink = Inbox<HostCompletion>;

@@ -17,7 +17,11 @@
 # median and quartiles per end-to-end metric, the
 # pairs the change won, and the verdict of the rule for claiming a gain:
 # at least nine tenths of the pairs won, and a median gap larger than the
-# parent's interquartile range. Exit 2 on misuse.
+# parent's interquartile range. Then one traced run per side (--trace 1,
+# the first pair's seed, the same seconds) prints every per-layer metric
+# as parent/change, and fails (exit 1) if any sim.events* or sim.msgs.*
+# work count differs: those are deterministic, so a change that keeps the
+# work must keep them exactly. Exit 2 on misuse.
 #
 # Set PERF_AB_TARGET_DIR to keep both sides' build output between calls
 # (held-out runs then skip the rebuild); by default it is temporary.
@@ -50,13 +54,16 @@ mkdir -p "$work/base"
 git archive "$rev" | tar -x -C "$work/base"
 targets=${PERF_AB_TARGET_DIR:-$work}
 
-# run <side> <seed>: one run, its JSON line appended to <side>.jsonl.
+# run <side> <seed> [trace]: one run, its JSON line appended to
+# <side>.jsonl (untraced) or <side>.traced.jsonl (--trace 1).
 run() {
-    local side=$1 seed=$2 dir
+    local side=$1 seed=$2 trace=${3:-0} dir out
     if [ "$side" = base ]; then dir="$work/base"; else dir=.; fi
+    out="$work/$side.jsonl"
+    [ "$trace" = 1 ] && out="$work/$side.traced.jsonl"
     (cd "$dir" && CARGO_TARGET_DIR="$targets/$side-target" \
         python3 perfbench/run.py --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0 | tail -n 1 >> "$work/$side.jsonl")
+        --seconds "$seconds" --trace "$trace" | tail -n 1 >> "$out")
 }
 
 echo "perf_ab: $workload, $pairs pair(s) of ${seconds} s, parent $rev vs working tree"
@@ -79,6 +86,11 @@ for k in $(seq 1 "$pairs"); do
         run "$side" "$seed"
     done
     echo "  pair $k (seed $seed, $order; parent/change): $(pair_line)"
+done
+# One traced run per side at the first pair's seed, for the per-layer
+# comparison printed after the end-to-end summary.
+for side in base new; do
+    run "$side" "$first" 1
 done
 
 python3 - "$work/base.jsonl" "$work/new.jsonl" BENCHMARK.json <<'EOF'
@@ -132,4 +144,27 @@ for metric in spec:
     fmt = lambda m, q1, q3: f"{m:.4g} [{q1:.4g}, {q3:.4g}]"
     print(f"{name:<20} {fmt(bmed, bq1, bq3):>32} {fmt(nmed, nq1, nq3):>32}"
           f" {delta:>+8.1%} {won:>3}/{len(b):<2}  {verdict}")
+EOF
+
+python3 - "$work/base.traced.jsonl" "$work/new.traced.jsonl" BENCHMARK.json "$first" <<'EOF'
+import json
+import sys
+
+base, new = (json.loads(open(path).readline()) for path in sys.argv[1:3])
+spec = json.load(open(sys.argv[3]))["per_layer"]
+print(f"per-layer, one traced run per side at seed {sys.argv[4]} (parent/change):")
+bad = False
+for side, r in (("parent", base), ("change", new)):
+    if not r["correct"] or r["failed"] != 0:
+        print(f"FAIL: {side} traced run: correct={r['correct']} failed={r['failed']}")
+        bad = True
+for metric in spec:
+    name = metric["name"]
+    b, n = base["metrics"][name]["value"], new["metrics"][name]["value"]
+    mark = ""
+    if name.startswith(("sim.events", "sim.msgs.")) and b != n:
+        mark = "  FAIL: work count differs"
+        bad = True
+    print(f"  {name:<32} {b:.6g}/{n:.6g} {metric['unit']}{mark}")
+sys.exit(1 if bad else 0)
 EOF
