@@ -15,6 +15,7 @@
 //! executes over the simulated fabric.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -223,6 +224,30 @@ pub struct EvacuationPlan {
     pub stranded: Vec<FabricBox>,
 }
 
+/// Hashes the heap's sequential `u64` object ids with one multiply by
+/// the 64-bit golden ratio: consecutive ids land in distinct buckets and
+/// the high bits the table probes on are well mixed. Ids are the heap's
+/// own counter, not outside input, so SipHash's flood resistance buys
+/// nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The unified heap.
 ///
 /// # Examples
@@ -254,7 +279,7 @@ pub struct UnifiedHeap {
     // (the e5 hot path), so the lookup must stay O(1). Every iteration
     // below is order-insensitive or explicitly sorted, and each site
     // carries an fcc-lint suppression stating which.
-    objects: HashMap<u64, ObjMeta>,
+    objects: HashMap<u64, ObjMeta, BuildHasherDefault<IdHasher>>,
     next_id: u64,
     /// Temperature decay applied at each rebalance.
     pub decay: f64,
@@ -282,7 +307,7 @@ impl UnifiedHeap {
                     state: NodeState::Active,
                 })
                 .collect(),
-            objects: HashMap::new(),
+            objects: HashMap::default(),
             next_id: 1,
             decay: 0.5,
             migrations: 0,
@@ -377,8 +402,9 @@ impl UnifiedHeap {
 
     /// Allocates `size` bytes with a placement hint.
     pub fn alloc(&mut self, size: u64, hint: PlacementHint) -> Result<FabricBox, HeapError> {
-        let order: Vec<usize> = match hint {
-            PlacementHint::Pinned(idx) => vec![idx],
+        let ranked: Vec<usize>;
+        let order: &[usize] = match hint {
+            PlacementHint::Pinned(ref idx) => std::slice::from_ref(idx),
             PlacementHint::Kind(kind) => {
                 let mut preferred: Vec<usize> = (0..self.nodes.len())
                     .filter(|&i| self.nodes[i].profile.kind == kind)
@@ -387,7 +413,8 @@ impl UnifiedHeap {
                     .filter(|&i| self.nodes[i].profile.kind != kind)
                     .collect();
                 preferred.extend(rest);
-                preferred
+                ranked = preferred;
+                &ranked
             }
             PlacementHint::Auto => {
                 // Coldest (slowest) tier first: objects earn promotion.
@@ -398,10 +425,11 @@ impl UnifiedHeap {
                         .read_latency
                         .cmp(&self.nodes[a].profile.read_latency)
                 });
-                idx
+                ranked = idx;
+                &ranked
             }
         };
-        for node in order {
+        for &node in order {
             if node >= self.nodes.len() {
                 continue;
             }
@@ -740,6 +768,28 @@ mod tests {
         h.free(b).expect("live");
         h.free(c).expect("live");
         assert!(h.is_empty());
+    }
+
+    #[test]
+    fn pinned_refusals_are_out_of_memory_and_use_no_id() {
+        let mut h = two_tier(1 << 20, 1 << 20);
+        h.add_node(HeapNodeCfg {
+            profile: MemNodeProfile::omega_like(MemNodeKind::CpulessNuma, 1 << 20),
+        });
+        let first = h.alloc(64, PlacementHint::Pinned(1)).expect("fits");
+        h.set_draining(1);
+        h.set_offline(2).expect("empty");
+        for node in [1, 2, 3, usize::MAX] {
+            assert_eq!(
+                h.alloc(64, PlacementHint::Pinned(node))
+                    .expect_err("refused"),
+                HeapError::OutOfMemory,
+                "node {node}"
+            );
+        }
+        assert_eq!(h.len(), 1);
+        let next = h.alloc(64, PlacementHint::Pinned(0)).expect("fits");
+        assert_eq!(next.id, first.id + 1, "refusals consumed no id");
     }
 
     #[test]

@@ -91,84 +91,143 @@ pub struct CreditPartition {
     /// empty.
     spare: u32,
     windows: u64,
+    scratch: Scratch,
+    /// Rebalance with the pre-linear implementation (test oracle).
+    #[cfg(test)]
+    reference: bool,
 }
 
 /// One participant in a weighted division.
+#[derive(Debug, Clone, Copy, Default)]
 struct Claim {
     weight: u64,
     floor: u32,
     active: bool,
 }
 
-/// Splits `total` across `weights` proportionally with largest-remainder
-/// rounding (deterministic: remainder ties go to the lower index). The
-/// result sums to `total` exactly; zero-weight entries receive nothing.
-fn largest_remainder(total: u32, weights: &[u64]) -> Vec<u32> {
-    let mut out = vec![0u32; weights.len()];
-    let sum: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+/// One tenant group of the level-1 split.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupRow {
+    id: u32,
+    claim: Claim,
+    /// First slot of the group's members in [`Scratch::members`].
+    start: usize,
+    /// Number of members.
+    len: usize,
+    /// Members placed so far.
+    placed: usize,
+}
+
+/// Buffers [`CreditPartition::rebalance`] reuses between calls, so a
+/// warm rebalance allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Each tenant's group and claim, in tenant-id order.
+    rows: Vec<(u32, Claim)>,
+    /// Distinct groups, in group-id order.
+    groups: Vec<GroupRow>,
+    /// Each tenant's group index, then its slot in `members`, in
+    /// tenant-id order.
+    slot: Vec<usize>,
+    /// Member claims grouped by group, each group's members in
+    /// tenant-id order.
+    members: Vec<Claim>,
+    /// The split's result, parallel to `groups` and `members`.
+    group_alloc: Vec<u32>,
+    member_alloc: Vec<u32>,
+    /// Group claims for the level-1 split.
+    group_claims: Vec<Claim>,
+    /// Nonzero remainders of one largest-remainder split.
+    rems: Vec<(u128, usize)>,
+}
+
+/// The pool grown to cover `floors`, saturated to `u32`.
+fn effective_pool(pool: u32, floors: u64) -> u32 {
+    u64::from(pool).max(floors).min(u64::from(u32::MAX)) as u32
+}
+
+/// Adds to `out` the split of `total` across `claims` proportionally to
+/// `weight` with largest-remainder rounding (deterministic: remainder
+/// ties go to the lower index). The added amounts sum to `total`
+/// exactly; zero-weight entries receive nothing. Linear: the `left`
+/// winners are selected, not sorted, and the products stay in 64 bits
+/// unless `total` times the weight sum does not fit.
+fn largest_remainder(
+    total: u32,
+    claims: &[Claim],
+    weight: impl Fn(&Claim) -> u64,
+    out: &mut [u32],
+    rems: &mut Vec<(u128, usize)>,
+) {
+    let sum: u128 = claims.iter().map(|c| u128::from(weight(c))).sum();
     if sum == 0 {
         if let Some(first) = out.first_mut() {
             // No eligible recipient: conserve by parking on the first
             // entry. Callers guarantee a nonzero weight exists.
-            *first = total;
+            *first += total;
         }
-        return out;
+        return;
     }
+    rems.clear();
     let mut given: u32 = 0;
-    let mut rems: Vec<(u128, usize)> = Vec::with_capacity(weights.len());
-    for (i, &w) in weights.iter().enumerate() {
-        let num = u128::from(total) * u128::from(w);
-        // num / sum <= total, so the cast back to u32 is exact.
-        out[i] = (num / sum) as u32;
-        given += out[i];
-        rems.push((num % sum, i));
-    }
-    rems.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut left = total - given;
-    for &(_, i) in &rems {
-        if left == 0 {
-            break;
+    let narrow = u64::try_from(sum)
+        .ok()
+        .filter(|s| s.checked_mul(u64::from(total)).is_some());
+    for (i, c) in claims.iter().enumerate() {
+        // num / sum <= total, so each share fits u32.
+        let (share, rem) = match narrow {
+            Some(s) => {
+                let num = u64::from(total) * weight(c);
+                ((num / s) as u32, u128::from(num % s))
+            }
+            None => {
+                let num = u128::from(total) * u128::from(weight(c));
+                ((num / sum) as u32, num % sum)
+            }
+        };
+        out[i] += share;
+        given += share;
+        // The remainders sum to `left * sum`, each below `sum`, so more
+        // than `left` of them are nonzero: zero ones never win.
+        if rem > 0 {
+            rems.push((rem, i));
         }
-        out[i] += 1;
-        left -= 1;
     }
-    out
+    let left = (total - given) as usize;
+    if left > 0 {
+        rems.select_nth_unstable_by(left - 1, |a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        for &(_, i) in &rems[..left] {
+            out[i] += 1;
+        }
+    }
 }
 
-/// Divides `total` among claims: floors first, the remainder by weight
-/// among active claims (or all claims when none is active). If floors
-/// alone exceed `total`, the whole budget is split proportionally to the
-/// floors instead. Always sums to `total` exactly.
-fn divide(total: u32, claims: &[Claim]) -> Vec<u32> {
-    if claims.is_empty() {
-        return Vec::new();
-    }
+/// Writes to `out` the division of `total` among claims: floors first,
+/// the remainder by weight among active claims (or all claims when none
+/// is active). If floors alone exceed `total`, the whole budget is split
+/// proportionally to the floors instead. Always sums to `total` exactly.
+fn divide(total: u32, claims: &[Claim], out: &mut [u32], rems: &mut Vec<(u128, usize)>) {
     let floor_sum: u64 = claims.iter().map(|c| u64::from(c.floor)).sum();
     if floor_sum >= u64::from(total) {
-        let floors: Vec<u64> = claims.iter().map(|c| u64::from(c.floor)).collect();
-        return largest_remainder(total, &floors);
+        out.fill(0);
+        largest_remainder(total, claims, |c| u64::from(c.floor), out, rems);
+        return;
     }
-    let mut out: Vec<u32> = claims.iter().map(|c| c.floor).collect();
+    for (o, c) in out.iter_mut().zip(claims) {
+        *o = c.floor;
+    }
     // floor_sum < total, so the subtraction fits in u32.
     let rem = total - floor_sum as u32;
     let any_active = claims.iter().any(|c| c.active);
-    let mut weights: Vec<u64> = claims
-        .iter()
-        .map(|c| if c.active || !any_active { c.weight } else { 0 })
-        .collect();
-    if weights.iter().sum::<u64>() == 0 {
+    let eligible = |c: &Claim| c.active || !any_active;
+    if claims.iter().any(|c| eligible(c) && c.weight > 0) {
+        let weight = |c: &Claim| if eligible(c) { c.weight } else { 0 };
+        largest_remainder(rem, claims, weight, out, rems);
+    } else {
         // All eligible weights are zero: split the remainder evenly
         // among the eligible claims.
-        for (w, c) in weights.iter_mut().zip(claims) {
-            if c.active || !any_active {
-                *w = 1;
-            }
-        }
+        largest_remainder(rem, claims, |c| u64::from(eligible(c)), out, rems);
     }
-    for (o, extra) in out.iter_mut().zip(largest_remainder(rem, &weights)) {
-        *o += extra;
-    }
-    out
 }
 
 impl CreditPartition {
@@ -180,6 +239,9 @@ impl CreditPartition {
             group_weight: BTreeMap::new(),
             spare: pool,
             windows: 0,
+            scratch: Scratch::default(),
+            #[cfg(test)]
+            reference: false,
         }
     }
 
@@ -194,7 +256,7 @@ impl CreditPartition {
             .sum();
         // A u32 count of tenants each with a u32 floor cannot overflow
         // u64; saturate defensively for the cast back.
-        u64::from(self.pool).max(floors).min(u64::from(u32::MAX)) as u32
+        effective_pool(self.pool, floors)
     }
 
     /// Adds (or reconfigures) a tenant and rebalances immediately. New
@@ -345,68 +407,92 @@ impl CreditPartition {
         self.rebalance();
     }
 
-    /// Recomputes every allocation from the current shares and activity.
+    /// Recomputes every allocation from the current shares and activity,
+    /// in O(tenants · log groups) time and, once the scratch buffers
+    /// have grown, with no allocation.
     fn rebalance(&mut self) {
-        let ep = self.pool();
-        if self.tenants.is_empty() {
+        #[cfg(test)]
+        if self.reference {
+            return self.rebalance_reference();
+        }
+        let s = &mut self.scratch;
+        // One pass over the tenants: flat rows and the floor sum.
+        s.rows.clear();
+        let mut floors: u64 = 0;
+        for t in self.tenants.values() {
+            let floor = t.share.floor_min1();
+            floors += u64::from(floor);
+            let claim = Claim {
+                weight: u64::from(t.share.weight),
+                floor,
+                active: t.active,
+            };
+            s.rows.push((t.share.group, claim));
+        }
+        let ep = effective_pool(self.pool, floors);
+        if s.rows.is_empty() {
             self.spare = ep;
             return;
         }
         // Level 1: aggregate per group, in group-id order.
-        struct Group {
-            weight_sum: u64,
-            floor_sum: u64,
-            active: bool,
-            members: Vec<TenantId>,
-        }
-        let mut groups: BTreeMap<u32, Group> = BTreeMap::new();
-        for (&id, t) in &self.tenants {
-            let g = groups.entry(t.share.group).or_insert(Group {
-                weight_sum: 0,
-                floor_sum: 0,
-                active: false,
-                members: Vec::new(),
-            });
-            g.weight_sum += u64::from(t.share.weight);
-            g.floor_sum += u64::from(t.share.floor_min1());
-            g.active |= t.active;
-            g.members.push(id);
-        }
-        let group_claims: Vec<Claim> = groups
-            .iter()
-            .map(|(gid, g)| Claim {
-                weight: self
-                    .group_weight
-                    .get(gid)
-                    .map_or(g.weight_sum, |&w| u64::from(w)),
-                // Group floors fit u32: they are bounded by the
-                // effective pool computed from the same floors.
-                floor: g.floor_sum.min(u64::from(u32::MAX)) as u32,
-                active: g.active,
-            })
-            .collect();
-        let group_alloc = divide(ep, &group_claims);
-        // Level 2: split each group's share among its members.
-        for (g, gshare) in groups.values().zip(group_alloc) {
-            let claims: Vec<Claim> = g
-                .members
-                .iter()
-                .map(|id| {
-                    let t = &self.tenants[id];
-                    Claim {
-                        weight: u64::from(t.share.weight),
-                        floor: t.share.floor_min1(),
-                        active: t.active,
-                    }
-                })
-                .collect();
-            for (id, a) in g.members.iter().zip(divide(gshare, &claims)) {
-                // members came from the same map; the entry exists.
-                if let Some(t) = self.tenants.get_mut(id) {
-                    t.alloc = a;
-                    t.grant_hw = t.grant_hw.max(a);
-                }
+        s.groups.clear();
+        for &(gid, _) in &s.rows {
+            if let Err(k) = s.groups.binary_search_by_key(&gid, |g| g.id) {
+                let row = GroupRow {
+                    id: gid,
+                    ..GroupRow::default()
+                };
+                s.groups.insert(k, row);
             }
+        }
+        s.slot.clear();
+        for &(gid, c) in &s.rows {
+            let k = s.groups.partition_point(|g| g.id < gid);
+            let g = &mut s.groups[k];
+            g.claim.weight += c.weight;
+            g.claim.floor = g.claim.floor.saturating_add(c.floor);
+            g.claim.active |= c.active;
+            g.len += 1;
+            s.slot.push(k);
+        }
+        let mut start = 0;
+        s.group_claims.clear();
+        for g in &mut s.groups {
+            g.start = start;
+            start += g.len;
+            if let Some(&w) = self.group_weight.get(&g.id) {
+                g.claim.weight = u64::from(w);
+            }
+            s.group_claims.push(g.claim);
+        }
+        // Members laid out group by group, each in tenant-id order.
+        s.members.clear();
+        s.members.resize(s.rows.len(), Claim::default());
+        for (slot, &(_, c)) in s.slot.iter_mut().zip(&s.rows) {
+            let g = &mut s.groups[*slot];
+            *slot = g.start + g.placed;
+            g.placed += 1;
+            s.members[*slot] = c;
+        }
+        s.group_alloc.clear();
+        s.group_alloc.resize(s.groups.len(), 0);
+        divide(ep, &s.group_claims, &mut s.group_alloc, &mut s.rems);
+        // Level 2: split each group's share among its members.
+        s.member_alloc.clear();
+        s.member_alloc.resize(s.members.len(), 0);
+        for (g, &share) in s.groups.iter().zip(&s.group_alloc) {
+            let range = g.start..g.start + g.len;
+            divide(
+                share,
+                &s.members[range.clone()],
+                &mut s.member_alloc[range],
+                &mut s.rems,
+            );
+        }
+        for (t, &slot) in self.tenants.values_mut().zip(&s.slot) {
+            let a = s.member_alloc[slot];
+            t.alloc = a;
+            t.grant_hw = t.grant_hw.max(a);
         }
         self.spare = 0;
     }
@@ -456,6 +542,154 @@ impl CreditPartition {
             }
         }
         Ok(())
+    }
+}
+
+/// The partition's rebalance as it was before the linear rewrite, kept
+/// verbatim as the oracle the property tests compare against.
+#[cfg(test)]
+mod reference {
+    use std::collections::BTreeMap;
+
+    use super::{Claim, CreditPartition, TenantId};
+
+    /// Splits `total` across `weights` proportionally with largest-remainder
+    /// rounding (deterministic: remainder ties go to the lower index). The
+    /// result sums to `total` exactly; zero-weight entries receive nothing.
+    fn largest_remainder(total: u32, weights: &[u64]) -> Vec<u32> {
+        let mut out = vec![0u32; weights.len()];
+        let sum: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+        if sum == 0 {
+            if let Some(first) = out.first_mut() {
+                // No eligible recipient: conserve by parking on the first
+                // entry. Callers guarantee a nonzero weight exists.
+                *first = total;
+            }
+            return out;
+        }
+        let mut given: u32 = 0;
+        let mut rems: Vec<(u128, usize)> = Vec::with_capacity(weights.len());
+        for (i, &w) in weights.iter().enumerate() {
+            let num = u128::from(total) * u128::from(w);
+            // num / sum <= total, so the cast back to u32 is exact.
+            out[i] = (num / sum) as u32;
+            given += out[i];
+            rems.push((num % sum, i));
+        }
+        rems.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut left = total - given;
+        for &(_, i) in &rems {
+            if left == 0 {
+                break;
+            }
+            out[i] += 1;
+            left -= 1;
+        }
+        out
+    }
+
+    /// Divides `total` among claims: floors first, the remainder by weight
+    /// among active claims (or all claims when none is active). If floors
+    /// alone exceed `total`, the whole budget is split proportionally to the
+    /// floors instead. Always sums to `total` exactly.
+    fn divide(total: u32, claims: &[Claim]) -> Vec<u32> {
+        if claims.is_empty() {
+            return Vec::new();
+        }
+        let floor_sum: u64 = claims.iter().map(|c| u64::from(c.floor)).sum();
+        if floor_sum >= u64::from(total) {
+            let floors: Vec<u64> = claims.iter().map(|c| u64::from(c.floor)).collect();
+            return largest_remainder(total, &floors);
+        }
+        let mut out: Vec<u32> = claims.iter().map(|c| c.floor).collect();
+        // floor_sum < total, so the subtraction fits in u32.
+        let rem = total - floor_sum as u32;
+        let any_active = claims.iter().any(|c| c.active);
+        let mut weights: Vec<u64> = claims
+            .iter()
+            .map(|c| if c.active || !any_active { c.weight } else { 0 })
+            .collect();
+        if weights.iter().sum::<u64>() == 0 {
+            // All eligible weights are zero: split the remainder evenly
+            // among the eligible claims.
+            for (w, c) in weights.iter_mut().zip(claims) {
+                if c.active || !any_active {
+                    *w = 1;
+                }
+            }
+        }
+        for (o, extra) in out.iter_mut().zip(largest_remainder(rem, &weights)) {
+            *o += extra;
+        }
+        out
+    }
+
+    impl CreditPartition {
+        /// The pre-linear rebalance, verbatim.
+        pub(super) fn rebalance_reference(&mut self) {
+            let ep = self.pool();
+            if self.tenants.is_empty() {
+                self.spare = ep;
+                return;
+            }
+            // Level 1: aggregate per group, in group-id order.
+            struct Group {
+                weight_sum: u64,
+                floor_sum: u64,
+                active: bool,
+                members: Vec<TenantId>,
+            }
+            let mut groups: BTreeMap<u32, Group> = BTreeMap::new();
+            for (&id, t) in &self.tenants {
+                let g = groups.entry(t.share.group).or_insert(Group {
+                    weight_sum: 0,
+                    floor_sum: 0,
+                    active: false,
+                    members: Vec::new(),
+                });
+                g.weight_sum += u64::from(t.share.weight);
+                g.floor_sum += u64::from(t.share.floor_min1());
+                g.active |= t.active;
+                g.members.push(id);
+            }
+            let group_claims: Vec<Claim> = groups
+                .iter()
+                .map(|(gid, g)| Claim {
+                    weight: self
+                        .group_weight
+                        .get(gid)
+                        .map_or(g.weight_sum, |&w| u64::from(w)),
+                    // Group floors fit u32: they are bounded by the
+                    // effective pool computed from the same floors.
+                    floor: g.floor_sum.min(u64::from(u32::MAX)) as u32,
+                    active: g.active,
+                })
+                .collect();
+            let group_alloc = divide(ep, &group_claims);
+            // Level 2: split each group's share among its members.
+            for (g, gshare) in groups.values().zip(group_alloc) {
+                let claims: Vec<Claim> = g
+                    .members
+                    .iter()
+                    .map(|id| {
+                        let t = &self.tenants[id];
+                        Claim {
+                            weight: u64::from(t.share.weight),
+                            floor: t.share.floor_min1(),
+                            active: t.active,
+                        }
+                    })
+                    .collect();
+                for (id, a) in g.members.iter().zip(divide(gshare, &claims)) {
+                    // members came from the same map; the entry exists.
+                    if let Some(t) = self.tenants.get_mut(id) {
+                        t.alloc = a;
+                        t.grant_hw = t.grant_hw.max(a);
+                    }
+                }
+            }
+            self.spare = 0;
+        }
     }
 }
 
@@ -654,5 +888,182 @@ mod proptests {
                 }
             }
         }
+    }
+
+    /// A partition that rebalances with the pre-linear reference.
+    fn oracle(pool: u32) -> CreditPartition {
+        let mut p = CreditPartition::new(pool);
+        p.reference = true;
+        p
+    }
+
+    /// Whether two partitions hold the same allocation state.
+    fn same_state(p: &CreditPartition, r: &CreditPartition) -> Result<(), String> {
+        let state = |x: &CreditPartition| -> Vec<(TenantId, u32, u32)> {
+            x.tenants
+                .iter()
+                .map(|(&id, t)| (id, t.alloc, t.grant_hw))
+                .collect()
+        };
+        let (a, b) = (state(p), state(r));
+        if a != b {
+            return Err(format!("(id, alloc, grant_hw): {a:?} != reference {b:?}"));
+        }
+        if (p.spare(), p.pool()) != (r.spare(), r.pool()) {
+            return Err(format!(
+                "(spare, pool): {:?} != reference {:?}",
+                (p.spare(), p.pool()),
+                (r.spare(), r.pool())
+            ));
+        }
+        Ok(())
+    }
+
+    /// A weight: mostly small (zero included), one in four near
+    /// `u32::MAX` so products leave 64 bits.
+    fn weight(x: u32) -> u32 {
+        if x.is_multiple_of(4) {
+            u32::MAX - (x >> 2) % 64
+        } else {
+            (x >> 2) % 16
+        }
+    }
+
+    /// A floor: mostly small, some above a small pool, a few so large
+    /// that the floors saturate the effective pool.
+    fn floor(x: u32) -> u32 {
+        match x % 8 {
+            0 => u32::MAX / 3 + (x >> 3) % 1000,
+            1 | 2 => 100 + (x >> 3) % 300,
+            _ => (x >> 3) % 16,
+        }
+    }
+
+    /// Applies one generated operation to a partition.
+    fn apply_wide(p: &mut CreditPartition, op: u8, id: u8, a: u32, b: u32) {
+        let id = TenantId::from(id % 10);
+        match op % 8 {
+            0 | 1 => p.add_tenant(
+                id,
+                TenantShare {
+                    group: a % 4,
+                    weight: weight(a >> 2),
+                    floor: floor(b),
+                },
+            ),
+            2 => {
+                p.remove_tenant(id);
+            }
+            3 => {
+                p.set_weight(id, weight(a));
+            }
+            4 => {
+                p.set_floor(id, floor(b));
+            }
+            5 => p.set_group_weight(a % 4, weight(b)),
+            6 => {
+                for _ in 0..(a % 48) {
+                    let _ = p.try_spend(id);
+                }
+            }
+            _ => p.rollover(),
+        }
+    }
+
+    proptest! {
+        /// The linear rebalance leaves exactly the state the reference
+        /// leaves after every step: each tenant's allocation and
+        /// high-water grant, the spare credits and the effective pool.
+        /// Weights near `u32::MAX` force the 128-bit path, floors above
+        /// the pool force the floors-only split, and rollovers without
+        /// spends leave whole groups idle.
+        #[test]
+        fn linear_rebalance_matches_the_reference(
+            pool in any::<u32>(),
+            ops in prop::collection::vec(
+                (any::<u8>(), any::<u8>(), any::<u32>(), any::<u32>()),
+                0..200,
+            ),
+        ) {
+            let pool = match pool % 3 {
+                0 => (pool >> 2) % 200,
+                1 => 1024,
+                _ => u32::MAX - (pool >> 2) % 1000,
+            };
+            let (mut p, mut r) = (CreditPartition::new(pool), oracle(pool));
+            for (step, &(op, id, a, b)) in ops.iter().enumerate() {
+                apply_wide(&mut p, op, id, a, b);
+                apply_wide(&mut r, op, id, a, b);
+                if let Err(e) = same_state(&p, &r) {
+                    prop_assert!(false, "step {} (op {}): {}", step, op % 8, e);
+                }
+            }
+        }
+    }
+
+    /// A partition shaped like the serving pod's: 8 domains of 6
+    /// victims, one bulk tenant and one hog, plus 8 store tenants, in 3
+    /// groups; built one tenant at a time, then run through windows in
+    /// which the groups go idle and wake in turn.
+    #[test]
+    fn pod_shaped_partition_matches_the_reference() {
+        let (mut p, mut r) = (CreditPartition::new(1024), oracle(1024));
+        let mut step = |f: &dyn Fn(&mut CreditPartition)| {
+            f(&mut p);
+            f(&mut r);
+            if let Err(e) = same_state(&p, &r) {
+                panic!("{e}");
+            }
+        };
+        for d in 0..8u32 {
+            for h in 0..8u32 {
+                let share = match h {
+                    0..=5 => TenantShare {
+                        group: 0,
+                        weight: 8,
+                        floor: 2,
+                    },
+                    6 => TenantShare {
+                        group: 1,
+                        weight: 2,
+                        floor: 1,
+                    },
+                    _ => TenantShare {
+                        group: 2,
+                        weight: 1,
+                        floor: 1,
+                    },
+                };
+                step(&|x| x.add_tenant(d * 8 + h, share));
+            }
+            let store = TenantShare {
+                group: 0,
+                weight: 48,
+                floor: 96,
+            };
+            step(&|x| x.add_tenant(64 + d, store));
+        }
+        for window in 0..12u32 {
+            step(&|x| {
+                for id in 0..72 {
+                    let hot = match id % 8 {
+                        6 => window % 3 == 0,
+                        7 => window % 2 == 1,
+                        _ => id >= 64 || window % 4 != 2,
+                    };
+                    if hot {
+                        for _ in 0..(id % 7 + 1) * 5 {
+                            let _ = x.try_spend(id);
+                        }
+                    }
+                }
+            });
+            step(&|x| x.rollover());
+        }
+        step(&|x| x.set_group_weight(2, 40));
+        step(&|x| {
+            x.remove_tenant(7);
+        });
+        step(&|x| x.rollover());
     }
 }

@@ -1,13 +1,14 @@
 //! Pins each model's exact exploration: the reachable state count, the
-//! transitions taken and the breadth-first depth. These numbers move
-//! only when a model or the protocol code it drives changes; the
+//! transitions taken and the breadth-first depth, and the schedules and
+//! credit spends of the scheduler check. These numbers move only when a
+//! model or the protocol code it drives changes; the
 //! larger coherence configurations of `check-coherence` are left to the
 //! binary, as they take seconds in a debug build.
 
 use fcc_elastic::epoch::{hot_add_plan, hot_remove_plan};
 use fcc_fabric::wormhole::VcConfig;
 use fcc_verify::explore::Report;
-use fcc_verify::{coherence, reconfig, routing};
+use fcc_verify::{coherence, reconfig, routing, sched};
 
 /// The report, or the counterexample rendered for the failure message.
 fn shown<E: std::fmt::Display>(r: Result<Report, E>) -> Result<Report, String> {
@@ -56,5 +57,20 @@ fn every_model_explores_its_pinned_state_space() {
             Ok(pin),
             "{vcs} lanes x {buf_flits} flits, {worms} worms"
         );
+    }
+}
+
+#[test]
+fn the_scheduler_check_drives_its_pinned_work() {
+    let pins = [
+        ("hog_pair", sched::Config::hog_pair(), (256, 6_144)),
+        ("hog_triple", sched::Config::hog_triple(), (512, 12_288)),
+        ("quad", sched::Config::quad(), (256, 2_560)),
+    ];
+    for (name, cfg, pin) in pins {
+        let got = sched::check(&cfg)
+            .map(|r| (r.schedules, r.spends))
+            .map_err(|v| v.to_string());
+        assert_eq!(got, Ok(pin), "{name}");
     }
 }

@@ -1,5 +1,8 @@
 //! Address-stream generators.
 
+use std::cell::RefCell;
+use std::sync::{Arc, Weak};
+
 use rand::Rng;
 
 /// Uniform random object/address indices in `[0, n)`.
@@ -57,6 +60,10 @@ impl SequentialStream {
 ///
 /// Implemented with a precomputed CDF and binary search — exact, O(log n)
 /// per sample, fine for the object counts the experiments use (≤ 10^6).
+/// Streams built on one thread with the same `(n, theta)` one after
+/// another share one CDF, so a thousand clients over one key space cost
+/// one table; it is freed when the last of them drops. The draws are
+/// the same as from a table of its own.
 ///
 /// # Examples
 ///
@@ -71,7 +78,15 @@ impl SequentialStream {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ZipfStream {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
+}
+
+/// The `(n, theta bits)` key of a CDF.
+type ZipfKey = (u64, u64);
+
+thread_local! {
+    /// The CDF this thread built last, while a stream still holds it.
+    static LAST_CDF: RefCell<Option<(ZipfKey, Weak<[f64]>)>> = const { RefCell::new(None) };
 }
 
 impl ZipfStream {
@@ -85,6 +100,21 @@ impl ZipfStream {
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "empty universe");
         assert!(theta.is_finite() && theta >= 0.0, "bad skew {theta}");
+        let key = (n, theta.to_bits());
+        let shared = LAST_CDF.with_borrow(|last| match last {
+            Some((k, cdf)) if *k == key => cdf.upgrade(),
+            _ => None,
+        });
+        let cdf = shared.unwrap_or_else(|| {
+            let cdf = Self::build_cdf(n, theta);
+            LAST_CDF.set(Some((key, Arc::downgrade(&cdf))));
+            cdf
+        });
+        ZipfStream { cdf }
+    }
+
+    /// The normalized cumulative distribution of ranks `0..n`.
+    fn build_cdf(n: u64, theta: f64) -> Arc<[f64]> {
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0;
         for k in 0..n {
@@ -95,7 +125,7 @@ impl ZipfStream {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfStream { cdf }
+        cdf.into()
     }
 
     /// Draws the next rank (0 = most popular).
@@ -103,6 +133,33 @@ impl ZipfStream {
         let u: f64 = rng.gen();
         // First index with cdf >= u.
         self.cdf.partition_point(|&c| c < u) as u64
+    }
+
+    /// The stream's CDF table.
+    #[cfg(test)]
+    fn table(&self) -> &Arc<[f64]> {
+        &self.cdf
+    }
+}
+
+impl Drop for ZipfStream {
+    /// The last stream on a CDF clears this thread's memo of it, so the
+    /// memo's weak handle does not keep the table's memory allocated.
+    fn drop(&mut self) {
+        if Arc::strong_count(&self.cdf) > 1 {
+            return;
+        }
+        let this = Arc::as_ptr(&self.cdf);
+        // The memo is out of reach only while the thread's locals are
+        // being torn down, when it goes with them.
+        let _ = LAST_CDF.try_with(|last| {
+            let Ok(mut last) = last.try_borrow_mut() else {
+                return;
+            };
+            if matches!(&*last, Some((_, cdf)) if std::ptr::addr_eq(cdf.as_ptr(), this)) {
+                *last = None;
+            }
+        });
     }
 }
 
@@ -207,6 +264,52 @@ mod tests {
         let max = *counts.iter().max().expect("nonempty");
         let min = *counts.iter().min().expect("nonempty");
         assert!(max < min * 2, "uniform-ish: {min}..{max}");
+    }
+
+    fn draws(z: &mut ZipfStream, seed: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..1000).map(|_| z.next(&mut rng)).collect()
+    }
+
+    #[test]
+    fn equal_zipf_streams_share_one_cdf() {
+        let mut a = ZipfStream::new(512, 0.99);
+        let mut b = ZipfStream::new(512, 0.99);
+        assert!(Arc::ptr_eq(a.table(), b.table()));
+        // A stream built with no memo entry gets a table of its own,
+        // with the same values and the same draws.
+        LAST_CDF.set(None);
+        let mut fresh = ZipfStream::new(512, 0.99);
+        assert!(!Arc::ptr_eq(a.table(), fresh.table()));
+        assert_eq!(a.table()[..], fresh.table()[..]);
+        let expect = draws(&mut fresh, 7);
+        assert_eq!(draws(&mut a, 7), expect);
+        assert_eq!(draws(&mut b, 7), expect);
+    }
+
+    #[test]
+    fn zipf_streams_of_another_n_or_theta_do_not_share() {
+        let a = ZipfStream::new(512, 0.99);
+        let other_n = ZipfStream::new(511, 0.99);
+        assert!(!Arc::ptr_eq(a.table(), other_n.table()));
+        let b = ZipfStream::new(512, 0.99);
+        let other_theta = ZipfStream::new(512, 1.0);
+        assert!(!Arc::ptr_eq(b.table(), other_theta.table()));
+        assert_eq!(other_n.table().len(), 511);
+    }
+
+    #[test]
+    fn dropping_every_zipf_stream_frees_the_memo_target() {
+        let a = ZipfStream::new(64, 1.1);
+        let weak = Arc::downgrade(a.table());
+        let b = a.clone();
+        let c = ZipfStream::new(64, 1.1);
+        drop((a, b));
+        assert!(weak.upgrade().is_some(), "one stream still holds it");
+        drop(c);
+        assert!(weak.upgrade().is_none());
+        assert_eq!(weak.strong_count(), 0);
+        assert!(LAST_CDF.with_borrow(Option::is_none), "memo cleared");
     }
 
     #[test]

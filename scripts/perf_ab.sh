@@ -20,8 +20,9 @@
 # parent's interquartile range. Then one traced run per side (--trace 1,
 # the first pair's seed, the same seconds) prints every per-layer metric
 # as parent/change, and fails (exit 1) if any sim.events* or sim.msgs.*
-# work count differs: those are deterministic, so a change that keeps the
-# work must keep them exactly. Exit 2 on misuse.
+# work count, sched.admit_ratio, serve.requests or memnode.endpoint_calls
+# differs: those are deterministic work outputs, so a change that keeps
+# the work must keep them exactly. Exit 2 on misuse.
 #
 # Set PERF_AB_TARGET_DIR to keep both sides' build output between calls
 # (held-out runs then skip the rebuild); by default it is temporary.
@@ -152,6 +153,7 @@ import sys
 
 base, new = (json.loads(open(path).readline()) for path in sys.argv[1:3])
 spec = json.load(open(sys.argv[3]))["per_layer"]
+EXACT = ("sched.admit_ratio", "serve.requests", "memnode.endpoint_calls")
 print(f"per-layer, one traced run per side at seed {sys.argv[4]} (parent/change):")
 bad = False
 for side, r in (("parent", base), ("change", new)):
@@ -162,7 +164,7 @@ for metric in spec:
     name = metric["name"]
     b, n = base["metrics"][name]["value"], new["metrics"][name]["value"]
     mark = ""
-    if name.startswith(("sim.events", "sim.msgs.")) and b != n:
+    if b != n and (name.startswith(("sim.events", "sim.msgs.")) or name in EXACT):
         mark = "  FAIL: work count differs"
         bad = True
     print(f"  {name:<32} {b:.6g}/{n:.6g} {metric['unit']}{mark}")
