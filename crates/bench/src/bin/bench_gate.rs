@@ -30,12 +30,13 @@
 //! `shards` gates the sharded executor itself: it runs one scenario
 //! (default `e3x`) serially and with `--shards <n>` (default 4) worker
 //! threads, requires **exactly equal event counts** and **byte-identical
-//! exports** (results, trace, metrics) between the two, and — when the
-//! host has at least `<n>` CPUs — requires the sharded median wall clock
-//! to beat serial by `--min-speedup` (default 1.5x). On smaller hosts the
-//! timing half is reported but exempt, mirroring the 5 ms rule above:
-//! parallel speedup is unmeasurable without parallel hardware, while the
-//! determinism contract is checkable anywhere.
+//! exports** (report text, results, trace, metrics) between the two,
+//! and — when the host has at least `<n>` CPUs — requires the sharded
+//! median wall clock to beat serial by `--min-speedup` (default 1.5x).
+//! On smaller hosts the timing half is reported but exempt, mirroring
+//! the 5 ms rule above: parallel speedup is unmeasurable without
+//! parallel hardware, while the determinism contract is checkable
+//! anywhere.
 //!
 //! `--report` writes a per-scenario comparison JSON (the CI artifact).
 //! Exit code: 0 = green, 1 = regression, event or scalar drift, 2 =
@@ -44,8 +45,9 @@
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use fcc_bench::capture::Capture;
-use fcc_bench::harness::{baseline_json, results_json, run_ids, PerfSample, Scalars, ALL};
+use fcc_bench::harness::{
+    assemble, baseline_json, registry_entry, run_ids, PerfSample, Scalars, ALL,
+};
 use fcc_telemetry::json::{self, JsonValue};
 
 /// Tolerated wall-clock regression, percent.
@@ -285,25 +287,9 @@ fn check(
     }
 }
 
-/// The three assembled exports of one recorded run, for byte-comparison.
-fn assembled_exports(id: &str, shards: usize) -> (String, String, String) {
-    let outputs = run_ids(&[id.to_string()], false, 0, 1, true, shards);
-    let results: Vec<(String, Scalars)> = outputs
-        .iter()
-        .map(|o| (o.id.clone(), o.scalars.clone()))
-        .collect();
-    let mut cap = Capture::recording();
-    for o in outputs {
-        cap.metrics.merge(&o.metrics);
-        if let Some(dump) = o.trace {
-            cap.sink.absorb(dump);
-        }
-    }
-    (
-        results_json(&results),
-        cap.sink.to_chrome_json(),
-        cap.metrics.to_json(),
-    )
+/// The deterministic exports of one recorded run, for byte-comparison.
+fn assembled_exports(id: &str, shards: usize) -> [String; 4] {
+    assemble(run_ids(&[id.to_string()], false, 0, 1, true, shards)).deterministic()
 }
 
 /// Gates the sharded executor: determinism everywhere, speedup where the
@@ -315,7 +301,7 @@ fn shards_gate(
     min_speedup: f64,
     report_path: Option<&str>,
 ) -> ExitCode {
-    if ALL.iter().all(|&(known, _, _, _)| known != id) {
+    if registry_entry(id).is_none() {
         eprintln!("error: unknown experiment id: {id}");
         return ExitCode::from(2);
     }

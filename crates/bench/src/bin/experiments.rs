@@ -35,9 +35,8 @@
 
 use std::process::ExitCode;
 
-use fcc_bench::capture::Capture;
 use fcc_bench::fmt_table;
-use fcc_bench::harness::{perf_json, results_json, run_ids, Scalars, ALL};
+use fcc_bench::harness::{assemble, registry_entry, run_ids, ALL};
 
 fn print_list() {
     let rows: Vec<Vec<String>> = ALL
@@ -145,7 +144,7 @@ fn main() -> ExitCode {
     // Reject typos before running anything: a bad id at position N must
     // not cost the N-1 experiments before it.
     for id in &ids {
-        if !ALL.iter().any(|&(known, _, _, _)| known == id) {
+        if registry_entry(id).is_none() {
             eprintln!("unknown experiment id: {id}");
             return usage();
         }
@@ -155,10 +154,7 @@ fn main() -> ExitCode {
         let untraced: Vec<&str> = ids
             .iter()
             .map(String::as_str)
-            .filter(|id| {
-                ALL.iter()
-                    .any(|&(known, traced, _, _)| known == *id && !traced)
-            })
+            .filter(|id| registry_entry(id).is_some_and(|&(_, traced, _, _)| !traced))
             .collect();
         if !untraced.is_empty() {
             eprintln!(
@@ -168,47 +164,27 @@ fn main() -> ExitCode {
         }
     }
     let jobs = jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let outputs = run_ids(&ids, quick, seed, jobs, capture_wanted, shards);
-
-    // Deterministic assembly: everything below walks `outputs` in
-    // scenario order, so every export is byte-identical for any `--jobs`.
-    for o in &outputs {
-        print!("{}", o.text);
-    }
-    let results: Vec<(String, Scalars)> = outputs
-        .iter()
-        .map(|o| (o.id.clone(), o.scalars.clone()))
-        .collect();
-    let perf_entries: Vec<_> = outputs.iter().map(|o| (o.id.clone(), o.perf)).collect();
-    let perf = perf_json(&perf_entries);
-    let mut cap = if capture_wanted {
-        Capture::recording()
-    } else {
-        Capture::disabled()
-    };
-    for o in outputs {
-        cap.metrics.merge(&o.metrics);
-        if let Some(dump) = o.trace {
-            cap.sink.absorb(dump);
-        }
-    }
+    // Assembled in scenario order: every export is byte-identical for any
+    // `--jobs`.
+    let exports = assemble(run_ids(&ids, quick, seed, jobs, capture_wanted, shards));
+    print!("{}", exports.text);
     if let Some(path) = &json_path {
-        if let Err(code) = write_file(path, &results_json(&results), "results") {
+        if let Err(code) = write_file(path, &exports.results, "results") {
             return code;
         }
     }
     if let Some(path) = &perf_path {
-        if let Err(code) = write_file(path, &perf, "perf samples") {
+        if let Err(code) = write_file(path, &exports.perf, "perf samples") {
             return code;
         }
     }
     if let Some(path) = &trace_path {
-        if let Err(code) = write_file(path, &cap.sink.to_chrome_json(), "trace") {
+        if let Err(code) = write_file(path, &exports.trace_json(), "trace") {
             return code;
         }
     }
     if let Some(path) = &metrics_path {
-        if let Err(code) = write_file(path, &cap.metrics.to_json(), "metrics") {
+        if let Err(code) = write_file(path, &exports.metrics, "metrics") {
             return code;
         }
     }

@@ -7,17 +7,38 @@
 //! or recording (the `--trace` / `--metrics` flags of the `experiments`
 //! binary).
 //!
-//! A scenario on one [`Engine`] brackets its run with
-//! [`Capture::begin_scenario`] / [`Capture::end_scenario`]; a scenario on
-//! a [`ShardedEngine`] uses [`Capture::begin_sharded`] /
-//! [`Capture::end_sharded`], which keep one sink per domain (a sink may
-//! not span engines that run on different threads) and absorb them in
-//! domain order, so the export is byte-identical to a serial run.
+//! Every scenario brackets its run with one pair, [`Capture::begin`] /
+//! [`Capture::end`], over its engines and their topologies as slices of
+//! *domains*: a scenario on one [`Engine`] is a one-domain capture, and a
+//! scenario on a [`ShardedEngine`](fcc_sim::ShardedEngine) passes its K
+//! shard engines ([`engines_mut`](fcc_sim::ShardedEngine::engines_mut))
+//! and its fabric's K domains. Each domain records into its own sink (a
+//! sink may not span engines that run on different threads), and `end`
+//! absorbs the sinks in domain order, so the export is byte-identical to
+//! recording into one shared sink.
+//!
+//! The domain naming rule follows from the domain count alone: a
+//! one-domain scenario's trace process and metric prefix are its `label`,
+//! and domain `d` of a K-domain scenario is `"<label>-d<d>"`.
+//!
+//! `end` also checks every domain for stranded work and audits its
+//! credit ledgers, recording or not, and returns both as a [`Harvest`]:
+//! §3 D#3's failure mode, a credit deadlock, must be seen at the end of
+//! every run, not only a traced one.
 
-use fcc_fabric::sharded::ShardedFabric;
+use fcc_fabric::ledger::{audit_topology, AuditReport};
 use fcc_fabric::topology::Topology;
-use fcc_sim::{Engine, ShardedEngine};
+use fcc_sim::Engine;
 use fcc_telemetry::{record_deadlock, MetricsRegistry, TraceSink};
+
+/// What [`Capture::end`] found in a scenario's drained domains.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Harvest {
+    /// Domains whose engine reported stranded work (a deadlock report).
+    pub stranded: u64,
+    /// Credit-ledger audit findings, each located by its domain's name.
+    pub audit: AuditReport,
+}
 
 /// The harness's telemetry state: one trace sink and one metrics
 /// registry shared across every scenario of a run.
@@ -26,27 +47,40 @@ pub struct Capture {
     pub sink: TraceSink,
     /// The labeled metrics registry.
     pub metrics: MetricsRegistry,
-    /// One sink per domain of the open sharded scenario, in domain
-    /// order; empty outside `begin_sharded` .. `end_sharded`.
+    /// One sink per domain of the open scenario, in domain order; empty
+    /// outside `begin` .. `end` and when not recording.
     domain_sinks: Vec<TraceSink>,
+    /// Every ended scenario's label and harvest, in end order. Not
+    /// exported.
+    ended: Vec<(String, Harvest)>,
+}
+
+/// The trace process and metric prefix of domain `d` of `domains`.
+fn domain_name(label: &str, domains: usize, d: usize) -> String {
+    if domains == 1 {
+        label.to_string()
+    } else {
+        format!("{label}-d{d}")
+    }
 }
 
 impl Capture {
     /// A disabled capture: every emit is a cheap no-op.
     pub fn disabled() -> Self {
-        Capture {
-            sink: TraceSink::disabled(),
-            metrics: MetricsRegistry::new(),
-            domain_sinks: Vec::new(),
-        }
+        Capture::new(TraceSink::disabled())
     }
 
     /// A recording capture.
     pub fn recording() -> Self {
+        Capture::new(TraceSink::recording())
+    }
+
+    fn new(sink: TraceSink) -> Self {
         Capture {
-            sink: TraceSink::recording(),
+            sink,
             metrics: MetricsRegistry::new(),
             domain_sinks: Vec::new(),
+            ended: Vec::new(),
         }
     }
 
@@ -55,92 +89,65 @@ impl Capture {
         self.sink.is_enabled()
     }
 
-    /// Opens a scenario: a new trace process group named `label`, with
-    /// every component track of `topo` wired into the sink.
-    pub fn begin_scenario(&self, label: &str, engine: &mut Engine, topo: &Topology) {
+    /// Opens a scenario over `engines[d]` running `domains[d]`: when
+    /// recording, one sink per domain, each a trace process group named by
+    /// the domain naming rule with that domain's component tracks wired in.
+    pub fn begin(&mut self, label: &str, engines: &mut [Engine], domains: &[Topology]) {
+        debug_assert_eq!(engines.len(), domains.len(), "one engine per domain");
         if !self.is_enabled() {
             return;
         }
-        self.sink.begin_process(label);
-        topo.enable_tracing(engine, &self.sink);
-    }
-
-    /// Closes a scenario: harvests `topo`'s counters under
-    /// `"<label>."`-prefixed metric names and — if the drained engine
-    /// reports stranded work — lands the deadlock report in both the
-    /// trace and the metrics streams (§3 D#3's failure mode must be
-    /// visible in the export, not just on stderr).
-    pub fn end_scenario(&mut self, label: &str, engine: &Engine, topo: &Topology) {
-        if !self.is_enabled() {
-            return;
-        }
-        topo.collect_metrics(engine, &mut self.metrics, &format!("{label}."));
-        if let Some(report) = engine.deadlock_report() {
-            record_deadlock(&self.sink, &mut self.metrics, &report, engine.now());
-        }
-    }
-
-    /// Opens a sharded scenario: one recording sink per domain, each a
-    /// trace process group named `"<label>-d<d>"` with that domain's
-    /// component tracks wired in.
-    pub fn begin_sharded(
-        &mut self,
-        label: &str,
-        sharded: &mut ShardedEngine,
-        fabric: &ShardedFabric,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.domain_sinks = fabric
-            .domains
-            .iter()
+        self.domain_sinks = engines
+            .iter_mut()
+            .zip(domains)
             .enumerate()
-            .map(|(d, topo)| {
+            .map(|(d, (engine, topo))| {
                 let sink = TraceSink::recording();
-                sink.begin_process(&format!("{label}-d{d}"));
-                topo.enable_tracing(sharded.engine_mut(d), &sink);
+                sink.begin_process(&domain_name(label, domains.len(), d));
+                topo.enable_tracing(engine, &sink);
                 sink
             })
             .collect();
     }
 
-    /// Domain `d`'s sink while a sharded scenario is open and recording,
-    /// for tracks of components the fabric does not own.
+    /// Domain `d`'s sink while a scenario is open and recording, for
+    /// tracks of components the fabric does not own.
     pub fn domain_sink(&self, d: usize) -> Option<&TraceSink> {
         self.domain_sinks.get(d)
     }
 
-    /// Closes a sharded scenario, domain by domain: absorbs the domain's
-    /// trace, harvests its counters under `"<label>-d<d>."`, and lands any
-    /// deadlock report as [`Capture::end_scenario`] does. Returns how many
-    /// domains reported a deadlock, counted whether or not the capture
-    /// records.
-    pub fn end_sharded(
-        &mut self,
-        label: &str,
-        sharded: &ShardedEngine,
-        fabric: &ShardedFabric,
-    ) -> u64 {
+    /// Closes a scenario, domain by domain: absorbs the domain's trace,
+    /// harvests its counters under `"<name>."`, lands any deadlock report
+    /// in both the trace and the metrics, and audits its credit ledgers.
+    /// Returns the stranded-domain count and the audit findings, found
+    /// whether or not the capture records.
+    pub fn end(&mut self, label: &str, engines: &[Engine], domains: &[Topology]) -> Harvest {
         let enabled = self.is_enabled();
         let mut sinks = std::mem::take(&mut self.domain_sinks).into_iter();
-        let mut deadlocked = 0;
-        for (d, topo) in fabric.domains.iter().enumerate() {
+        let mut harvest = Harvest::default();
+        for (d, (engine, topo)) in engines.iter().zip(domains).enumerate() {
+            let name = domain_name(label, domains.len(), d);
             if let Some(dump) = sinks.next().and_then(TraceSink::into_dump) {
                 self.sink.absorb(dump);
             }
-            let engine = sharded.engine(d);
             if enabled {
-                topo.collect_metrics(engine, &mut self.metrics, &format!("{label}-d{d}."));
+                topo.collect_metrics(engine, &mut self.metrics, &format!("{name}."));
             }
             if let Some(report) = engine.deadlock_report() {
-                deadlocked += 1;
+                harvest.stranded += 1;
                 if enabled {
                     record_deadlock(&self.sink, &mut self.metrics, &report, engine.now());
                 }
             }
+            harvest.audit.absorb(&name, audit_topology(engine, topo));
         }
-        deadlocked
+        self.ended.push((label.to_string(), harvest.clone()));
+        harvest
+    }
+
+    /// Every ended scenario's label and harvest, in end order.
+    pub fn ended(&self) -> &[(String, Harvest)] {
+        &self.ended
     }
 }
 
@@ -159,5 +166,11 @@ mod tests {
         let cap = Capture::disabled();
         assert!(!cap.is_enabled());
         assert!(cap.metrics.is_empty());
+    }
+
+    #[test]
+    fn domains_are_named_by_their_count() {
+        assert_eq!(domain_name("e3a-w1", 1, 0), "e3a-w1");
+        assert_eq!(domain_name("e14", 8, 3), "e14-d3");
     }
 }

@@ -21,6 +21,7 @@
 //! deadlock report in the trace.
 
 use std::fmt;
+use std::slice;
 use std::sync::Arc;
 
 use fcc_core::heap::{FabricBox, PlacementHint};
@@ -102,9 +103,13 @@ fn run_scenario(mode: Mode, quick: bool, cap: &mut Capture, seed: u64) -> E11Sce
     let mut engine = Engine::new((0xE11 + salt) ^ seed);
     let cluster =
         ElasticCluster::build(&mut engine, TopologySpec::default(), 1, vec![fam(), fam()]);
-    if cap.is_enabled() {
-        cap.sink.begin_process(label);
-        cluster.enable_tracing(&mut engine, &cap.sink);
+    cap.begin(
+        label,
+        slice::from_mut(&mut engine),
+        slice::from_ref(&cluster.state().lock_state().topo),
+    );
+    if let Some(sink) = cap.domain_sink(0) {
+        cluster.enable_tracing(&mut engine, sink);
     }
     // Working set: 4 KiB objects, all placed on one node (identical
     // tiers, stable placement order) — that node is the churn victim.
@@ -173,7 +178,6 @@ fn run_scenario(mode: Mode, quick: bool, cap: &mut Capture, seed: u64) -> E11Sce
     let mean_ns = g.latency.mean() / 1000.0;
     let completed = g.completed.get();
     let issued = g.issued.get();
-    let deadlock = engine.deadlock_report();
     let (lost_objects, survived, epochs, evac_jobs, evac_bytes) = {
         let st = cluster.state().lock_state();
         (
@@ -184,11 +188,12 @@ fn run_scenario(mode: Mode, quick: bool, cap: &mut Capture, seed: u64) -> E11Sce
             st.evac_bytes,
         )
     };
+    // The end-of-run deadlock check reads the cluster state, so the
+    // topology (grown by any hot-add) is copied out of its lock first.
+    let topo = cluster.state().lock_state().topo.clone();
+    let harvest = cap.end(label, slice::from_ref(&engine), slice::from_ref(&topo));
     if cap.is_enabled() {
         cluster.collect_metrics(&engine, &mut cap.metrics, &format!("{label}."));
-        if let Some(report) = &deadlock {
-            fcc_telemetry::record_deadlock(&cap.sink, &mut cap.metrics, report, engine.now());
-        }
     }
     E11Scenario {
         label,
@@ -199,7 +204,7 @@ fn run_scenario(mode: Mode, quick: bool, cap: &mut Capture, seed: u64) -> E11Sce
         lost_objects,
         survived,
         objects: objs.len(),
-        deadlocked: deadlock.is_some(),
+        deadlocked: harvest.stranded > 0,
         epochs,
         evac_jobs,
         evac_bytes,

@@ -32,7 +32,7 @@ use fcc_sim::{Histogram, SimTime};
 
 use crate::capture::Capture;
 use crate::exp_e3x::{
-    mean, partition, Chain, Harvest, Role, DOMAINS, SHARED_REGIONS, TENANTS_PER_DOMAIN,
+    mean, partition, Chain, Role, SchedCounters, DOMAINS, SHARED_REGIONS, TENANTS_PER_DOMAIN,
 };
 
 /// Scheduler credit pool per admission window at each switch.
@@ -69,8 +69,10 @@ struct ModeRun {
     victim_latency: Histogram,
     /// Mean hog throughput (ops/µs).
     hog_ops_us: f64,
-    /// Audit findings and scheduler counters.
-    harvest: Harvest,
+    /// Ledger audit findings across every domain.
+    findings: u64,
+    /// Scheduler counters.
+    sched: SchedCounters,
     /// Events dispatched.
     events: u64,
 }
@@ -136,9 +138,9 @@ pub fn run_e12(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E12R
         victim_p999_on_ns: s_on.p999,
         hog_ops_us_off: off.hog_ops_us,
         hog_ops_us_on: on.hog_ops_us,
-        sched_admitted: on.harvest.admitted,
-        sched_deferred: on.harvest.deferred,
-        ledger_violations: idle.harvest.findings + off.harvest.findings + on.harvest.findings,
+        sched_admitted: on.sched.admitted,
+        sched_deferred: on.sched.deferred,
+        ledger_violations: idle.findings + off.findings + on.findings,
         total_events: idle.events + off.events + on.events,
     }
 }
@@ -154,7 +156,7 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
         chain.govern(&partition(SCHED_POOL, None));
     }
     let label = format!("e12-{}", mode.label());
-    cap.begin_sharded(&label, &mut chain.sharded, &chain.fabric);
+    cap.begin(&label, chain.sharded.engines_mut(), &chain.fabric.domains);
     // Idle mode measures the victims' uncontended floor: only victim
     // generators are started there.
     let roles: &[Role] = if mode == Mode::Idle {
@@ -164,12 +166,13 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
     };
     chain.load_all(roles, &format!("load-{}-", mode.label()), SHARED_REGIONS);
     chain.sharded.run(shards);
-    let harvest = chain.harvest();
-    cap.end_sharded(&label, &chain.sharded, &chain.fabric);
+    let sched = chain.harvest();
+    let harvest = cap.end(&label, chain.sharded.engines(), &chain.fabric.domains);
     ModeRun {
         victim_latency: chain.latency(Role::Victim, cap, &format!("e12-{}.", mode.label())),
         hog_ops_us: mean(&chain.ops_us(Role::Hog)),
-        harvest,
+        findings: harvest.audit.findings.len() as u64,
+        sched,
         events: chain.sharded.total_events(),
     }
 }

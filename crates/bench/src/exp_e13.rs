@@ -281,7 +281,7 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
         chain.govern(&part);
     }
     let label = format!("e13-{}", mode.label());
-    cap.begin_sharded(&label, &mut chain.sharded, &chain.fabric);
+    cap.begin(&label, chain.sharded.engines_mut(), &chain.fabric.domains);
     // Per-domain serving stacks + the interference pair.
     let mut stores: Vec<ComponentId> = Vec::new();
     let mut clients: Vec<(usize, ComponentId)> = Vec::new();
@@ -408,7 +408,6 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
     }
     chain.sharded.run(shards);
     // Deterministic harvest, in domain order.
-    let violations = chain.harvest().findings;
     let mut lost_objects = 0u64;
     for (d, &store_id) in stores.iter().enumerate() {
         let s = chain.sharded.engine(d).component::<KvStore>(store_id);
@@ -440,7 +439,8 @@ fn run_mode(mode: Mode, quick: bool, cap: &mut Capture, seed: u64, shards: usize
         peak.export(&format!("e13-{}-peak.", mode.label()), &mut cap.metrics);
         trough.export(&format!("e13-{}-trough.", mode.label()), &mut cap.metrics);
     }
-    cap.end_sharded(&label, &chain.sharded, &chain.fabric);
+    let harvest = cap.end(&label, chain.sharded.engines(), &chain.fabric.domains);
+    let violations = harvest.audit.findings.len() as u64;
     ModeRun {
         peak,
         trough,

@@ -106,7 +106,7 @@ pub fn run_e14(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E14R
     let plan = spec.plan();
     let specs = plan.domain_specs(|_, _| fabrex_device());
     let (plan, fabric) = sharded_pod(&mut sharded, &spec, specs);
-    cap.begin_sharded("e14", &mut sharded, &fabric);
+    cap.begin("e14", sharded.engines_mut(), &fabric.domains);
     // Load: host `gh` writes a fixed count of 1 KiB ops to the device of
     // a rotating *remote* spine group, so all traffic is leaf-spine-leaf
     // and every spine carries worms in both directions.
@@ -133,8 +133,7 @@ pub fn run_e14(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E14R
     }
     sharded.run(shards);
     // Deterministic harvest, in domain order.
-    let deadlock_events = cap.end_sharded("e14", &sharded, &fabric);
-    let audit_findings = fabric.audit(&sharded).findings.len() as u64;
+    let harvest = cap.end("e14", sharded.engines(), &fabric.domains);
     let mut credit_violations = 0u64;
     let mut makespan = SimTime::ZERO;
     for (d, topo) in fabric.domains.iter().enumerate() {
@@ -154,9 +153,9 @@ pub fn run_e14(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E14R
         completed,
         expected: loads.len() as u64 * ops,
         makespan_us: makespan.as_us(),
-        deadlock_events,
+        deadlock_events: harvest.stranded,
         credit_violations,
-        audit_findings,
+        audit_findings: harvest.audit.findings.len() as u64,
         total_events: sharded.total_events(),
     }
 }

@@ -19,6 +19,7 @@
 //! paper's GigaIO testbed for these claims.
 
 use std::fmt;
+use std::slice;
 
 use fcc_fabric::credit::AllocPolicy;
 use fcc_fabric::endpoint::{Endpoint, PipelinedMemory};
@@ -120,7 +121,8 @@ pub fn run_a(quick: bool, cap: &mut Capture, seed: u64) -> E3aResult {
     let inhost_ns = {
         let mut engine = Engine::new(0xE3A ^ seed);
         let topo = topology::direct(&mut engine, default_spec(), e3a_device());
-        cap.begin_scenario("e3a-inhost", &mut engine, &topo);
+        let label = "e3a-inhost";
+        cap.begin(label, slice::from_mut(&mut engine), slice::from_ref(&topo));
         let lg = attach_load(
             &mut engine,
             &topo,
@@ -139,7 +141,7 @@ pub fn run_a(quick: bool, cap: &mut Capture, seed: u64) -> E3aResult {
             SimTime::ZERO,
         );
         engine.run_until_idle();
-        cap.end_scenario("e3a-inhost", &engine, &topo);
+        cap.end(label, slice::from_ref(&engine), slice::from_ref(&topo));
         engine.component::<LoadGen>(lg).latency.summary_ns().mean
     };
     // Disaggregated: one switch, N concurrent writers to the same chassis.
@@ -149,7 +151,7 @@ pub fn run_a(quick: bool, cap: &mut Capture, seed: u64) -> E3aResult {
         let topo =
             topology::single_switch(&mut engine, default_spec(), writers, vec![e3a_device()]);
         let label = format!("e3a-w{writers}");
-        cap.begin_scenario(&label, &mut engine, &topo);
+        cap.begin(&label, slice::from_mut(&mut engine), slice::from_ref(&topo));
         let lgs: Vec<_> = (0..writers)
             .map(|h| {
                 attach_load(
@@ -172,7 +174,7 @@ pub fn run_a(quick: bool, cap: &mut Capture, seed: u64) -> E3aResult {
             })
             .collect();
         engine.run_until_idle();
-        cap.end_scenario(&label, &engine, &topo);
+        cap.end(&label, slice::from_ref(&engine), slice::from_ref(&topo));
         let mean = lgs
             .iter()
             .map(|&lg| engine.component::<LoadGen>(lg).latency.summary_ns().mean)
@@ -244,7 +246,7 @@ pub fn run_b(quick: bool, cap: &mut Capture, seed: u64) -> E3bResult {
         let mut engine = Engine::new((0xE3B ^ seed) + with_bulk as u64);
         let topo = topology::single_switch(&mut engine, default_spec(), 5, vec![fabrex_device()]);
         let label = if with_bulk { "e3b-bulk" } else { "e3b-alone" };
-        cap.begin_scenario(label, &mut engine, &topo);
+        cap.begin(label, slice::from_mut(&mut engine), slice::from_ref(&topo));
         let small = attach_load(
             &mut engine,
             &topo,
@@ -284,7 +286,7 @@ pub fn run_b(quick: bool, cap: &mut Capture, seed: u64) -> E3bResult {
             }
         }
         engine.run_until_idle();
-        cap.end_scenario(label, &engine, &topo);
+        cap.end(label, slice::from_ref(&engine), slice::from_ref(&topo));
         engine.component::<LoadGen>(small).latency.summary_ns()
     };
     E3bResult {
@@ -365,7 +367,11 @@ fn run_alloc_policy(
         3,
         vec![fabrex_device()],
     );
-    cap.begin_scenario(scenario, &mut engine, &topo);
+    cap.begin(
+        scenario,
+        slice::from_mut(&mut engine),
+        slice::from_ref(&topo),
+    );
     // Hog: saturates from t=0 so ramp-up grants it a huge allocation.
     let hog = attach_load(
         &mut engine,
@@ -408,7 +414,7 @@ fn run_alloc_policy(
         })
         .collect();
     engine.run_until_idle();
-    cap.end_scenario(scenario, &engine, &topo);
+    cap.end(scenario, slice::from_ref(&engine), slice::from_ref(&topo));
     let hog_g = engine.component::<LoadGen>(hog);
     let hog_tput = hog_g.completed() as f64 / horizon.as_us();
     let burst_window = (horizon - burst_start).as_us();
@@ -543,23 +549,23 @@ pub fn run_d(quick: bool, cap: &mut Capture, seed: u64) -> E3dResult {
         let fast = fabrex_device();
         let mut spec = fabrex_spec(queueing, AllocPolicy::Fair);
         spec.fha_outstanding = 64;
-        let engine_topo = topology::single_switch(&mut engine, spec, 1, vec![slow, fast]);
+        let topo = topology::single_switch(&mut engine, spec, 1, vec![slow, fast]);
         let label = match queueing {
             QueueDiscipline::Fifo => "e3d-fifo",
             QueueDiscipline::Voq => "e3d-voq",
             QueueDiscipline::Wormhole => "e3d-wormhole",
         };
-        cap.begin_scenario(label, &mut engine, &engine_topo);
+        cap.begin(label, slice::from_mut(&mut engine), slice::from_ref(&topo));
         // Shrink the slow FEA's admission queue so backpressure forms fast.
-        let slow_fea = engine_topo.devices[0].fea;
+        let slow_fea = topo.devices[0].fea;
         engine
             .component_mut::<fcc_fabric::adapter::Fea>(slow_fea)
             .set_queue_depth(2);
-        let slow_range = engine_topo.devices[0].range;
-        let fast_range = engine_topo.devices[1].range;
+        let slow_range = topo.devices[0].range;
+        let fast_range = topo.devices[1].range;
         let to_slow = attach_load(
             &mut engine,
-            &engine_topo,
+            &topo,
             0,
             |fha| LoadCfg {
                 fha,
@@ -578,7 +584,7 @@ pub fn run_d(quick: bool, cap: &mut Capture, seed: u64) -> E3dResult {
         );
         let to_fast = attach_load(
             &mut engine,
-            &engine_topo,
+            &topo,
             0,
             |fha| LoadCfg {
                 fha,
@@ -594,7 +600,7 @@ pub fn run_d(quick: bool, cap: &mut Capture, seed: u64) -> E3dResult {
             SimTime::ZERO,
         );
         engine.run_until_idle();
-        cap.end_scenario(label, &engine, &engine_topo);
+        cap.end(label, slice::from_ref(&engine), slice::from_ref(&topo));
         let fast_tput = engine.component::<LoadGen>(to_fast).completed() as f64 / horizon.as_us();
         let slow_tput = engine.component::<LoadGen>(to_slow).completed() as f64 / horizon.as_us();
         (fast_tput, slow_tput)
@@ -700,7 +706,7 @@ pub fn run_e(quick: bool, cap: &mut Capture, seed: u64) -> E3eResult {
             ],
         );
         let label = if with_hog { "e3e-hog" } else { "e3e-alone" };
-        cap.begin_scenario(label, &mut engine, &topo);
+        cap.begin(label, slice::from_mut(&mut engine), slice::from_ref(&topo));
         // Shrink the slow device's admission queue so its backlog camps
         // in the switches, not the device.
         engine
@@ -725,9 +731,8 @@ pub fn run_e(quick: bool, cap: &mut Capture, seed: u64) -> E3eResult {
             },
             SimTime::ZERO,
         );
-        let mut hog_tput = 0.0;
-        if with_hog {
-            let hog = attach_load(
+        let hog = with_hog.then(|| {
+            attach_load(
                 &mut engine,
                 &topo,
                 0,
@@ -745,18 +750,12 @@ pub fn run_e(quick: bool, cap: &mut Capture, seed: u64) -> E3eResult {
                     pattern: AddrPattern::Sequential,
                 },
                 SimTime::ZERO,
-            );
-            engine.run_until_idle();
-            cap.end_scenario(label, &engine, &topo);
-            hog_tput = engine.component::<LoadGen>(hog).completed() as f64 / horizon.as_us();
-            let victim_tput =
-                engine.component::<LoadGen>(victim).completed() as f64 / horizon.as_us();
-            return (victim_tput, hog_tput);
-        }
+            )
+        });
         engine.run_until_idle();
-        cap.end_scenario(label, &engine, &topo);
-        let victim_tput = engine.component::<LoadGen>(victim).completed() as f64 / horizon.as_us();
-        (victim_tput, hog_tput)
+        cap.end(label, slice::from_ref(&engine), slice::from_ref(&topo));
+        let tput = |lg| engine.component::<LoadGen>(lg).completed() as f64 / horizon.as_us();
+        (tput(victim), hog.map_or(0.0, tput))
     };
     let (victim_congested, hog_tput) = run(true);
     let (victim_alone, _) = run(false);

@@ -18,8 +18,8 @@
 //! any value. This is the workload `bench_gate shards` uses to prove the
 //! conservative-lookahead executor's wall-clock win.
 //!
-//! The chain itself — build, scheduler install, tenant roles, harvest —
-//! is `Chain`, which E12 and E13 run over too.
+//! The chain itself — build, scheduler install, tenant roles, scheduler
+//! counters — is `Chain`, which E12 and E13 run over too.
 
 use std::fmt;
 
@@ -144,10 +144,8 @@ pub(crate) fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len().max(1) as f64
 }
 
-/// What a chain run leaves to audit, read in domain order.
-pub(crate) struct Harvest {
-    /// Ledger audit findings across every domain.
-    pub(crate) findings: u64,
+/// The chain's scheduler counters, summed in domain order.
+pub(crate) struct SchedCounters {
     /// Flits admitted by schedulers (0 when ungoverned).
     pub(crate) admitted: u64,
     /// Admission probes deferred by schedulers.
@@ -258,10 +256,9 @@ impl Chain {
         }
     }
 
-    /// Audits every domain and sums the schedulers' counters.
-    pub(crate) fn harvest(&self) -> Harvest {
-        let mut out = Harvest {
-            findings: self.fabric.audit(&self.sharded).findings.len() as u64,
+    /// Sums the schedulers' counters.
+    pub(crate) fn harvest(&self) -> SchedCounters {
+        let mut out = SchedCounters {
             admitted: 0,
             deferred: 0,
         };
@@ -335,10 +332,10 @@ pub fn run_x(quick: bool, cap: &mut Capture, seed: u64, shards: usize) -> E3xRes
         SimTime::from_us(120.0)
     };
     let mut chain = Chain::new(0xE3C0 ^ seed, TENANTS_PER_DOMAIN, 1, horizon);
-    cap.begin_sharded("e3x", &mut chain.sharded, &chain.fabric);
+    cap.begin("e3x", chain.sharded.engines_mut(), &chain.fabric.domains);
     chain.load_all(&Role::ALL, "load-", SHARED_REGIONS);
     chain.sharded.run(shards);
-    cap.end_sharded("e3x", &chain.sharded, &chain.fabric);
+    cap.end("e3x", chain.sharded.engines(), &chain.fabric.domains);
     let victims = chain.ops_us(Role::Victim);
     E3xResult {
         tenants: DOMAINS * TENANTS_PER_DOMAIN,

@@ -8,6 +8,7 @@
 //! switch → FEA → FAM) with the calibration of [`crate::calib`].
 
 use std::fmt;
+use std::slice;
 
 use fcc_cache::core::{AccessPattern, CoreReport, CpuCore, RunDone, StartRun};
 use fcc_cache::hierarchy::{HierarchyConfig, MemoryHierarchy};
@@ -72,8 +73,10 @@ fn measure_captured(
             vec![calib::fam(1 << 30)],
         );
         core.set_fha(topo.hosts[0].fha);
-        cap.begin_scenario(label, &mut engine, &topo);
-        core.set_trace(cap.sink.track("core"));
+        cap.begin(label, slice::from_mut(&mut engine), slice::from_ref(&topo));
+        if let Some(sink) = cap.domain_sink(0) {
+            core.set_trace(sink.track("core"));
+        }
         remote_topo = Some(topo);
     }
     let core = engine.add_component("core", core);
@@ -87,7 +90,7 @@ fn measure_captured(
     );
     engine.run_until_idle();
     if let Some(topo) = &remote_topo {
-        cap.end_scenario(label, &engine, topo);
+        cap.end(label, slice::from_ref(&engine), slice::from_ref(topo));
     }
     engine
         .component::<Sink>(sink)

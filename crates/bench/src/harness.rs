@@ -6,15 +6,16 @@
 //! per-scenario [`Capture`], producing a self-contained
 //! [`ScenarioOutput`]: rendered text, scalar results, a wall-clock/event
 //! perf sample, and (when recording) a thread-transferable trace dump
-//! plus metrics registry. The driver then assembles outputs **in
+//! plus metrics registry. [`assemble`] then joins the outputs **in
 //! scenario order**, so every export — human text, results JSON, Chrome
 //! trace, metrics JSON — is byte-identical whether scenarios ran on one
-//! thread or eight.
+//! thread or eight. The `experiments` binary, `bench_gate shards` and the
+//! determinism tests all export through it.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use fcc_telemetry::{MetricsRegistry, TraceDump};
+use fcc_telemetry::{MetricsRegistry, TraceDump, TraceSink};
 
 use crate::capture::Capture;
 use crate::runner::par_map;
@@ -564,6 +565,65 @@ pub fn run_ids(
         |_, id| registry_entry(id).map_or(0, |&(_, _, cost, _)| cost),
         move |_, id| run_scenario(&id, quick, seed, record, shards),
     )
+}
+
+/// A run's exports, assembled from its scenario outputs in scenario order.
+pub struct Exports {
+    /// Every scenario's rendered report, concatenated.
+    pub text: String,
+    /// The scalar results JSON ([`results_json`]).
+    pub results: String,
+    /// The merged metrics registry as JSON.
+    pub metrics: String,
+    /// The per-scenario perf JSON ([`perf_json`]); the one export that is
+    /// not deterministic.
+    pub perf: String,
+    /// Every scenario's trace, absorbed in scenario order.
+    trace: TraceSink,
+}
+
+impl Exports {
+    /// The Chrome trace JSON. Rendered on demand: a full traced run's
+    /// trace runs to hundreds of megabytes.
+    pub fn trace_json(&self) -> String {
+        self.trace.to_chrome_json()
+    }
+
+    /// The four deterministic exports: text, results, trace and metrics.
+    pub fn deterministic(&self) -> [String; 4] {
+        [
+            self.text.clone(),
+            self.results.clone(),
+            self.trace_json(),
+            self.metrics.clone(),
+        ]
+    }
+}
+
+/// Assembles scenario outputs, in the order given, into a run's exports:
+/// report text, results, merged metrics, absorbed trace and perf samples.
+pub fn assemble(outputs: Vec<ScenarioOutput>) -> Exports {
+    let text = outputs.iter().map(|o| o.text.as_str()).collect();
+    let results: Vec<(String, Scalars)> = outputs
+        .iter()
+        .map(|o| (o.id.clone(), o.scalars.clone()))
+        .collect();
+    let perf: Vec<(String, PerfSample)> = outputs.iter().map(|o| (o.id.clone(), o.perf)).collect();
+    let trace = TraceSink::recording();
+    let mut metrics = MetricsRegistry::new();
+    for o in outputs {
+        metrics.merge(&o.metrics);
+        if let Some(dump) = o.trace {
+            trace.absorb(dump);
+        }
+    }
+    Exports {
+        text,
+        results: results_json(&results),
+        metrics: metrics.to_json(),
+        perf: perf_json(&perf),
+        trace,
+    }
 }
 
 /// Renders scalar results as one JSON object keyed by experiment id.

@@ -6,8 +6,7 @@
 //! RNG streams) and the harness reassembles outputs in scenario order,
 //! so thread scheduling must be unobservable. These tests pin that.
 
-use fcc_bench::capture::Capture;
-use fcc_bench::harness::{perf_json, results_json, run_ids, ScenarioOutput};
+use fcc_bench::harness::{assemble, run_ids};
 
 /// A mixed bag of cheap scenarios: traced (t2, e3d) and untraced (t1,
 /// e6, e10), in non-alphabetical order to catch accidental sorting.
@@ -18,45 +17,27 @@ fn ids() -> Vec<String> {
         .collect()
 }
 
-/// Reassembles outputs exactly the way the `experiments` binary does:
-/// concatenated report text, scalar JSON, absorbed trace JSON, merged
-/// metrics JSON.
-fn assemble(outputs: Vec<ScenarioOutput>) -> (String, String, String, String) {
-    let text: String = outputs.iter().map(|o| o.text.as_str()).collect();
-    let results: Vec<_> = outputs
-        .iter()
-        .map(|o| (o.id.clone(), o.scalars.clone()))
-        .collect();
-    let mut cap = Capture::recording();
-    for o in outputs {
-        cap.metrics.merge(&o.metrics);
-        if let Some(dump) = o.trace {
-            cap.sink.absorb(dump);
-        }
-    }
-    (
-        text,
-        results_json(&results),
-        cap.sink.to_chrome_json(),
-        cap.metrics.to_json(),
-    )
+/// The deterministic exports of one recorded run, assembled by the
+/// harness function the `experiments` binary exports through.
+fn exports(seed: u64, jobs: usize) -> [String; 4] {
+    assemble(run_ids(&ids(), true, seed, jobs, true, 1)).deterministic()
 }
 
 #[test]
 fn parallel_run_is_byte_identical_to_serial() {
-    let serial = assemble(run_ids(&ids(), true, 0, 1, true, 1));
-    let parallel = assemble(run_ids(&ids(), true, 0, 4, true, 1));
-    assert_eq!(serial.0, parallel.0, "report text differs");
-    assert_eq!(serial.1, parallel.1, "scalar JSON differs");
-    assert_eq!(serial.2, parallel.2, "trace JSON differs");
-    assert_eq!(serial.3, parallel.3, "metrics JSON differs");
+    let serial = exports(0, 1);
+    let parallel = exports(0, 4);
+    for (what, (a, b)) in ["report text", "scalar JSON", "trace JSON", "metrics JSON"]
+        .iter()
+        .zip(serial.iter().zip(&parallel))
+    {
+        assert_eq!(a, b, "{what} differs");
+    }
 }
 
 #[test]
 fn parallel_run_is_byte_identical_under_a_nonzero_seed() {
-    let serial = assemble(run_ids(&ids(), true, 42, 1, true, 1));
-    let parallel = assemble(run_ids(&ids(), true, 42, 3, true, 1));
-    assert_eq!(serial, parallel);
+    assert_eq!(exports(42, 1), exports(42, 3));
 }
 
 #[test]
@@ -73,8 +54,7 @@ fn outputs_come_back_in_request_order_with_perf_samples() {
         assert!(o.perf.wall_ms >= 0.0);
     }
     // The perf export covers every scenario, in order.
-    let entries: Vec<_> = outputs.iter().map(|o| (o.id.clone(), o.perf)).collect();
-    let perf = perf_json(&entries);
+    let perf = assemble(outputs).perf;
     let mut last = 0;
     for id in ["t2", "t1", "e3d", "e10", "e6"] {
         let pos = perf.find(&format!("\"{id}\"")).expect("id in perf JSON");

@@ -15,8 +15,7 @@
 //! that keeps every export byte-identical leaves them alone; a change
 //! that alters an export on purpose records the new digests here.
 
-use fcc_bench::capture::Capture;
-use fcc_bench::harness::{results_json, run_ids, ScenarioOutput};
+use fcc_bench::harness::{assemble, run_ids};
 
 /// The sharded scenarios (`e3x`, the scheduler-governed `e12`, the
 /// serving-tier `e13`, and the wormhole pod `e14`) plus single-engine
@@ -47,69 +46,47 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Reassembles outputs exactly the way the `experiments` binary does.
-fn assemble(outputs: Vec<ScenarioOutput>) -> (String, String, String, String) {
-    let text: String = outputs.iter().map(|o| o.text.as_str()).collect();
-    let results: Vec<_> = outputs
-        .iter()
-        .map(|o| (o.id.clone(), o.scalars.clone()))
-        .collect();
-    let mut cap = Capture::recording();
-    for o in outputs {
-        cap.metrics.merge(&o.metrics);
-        if let Some(dump) = o.trace {
-            cap.sink.absorb(dump);
-        }
-    }
-    (
-        text,
-        results_json(&results),
-        cap.sink.to_chrome_json(),
-        cap.metrics.to_json(),
-    )
+/// The deterministic exports of one recorded run, assembled by the
+/// harness function the `experiments` binary exports through.
+fn exports(seed: u64, jobs: usize, shards: usize) -> [String; 4] {
+    assemble(run_ids(&ids(), true, seed, jobs, true, shards)).deterministic()
 }
 
 #[test]
 fn sharded_runs_are_byte_identical_for_every_worker_count() {
-    let serial = assemble(run_ids(&ids(), true, 0, 1, true, 1));
-    let digests = [&serial.0, &serial.1, &serial.2, &serial.3].map(|s| fnv1a(s.as_bytes()));
+    let serial = exports(0, 1, 1);
+    let digests = serial.each_ref().map(|s| fnv1a(s.as_bytes()));
     assert_eq!(
         digests, SERIAL_DIGESTS,
         "serial exports changed; their digests are now {digests:#018x?}"
     );
     for shards in [2, 4, 8] {
-        let sharded = assemble(run_ids(&ids(), true, 0, 1, true, shards));
-        assert_eq!(
-            serial.0, sharded.0,
-            "report text differs at --shards {shards}"
-        );
-        assert_eq!(
-            serial.1, sharded.1,
-            "scalar JSON differs at --shards {shards}"
-        );
-        assert_eq!(
-            serial.2, sharded.2,
-            "trace JSON differs at --shards {shards}"
-        );
-        assert_eq!(
-            serial.3, sharded.3,
-            "metrics JSON differs at --shards {shards}"
-        );
+        let sharded = exports(0, 1, shards);
+        for (what, (a, b)) in ["report text", "scalar JSON", "trace JSON", "metrics JSON"]
+            .iter()
+            .zip(serial.iter().zip(&sharded))
+        {
+            assert_eq!(a, b, "{what} differs at --shards {shards}");
+        }
     }
 }
 
 #[test]
 fn sharded_workers_compose_with_parallel_scenario_jobs() {
-    let serial = assemble(run_ids(&ids(), true, 0, 1, true, 1));
-    let both = assemble(run_ids(&ids(), true, 0, 3, true, 4));
-    assert_eq!(serial, both, "--shards 4 + --jobs 3 diverged from serial");
+    assert_eq!(
+        exports(0, 1, 1),
+        exports(0, 3, 4),
+        "--shards 4 + --jobs 3 diverged from serial"
+    );
 }
 
 #[test]
 fn sharded_runs_are_byte_identical_under_a_nonzero_seed() {
     for seed in [42, 0xFCC] {
-        let serial = assemble(run_ids(&ids(), true, seed, 1, true, 1));
-        let sharded = assemble(run_ids(&ids(), true, seed, 2, true, 2));
-        assert_eq!(serial, sharded, "seed {seed} diverged");
+        assert_eq!(
+            exports(seed, 1, 1),
+            exports(seed, 2, 2),
+            "seed {seed} diverged"
+        );
     }
 }

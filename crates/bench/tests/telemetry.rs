@@ -37,7 +37,11 @@ fn two_switch_trace(seed: u64) -> String {
             },
         ],
     );
-    cap.begin_scenario("golden", &mut engine, &topo);
+    cap.begin(
+        "golden",
+        std::slice::from_mut(&mut engine),
+        std::slice::from_ref(&topo),
+    );
     for h in 0..2 {
         let cfg = LoadCfg {
             fha: topo.hosts[h].fha,
@@ -54,7 +58,11 @@ fn two_switch_trace(seed: u64) -> String {
         engine.post(lg, SimTime::ZERO, StartLoad);
     }
     engine.run_until_idle();
-    cap.end_scenario("golden", &engine, &topo);
+    cap.end(
+        "golden",
+        std::slice::from_ref(&engine),
+        std::slice::from_ref(&topo),
+    );
     cap.sink.to_chrome_json()
 }
 
@@ -226,7 +234,7 @@ fn assert_deadlock_exported(cap: &Capture, stuck: u64) {
 
 #[test]
 fn deadlock_report_lands_in_exported_trace() {
-    // One engine, closed by `end_scenario`.
+    // One engine: a one-domain capture.
     let mut cap = Capture::recording();
     let mut engine = Engine::new(0xDEAD);
     let topo = topology::single_switch(
@@ -235,7 +243,11 @@ fn deadlock_report_lands_in_exported_trace() {
         1,
         vec![Box::new(DeadDevice)],
     );
-    cap.begin_scenario("wedged", &mut engine, &topo);
+    cap.begin(
+        "wedged",
+        std::slice::from_mut(&mut engine),
+        std::slice::from_ref(&topo),
+    );
     let lg = engine.add_component(
         "load-h0",
         one_read(topo.hosts[0].fha, topo.devices[0].range.base),
@@ -243,10 +255,15 @@ fn deadlock_report_lands_in_exported_trace() {
     engine.post(lg, SimTime::ZERO, StartLoad);
     engine.run_until_idle();
     let report = engine.deadlock_report().expect("run must wedge");
-    cap.end_scenario("wedged", &engine, &topo);
+    let harvest = cap.end(
+        "wedged",
+        std::slice::from_ref(&engine),
+        std::slice::from_ref(&topo),
+    );
+    assert_eq!(harvest.stranded, 1, "the one domain reports the wedge");
     assert_deadlock_exported(&cap, report.stuck.len() as u64);
 
-    // Two domains, closed by `end_sharded`: the host in domain 0 reads
+    // Two domains: the host in domain 0 reads
     // the dead device across the inter-domain cable.
     let mut cap = Capture::recording();
     let mut sharded = ShardedEngine::new(0xDEAD, 2);
@@ -265,7 +282,7 @@ fn deadlock_report_lands_in_exported_trace() {
         ],
         SimTime::from_ns(200.0),
     );
-    cap.begin_sharded("wedged-sharded", &mut sharded, &fabric);
+    cap.begin("wedged-sharded", sharded.engines_mut(), &fabric.domains);
     let read = one_read(
         fabric.domains[0].hosts[0].fha,
         fabric.domains[1].devices[0].range.base,
@@ -278,7 +295,7 @@ fn deadlock_report_lands_in_exported_trace() {
         .filter_map(|d| sharded.engine(d).deadlock_report())
         .map(|r| r.stuck.len() as u64)
         .sum();
-    let wedged = cap.end_sharded("wedged-sharded", &sharded, &fabric);
-    assert!(wedged >= 1, "a domain must report the wedge");
+    let harvest = cap.end("wedged-sharded", sharded.engines(), &fabric.domains);
+    assert!(harvest.stranded >= 1, "a domain must report the wedge");
     assert_deadlock_exported(&cap, stuck);
 }

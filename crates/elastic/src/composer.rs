@@ -304,25 +304,21 @@ impl ElasticCluster {
             });
     }
 
-    /// Wires a [`TraceSink`] through the fabric, the eTrans engine, and
-    /// the composer's own `reconfig` track (epoch instants + evacuation
-    /// spans). Devices hot-added later keep running untraced; the epoch
-    /// instants still record their lifecycle.
+    /// Wires a [`TraceSink`] through the eTrans engine and the composer's
+    /// own `reconfig` track (epoch instants + evacuation spans); the
+    /// fabric is wired through [`Topology::enable_tracing`]. Devices
+    /// hot-added later keep running untraced; the epoch instants still
+    /// record their lifecycle.
     pub fn enable_tracing(&self, engine: &mut Engine, sink: &TraceSink) {
-        self.state.lock_state().topo.enable_tracing(engine, sink);
         engine
             .component_mut::<TransactionEngine>(self.etrans)
             .set_trace(sink.track("evac-etrans"));
         self.state.lock_state().track = sink.track("reconfig");
     }
 
-    /// Snapshots fabric and evacuation counters into `reg` under
-    /// `<prefix>…` names.
+    /// Snapshots the evacuation counters into `reg` under `<prefix>…`
+    /// names; the fabric's are [`Topology::collect_metrics`]'.
     pub fn collect_metrics(&self, engine: &Engine, reg: &mut MetricsRegistry, prefix: &str) {
-        self.state
-            .lock_state()
-            .topo
-            .collect_metrics(engine, reg, prefix);
         let te = engine.component::<TransactionEngine>(self.etrans);
         reg.record_counter(&format!("{prefix}evac.completed"), &te.completed);
         reg.record_counter(&format!("{prefix}evac.bytes_moved"), &te.bytes_moved);

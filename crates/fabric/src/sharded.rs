@@ -25,7 +25,6 @@ use fcc_sim::shard::ShardedEngine;
 use fcc_sim::{ComponentId, SimTime};
 
 use crate::endpoint::Endpoint;
-use crate::ledger::{audit_topology, AuditReport};
 use crate::pods::{instantiate, Engines, PodKind, PodPlan};
 use crate::topology::{DeviceHandle, HostHandle, Topology, TopologySpec};
 
@@ -65,19 +64,6 @@ impl ShardedFabric {
             .iter()
             .enumerate()
             .flat_map(|(d, t)| t.devices.iter().map(move |dev| (d, dev)))
-    }
-
-    /// Audits every switch of every domain, locating each finding by
-    /// domain. Call at quiescence, as [`audit_topology`].
-    pub fn audit(&self, sharded: &ShardedEngine) -> AuditReport {
-        let mut report = AuditReport::default();
-        for (d, topo) in self.domains.iter().enumerate() {
-            report.absorb(
-                &format!("domain {d}"),
-                audit_topology(sharded.engine(d), topo),
-            );
-        }
-        report
     }
 }
 
@@ -122,6 +108,7 @@ mod tests {
     use super::*;
     use crate::adapter::{HostCompletion, HostOp, HostRequest};
     use crate::endpoint::FixedLatencyMemory;
+    use crate::ledger::audit_topology;
     use crate::switch::FabricSwitch;
 
     type Sink = Inbox<HostCompletion>;
@@ -191,8 +178,10 @@ mod tests {
         // Two cables (200ns each) each way + device (100ns) + three
         // switch hops each way: well past 900ns.
         assert!(done[0].latency() > SimTime::from_ns(900.0));
-        let audit = fabric.audit(&sharded);
-        assert!(audit.is_clean(), "{audit}");
+        for (engine, topo) in sharded.engines().iter().zip(&fabric.domains) {
+            let audit = audit_topology(engine, topo);
+            assert!(audit.is_clean(), "{audit}");
+        }
         (done[0].latency().as_ps(), sharded.total_events())
     }
 

@@ -989,7 +989,8 @@ impl FabricSwitch {
     }
 
     /// Whether the allocation policy lets input `i` send to `out` now.
-    /// Returns the retry time if the flit is rate-limited.
+    /// Returns the retry time if the flit is rate-limited. The reserved
+    /// phase runs only under [`AllocPolicy::Arbitrated`] (see `schedule`).
     fn policy_gate(
         &mut self,
         i: usize,
@@ -999,17 +1000,8 @@ impl FabricSwitch {
         reserved_phase: bool,
     ) -> Result<(), Option<SimTime>> {
         match self.cfg.allocation {
-            AllocPolicy::Fair => {
-                if reserved_phase {
-                    Err(None)
-                } else {
-                    Ok(())
-                }
-            }
+            AllocPolicy::Fair => Ok(()),
             AllocPolicy::RampUp { .. } => {
-                if reserved_phase {
-                    return Err(None);
-                }
                 // ramp_state is Some whenever the policy is RampUp; treat
                 // the impossible None as "no allocation gate".
                 match self.ramp_state(out) {

@@ -71,6 +71,7 @@ pub struct DeviceHandle {
 }
 
 /// A built composable infrastructure.
+#[derive(Clone)]
 pub struct Topology {
     /// Host servers.
     pub hosts: Vec<HostHandle>,

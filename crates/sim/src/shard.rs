@@ -186,6 +186,16 @@ impl ShardedEngine {
         &mut self.engines[s]
     }
 
+    /// Every shard's engine, in shard order.
+    pub fn engines(&self) -> &[Engine] {
+        &self.engines
+    }
+
+    /// Mutable access to every shard's engine, in shard order.
+    pub fn engines_mut(&mut self) -> &mut [Engine] {
+        &mut self.engines
+    }
+
     /// The minimum cross-shard latency, i.e. the conservative lookahead.
     /// `None` until the first [`ShardedEngine::link`].
     pub fn lookahead(&self) -> Option<SimTime> {

@@ -115,6 +115,35 @@ impl TraceBuf {
         self.label_index.insert(name.to_string(), id);
         LabelId(id)
     }
+
+    fn push(&mut self, span: SpanRecord) {
+        let key = (span.tid, span.cat);
+        self.spans.push(span);
+        let idx = self.spans.len() - 1;
+        self.last_by_tid.insert(key, idx);
+    }
+
+    /// Pushes a complete span, coalescing it into the track's previous
+    /// span when both describe the same work (same name, category, and
+    /// trace id) and they touch (`span.begin <= prev.end`). Per-flit
+    /// emitters (wire serialization, credit waits) use this so a bulk
+    /// transfer's burst of near-identical micro-spans collapses into one
+    /// span per transaction instead of one per flit.
+    fn push_merged(&mut self, span: SpanRecord) {
+        if let Some(&idx) = self.last_by_tid.get(&(span.tid, span.cat)) {
+            let prev = &mut self.spans[idx];
+            if prev.kind == SpanKind::Complete
+                && prev.trace_id == span.trace_id
+                && prev.name == span.name
+                && span.begin_ps >= prev.begin_ps
+                && span.begin_ps <= prev.end_ps
+            {
+                prev.end_ps = prev.end_ps.max(span.end_ps);
+                return;
+            }
+        }
+        self.push(span);
+    }
 }
 
 /// A shared trace buffer handle. Cloning is cheap (an `Arc` bump); all
@@ -185,16 +214,17 @@ impl TraceSink {
             buf.processes.push("sim".to_string());
         }
         let pid = (buf.processes.len() - 1) as u32;
-        if let Some(tid) = buf.tracks.iter().position(|(p, n)| *p == pid && n == name) {
-            return Track {
-                sink: self.clone(),
-                tid: tid as u32,
-            };
-        }
-        buf.tracks.push((pid, name.to_string()));
+        let tid = match buf.tracks.iter().position(|(p, n)| *p == pid && n == name) {
+            Some(tid) => tid,
+            None => {
+                buf.tracks.push((pid, name.to_string()));
+                buf.tracks.len() - 1
+            }
+        };
         Track {
             sink: self.clone(),
-            tid: (buf.tracks.len() - 1) as u32,
+            pid,
+            tid: tid as u32,
         }
     }
 
@@ -216,36 +246,13 @@ impl TraceSink {
             .unwrap_or_default()
     }
 
-    /// Interns a span label, returning its id. Hot emitters that build a
-    /// label with `format!` may intern it once and reuse the id.
-    pub(crate) fn intern(&self, name: &str) -> LabelId {
-        self.inner
-            .as_ref()
-            .map(|inner| lock(inner).intern(name))
-            .unwrap_or(LabelId(0))
-    }
-
-    /// Consumes this handle and extracts the recorded buffer as a
+    /// Consumes this handle and takes the recorded buffer out as a
     /// [`TraceDump`] that can cross threads. Returns `None` on a disabled
-    /// sink. The caller must have dropped every other handle (tracks,
-    /// clones) first; otherwise the buffer contents are cloned.
+    /// sink. Handles still alive (tracks held by components, clones) keep
+    /// an emptied buffer: whatever they emit afterwards is not in the dump.
     pub fn into_dump(self) -> Option<TraceDump> {
         let inner = self.inner?;
-        let buf = match Arc::try_unwrap(inner) {
-            Ok(mutex) => mutex.into_inner().unwrap_or_else(|e| e.into_inner()),
-            // A stray Track still holds the buffer: fall back to cloning.
-            Err(arc) => {
-                let b = lock(&arc);
-                TraceBuf {
-                    processes: b.processes.clone(),
-                    tracks: b.tracks.clone(),
-                    spans: b.spans.clone(),
-                    labels: b.labels.clone(),
-                    label_index: Default::default(),
-                    last_by_tid: Default::default(),
-                }
-            }
-        };
+        let buf = std::mem::take(&mut *lock(&inner));
         Some(TraceDump {
             processes: buf.processes,
             tracks: buf.tracks,
@@ -283,45 +290,6 @@ impl TraceSink {
     pub(crate) fn with_buf<R>(&self, f: impl FnOnce(&TraceBuf) -> R) -> Option<R> {
         self.inner.as_ref().map(|inner| f(&lock(inner)))
     }
-
-    fn push(&self, span: SpanRecord) {
-        if let Some(inner) = &self.inner {
-            let mut buf = lock(inner);
-            let key = (span.tid, span.cat);
-            buf.spans.push(span);
-            let idx = buf.spans.len() - 1;
-            buf.last_by_tid.insert(key, idx);
-        }
-    }
-
-    /// Pushes a complete span, coalescing it into the track's previous
-    /// span when both describe the same work (same name, category, and
-    /// trace id) and they touch (`span.begin <= prev.end`). Per-flit
-    /// emitters (wire serialization, credit waits) use this so a bulk
-    /// transfer's burst of near-identical micro-spans collapses into one
-    /// span per transaction instead of one per flit.
-    fn push_merged(&self, span: SpanRecord) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut buf = lock(inner);
-        if let Some(&idx) = buf.last_by_tid.get(&(span.tid, span.cat)) {
-            let prev = &mut buf.spans[idx];
-            if prev.kind == SpanKind::Complete
-                && prev.trace_id == span.trace_id
-                && prev.name == span.name
-                && span.begin_ps >= prev.begin_ps
-                && span.begin_ps <= prev.end_ps
-            {
-                prev.end_ps = prev.end_ps.max(span.end_ps);
-                return;
-            }
-        }
-        let key = (span.tid, span.cat);
-        buf.spans.push(span);
-        let idx = buf.spans.len() - 1;
-        buf.last_by_tid.insert(key, idx);
-    }
 }
 
 /// An owned, thread-transferable snapshot of a recording sink's buffer.
@@ -349,6 +317,8 @@ pub struct TraceDump {
 #[derive(Clone, Default)]
 pub struct Track {
     sink: TraceSink,
+    /// The process the track was created under; a track never moves.
+    pid: u32,
     tid: u32,
 }
 
@@ -365,28 +335,41 @@ impl Track {
         self.sink.is_enabled()
     }
 
-    fn pid(&self) -> u32 {
-        self.sink
-            .with_buf(|b| b.tracks.get(self.tid as usize).map(|(p, _)| *p))
-            .flatten()
-            .unwrap_or(0)
+    /// Interns `name` and pushes (or, with `merge`, coalesces) one span,
+    /// all under one lock of the sink.
+    fn emit(
+        &self,
+        cat: &'static str,
+        name: &str,
+        (begin, end): (SimTime, SimTime),
+        kind: SpanKind,
+        ctx: TraceCtx,
+        merge: bool,
+    ) {
+        let Some(inner) = &self.sink.inner else {
+            return;
+        };
+        let mut buf = lock(inner);
+        let span = SpanRecord {
+            pid: self.pid,
+            tid: self.tid,
+            cat,
+            name: buf.intern(name),
+            begin_ps: begin.as_ps(),
+            end_ps: end.as_ps().max(begin.as_ps()),
+            kind,
+            trace_id: ctx.id,
+        };
+        if merge {
+            buf.push_merged(span);
+        } else {
+            buf.push(span);
+        }
     }
 
     /// Records a duration span `[begin, end]`.
     pub fn span(&self, cat: &'static str, name: &str, begin: SimTime, end: SimTime, ctx: TraceCtx) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.sink.push(SpanRecord {
-            pid: self.pid(),
-            tid: self.tid,
-            cat,
-            name: self.sink.intern(name),
-            begin_ps: begin.as_ps(),
-            end_ps: end.as_ps().max(begin.as_ps()),
-            kind: SpanKind::Complete,
-            trace_id: ctx.id,
-        });
+        self.emit(cat, name, (begin, end), SpanKind::Complete, ctx, false);
     }
 
     /// Records a duration span, coalescing it with the immediately
@@ -401,19 +384,7 @@ impl Track {
         end: SimTime,
         ctx: TraceCtx,
     ) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.sink.push_merged(SpanRecord {
-            pid: self.pid(),
-            tid: self.tid,
-            cat,
-            name: self.sink.intern(name),
-            begin_ps: begin.as_ps(),
-            end_ps: end.as_ps().max(begin.as_ps()),
-            kind: SpanKind::Complete,
-            trace_id: ctx.id,
-        });
+        self.emit(cat, name, (begin, end), SpanKind::Complete, ctx, true);
     }
 
     /// [`Track::span_merged`] for waits: degenerate spans (`end <=
@@ -448,19 +419,7 @@ impl Track {
 
     /// Records a point event.
     pub fn instant(&self, cat: &'static str, name: &str, at: SimTime, ctx: TraceCtx) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.sink.push(SpanRecord {
-            pid: self.pid(),
-            tid: self.tid,
-            cat,
-            name: self.sink.intern(name),
-            begin_ps: at.as_ps(),
-            end_ps: at.as_ps(),
-            kind: SpanKind::Instant,
-            trace_id: ctx.id,
-        });
+        self.emit(cat, name, (at, at), SpanKind::Instant, ctx, false);
     }
 }
 
@@ -740,14 +699,27 @@ mod tests {
     }
 
     #[test]
-    fn into_dump_with_live_track_falls_back_to_clone() {
+    fn into_dump_with_live_track_takes_the_whole_buffer() {
         let sink = TraceSink::recording();
+        sink.begin_process("p");
         let t = sink.track("t");
-        t.instant("c", "x", SimTime::ZERO, TraceCtx::NONE);
-        // `t` still holds an Rc clone of the buffer.
+        t.span(
+            "c",
+            "x",
+            SimTime::ZERO,
+            SimTime::from_ns(3.0),
+            TraceCtx::new(4),
+        );
+        t.instant("c", "y", SimTime::from_ns(1.0), TraceCtx::NONE);
+        let before = sink.spans();
+        // `t` still shares the buffer while the dump is taken.
         let dump = sink.clone().into_dump().expect("dump");
-        assert_eq!(dump.spans.len(), 1);
-        assert_eq!(dump.labels, vec!["x".to_string()]);
+        assert_eq!(dump.processes, vec!["p".to_string()]);
+        assert_eq!(dump.tracks, vec![(0, "t".to_string())]);
+        assert_eq!(dump.labels, vec!["x".to_string(), "y".to_string()]);
+        assert_eq!(format!("{:?}", dump.spans), format!("{before:?}"));
+        // The buffer moved into the dump; the live handle keeps an empty one.
+        assert_eq!(sink.span_count(), 0);
     }
 
     #[test]

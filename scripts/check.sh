@@ -73,10 +73,17 @@ grep -q '"slo_bounded": 1' "$artifacts/e13-results.json"
 
 echo "==> wormhole pod smoke (E14: spine-leaf pod drains deadlock-free, credits conserved)"
 cargo run --release -p fcc-bench --bin experiments -- --quick e14 \
-    --json "$artifacts/e14-results.json"
+    --json "$artifacts/e14-results.json" \
+    --trace "$artifacts/e14-trace.json" \
+    --metrics "$artifacts/e14-metrics.json"
 grep -q '"deadlock_events": 0' "$artifacts/e14-results.json"
 grep -q '"credit_violations": 0' "$artifacts/e14-results.json"
 grep -q '"quiesced_clean": 1' "$artifacts/e14-results.json"
+# The K-domain capture path (eight domains absorbed in order) must export
+# a trace that trace-report reads.
+cargo run --release -p fcc-telemetry --bin trace-report -- "$artifacts/e14-trace.json" \
+    > "$artifacts/e14-trace-report.txt"
+grep -q "time by category" "$artifacts/e14-trace-report.txt"
 
 echo "==> perfbench smoke (quick workloads reproduce their reference outputs)"
 # tenants-recorded is the only FIFO workload whose recorded trace digest
